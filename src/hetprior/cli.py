@@ -22,20 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import FormatError, RecordError, parse_collection, subset_recent, validate_collection
+from .data import parse_collection, subset_recent, validate_collection
 from .dic import compare_models, comparison_to_dict, format_comparison_table
 from .dist import InfeasibleError, Normal, format_distribution, parse_distribution
 from .metaanalysis import (
     GridError,
-    SingleMeta,
-    UndefinedEstimatorError,
     bayes_ma,
     forest_rows,
+    single_meta,
     tau_estimate_collection,
 )
 from .sampler import (
     BACKEND,
-    ConfigError,
     HET_FAMILIES,
     InitializationError,
     McmcConfig,
@@ -46,6 +44,7 @@ from .sampler import (
     summary_dict,
 )
 from .summarize import (
+    FIT_FAMILIES,
     FitError,
     approximation_table,
     fit_predictive_ml,
@@ -58,8 +57,6 @@ from .summarize import (
 from .svg import density_svg, forest_svg, histogram_svg
 
 SCHEMA_VERSION = 1
-
-_FIT_FAMILY_TOKENS = ("half-normal", "half-t", "exp", "half-cauchy", "log-normal", "lomax")
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -79,30 +76,41 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\n"
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(
-    out: Path, subcommand: str, inputs: list[Path], options: dict, seed, outputs: list[str]
+def _emit(
+    args, command: str, inputs: list[Path], options: dict, seed, files: dict, text: str
 ) -> None:
-    doc = {
+    """The one output path of every subcommand.
+
+    Writes ``files`` (name -> text, or a dict written as JSON) and a
+    manifest of the run into ``--out``, then prints the first file (the
+    command's JSON document) under ``--json`` and ``text`` otherwise.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    written = {
+        name: body if isinstance(body, str) else _dump_json(body) for name, body in files.items()
+    }
+    for name, body in written.items():
+        (out / name).write_text(body)
+    manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "backend": BACKEND,
-        "subcommand": subcommand,
+        "subcommand": command,
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
         "options": options,
         "seed": seed,
-        "outputs": sorted(outputs + ["manifest.json"]),
+        "outputs": sorted([*written, "manifest.json"]),
     }
-    (out / "manifest.json").write_text(_dump_json(doc))
+    (out / "manifest.json").write_text(_dump_json(manifest))
+    if args.json:
+        print(next(iter(written.values())), end="")
+    else:
+        print(text)
 
 
 def _load_corpus(args):
@@ -117,7 +125,7 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return int(args.seed)
     seed = int.from_bytes(os.urandom(4), "big")
-    print(f"seed: {seed} (generated; pass --seed {seed} to reproduce)")
+    print(f"seed: {seed} (generated; pass --seed {seed} to reproduce)", file=sys.stderr)
     return seed
 
 
@@ -125,6 +133,15 @@ def _mcmc_config(args, seed: int) -> McmcConfig:
     return McmcConfig(
         chains=args.chains, burn_in=args.burnin, iterations=args.iters, seed=seed
     )
+
+
+def _family_list(text: str, known, what: str) -> tuple[str, ...]:
+    """Comma list of family tokens, each checked against ``known``."""
+    families = tuple(f.strip() for f in text.split(",") if f.strip())
+    for fam in families:
+        if fam not in known:
+            raise ValueError(f"unknown {what} {fam!r}; choose from {tuple(known)}")
+    return families
 
 
 def _forest_csv(rows: list[dict]) -> str:
@@ -144,10 +161,6 @@ def _forest_csv(rows: list[dict]) -> str:
     return out.getvalue()
 
 
-def _cell(v, width=9) -> str:
-    return ("-" if v is None else f"{v:.3f}").rjust(width)
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -163,22 +176,12 @@ def cmd_validate(args) -> int:
         ],
         "warnings": list(report.warnings),
     }
-    out = _out_dir(args)
-    (out / "summary.json").write_text(_dump_json(doc))
-    _write_manifest(
-        out,
-        "validate",
-        [path],
-        {"subset_recent": args.subset_recent},
-        None,
-        ["summary.json"],
+    lines = [f"{c.n_analyses} analyses, {c.n_studies} studies"]
+    lines += [f"warning: {w}" for w in report.warnings]
+    _emit(
+        args, "validate", [path], {"subset_recent": args.subset_recent}, None,
+        {"summary.json": doc}, "\n".join(lines),
     )
-    if args.json:
-        print(_dump_json(doc), end="")
-    else:
-        print(f"{c.n_analyses} analyses, {c.n_studies} studies")
-        for w in report.warnings:
-            print(f"warning: {w}")
     return 0
 
 
@@ -200,6 +203,7 @@ def _fit_table(s, doc: dict) -> str:
             f" {('-' if rhat is None else f'{rhat:.3f}'):>7}"
             f" {('-' if ess is None else f'{ess:.0f}'):>9}"
         )
+    lines += [f"warning: {w}" for w in doc.get("warnings", [])]
     return "\n".join(lines)
 
 
@@ -220,46 +224,28 @@ def cmd_fit(args) -> int:
         "thin": cfg.thin,
         "seed": seed,
     }
-    out = _out_dir(args)
-    (out / "samples.csv").write_text(samples_to_csv(s))
-    (out / "summary.json").write_text(_dump_json(doc))
-    outputs = ["samples.csv", "summary.json"]
+    files = {"summary.json": doc, "samples.csv": samples_to_csv(s)}
     if args.svg:
-        (out / "tau_star.svg").write_text(
-            histogram_svg(
-                s.predictive.ravel(),
-                x_label="predictive heterogeneity",
-                title=f"predictive heterogeneity ({args.family})",
-            )
+        files["tau_star.svg"] = histogram_svg(
+            s.predictive.ravel(),
+            x_label="predictive heterogeneity",
+            title=f"predictive heterogeneity ({args.family})",
         )
-        outputs.append("tau_star.svg")
-    _write_manifest(
-        out,
-        "fit",
-        [path],
-        {
-            "family": args.family,
-            "chains": cfg.chains,
-            "iterations": cfg.iterations,
-            "burn_in": cfg.burn_in,
-            "subset_recent": args.subset_recent,
-        },
-        seed,
-        outputs,
-    )
-    if args.json:
-        print(_dump_json(doc), end="")
-    else:
-        print(_fit_table(s, doc))
-        for w in doc.get("warnings", []):
-            print(f"warning: {w}")
+    options = {
+        "family": args.family,
+        "chains": cfg.chains,
+        "iterations": cfg.iterations,
+        "burn_in": cfg.burn_in,
+        "subset_recent": args.subset_recent,
+    }
+    _emit(args, "fit", [path], options, seed, files, _fit_table(s, doc))
     return 0
 
 
 def cmd_compare(args) -> int:
     c, path = _load_corpus(args)
+    families = _family_list(args.families, HET_FAMILIES, "family")
     seed = _resolve_seed(args)
-    families = tuple(f.strip() for f in args.families.split(",") if f.strip())
     cfg = _mcmc_config(args, seed)
     rows = compare_models(c, families, cfg=cfg)
     doc = {
@@ -267,26 +253,14 @@ def cmd_compare(args) -> int:
         "seed": seed,
         "models": comparison_to_dict(rows),
     }
-    out = _out_dir(args)
-    (out / "dic.json").write_text(_dump_json(doc))
-    _write_manifest(
-        out,
-        "compare",
-        [path],
-        {
-            "families": list(families),
-            "chains": cfg.chains,
-            "iterations": cfg.iterations,
-            "burn_in": cfg.burn_in,
-            "subset_recent": args.subset_recent,
-        },
-        seed,
-        ["dic.json"],
-    )
-    if args.json:
-        print(_dump_json(doc), end="")
-    else:
-        print(format_comparison_table(rows))
+    options = {
+        "families": list(families),
+        "chains": cfg.chains,
+        "iterations": cfg.iterations,
+        "burn_in": cfg.burn_in,
+        "subset_recent": args.subset_recent,
+    }
+    _emit(args, "compare", [path], options, seed, {"dic.json": doc}, format_comparison_table(rows))
     if all(r.error is not None for r in rows):
         print("numerical failure: every family failed to fit", file=sys.stderr)
         return 3
@@ -320,10 +294,7 @@ def cmd_approx(args) -> int:
     if family is None:
         raise ValueError("family not given and no summary.json next to the samples file")
     s = samples_from_csv(csv_path.read_text(), family)
-    fit_families = tuple(f.strip() for f in args.fit_families.split(",") if f.strip())
-    for fam in fit_families:
-        if fam not in _FIT_FAMILY_TOKENS:
-            raise ValueError(f"unknown fit family {fam!r}; choose from {_FIT_FAMILY_TOKENS}")
+    fit_families = _family_list(args.fit_families, FIT_FAMILIES, "fit family")
     source = str(csv_path)
 
     specs = []
@@ -357,40 +328,20 @@ def cmd_approx(args) -> int:
         "priors": [prior_to_dict(spec) for spec in specs],
         "failures": failures,
     }
-    out = _out_dir(args)
-    (out / "summary.json").write_text(_dump_json(doc))
-    (out / "priors.json").write_text(_dump_json(priors_doc))
-    outputs = ["summary.json", "priors.json"]
+    files = {"summary.json": doc, "priors.json": priors_doc}
     if args.svg:
         draws = s.predictive.ravel()
         hi = float(np.quantile(draws, 0.995))
         xs = np.linspace(0.0, hi, 400)
         overlays = [(spec.text(), xs, spec.distribution.density(xs)) for spec in specs]
-        (out / "approx.svg").write_text(
-            histogram_svg(
-                draws[draws <= hi],
-                overlays=overlays,
-                x_label="predictive heterogeneity",
-                title="predictive draws and matched priors",
-            )
+        files["approx.svg"] = histogram_svg(
+            draws[draws <= hi],
+            overlays=overlays,
+            x_label="predictive heterogeneity",
+            title="predictive draws and matched priors",
         )
-        outputs.append("approx.svg")
-    _write_manifest(
-        out,
-        "approx",
-        [csv_path],
-        {
-            "family": family,
-            "methods": args.methods,
-            "fit_families": list(fit_families),
-        },
-        None,
-        outputs,
-    )
-    if args.json:
-        print(_dump_json(doc), end="")
-    else:
-        print(format_approximation_table(rows))
+    options = {"family": family, "methods": args.methods, "fit_families": list(fit_families)}
+    _emit(args, "approx", [csv_path], options, None, files, format_approximation_table(rows))
     return 0
 
 
@@ -404,11 +355,8 @@ def cmd_analyze(args) -> int:
                 f"input holds {c.n_analyses} analyses; pass --analysis to pick one"
             )
         aid = c.analysis_ids[0]
-    records = c.analysis(aid)
-    sm = SingleMeta(
-        y=tuple(r.estimate for r in records), sigma=tuple(r.std_err for r in records)
-    )
-    labels = [r.study_id for r in records]
+    sm = single_meta(c, aid)
+    labels = [r.study_id for r in c.analysis(aid)]
     prior = parse_distribution(args.prior)
     mu_prior = None
     if args.mu_prior is not None:
@@ -443,85 +391,59 @@ def cmd_analyze(args) -> int:
             for ci in res.comparators
         ],
     }
-    out = _out_dir(args)
-    (out / "summary.json").write_text(_dump_json(doc))
-    (out / "forest.csv").write_text(_forest_csv(rows))
-    outputs = ["summary.json", "forest.csv"]
+    files = {"summary.json": doc, "forest.csv": _forest_csv(rows)}
     if args.svg:
-        (out / "forest.svg").write_text(forest_svg(rows, title=f"meta-analysis {aid}"))
-        (out / "mu_density.svg").write_text(
-            density_svg(
-                [("effect posterior", res.mu_density.grid, res.mu_density.density)],
-                shade=res.mu_interval,
-                x_label="effect",
-                title="effect posterior",
-            )
+        files["forest.svg"] = forest_svg(rows, title=f"meta-analysis {aid}")
+        files["mu_density.svg"] = density_svg(
+            [("effect posterior", res.mu_density.grid, res.mu_density.density)],
+            shade=res.mu_interval,
+            x_label="effect",
+            title="effect posterior",
         )
         grid = res.tau_density.grid
-        (out / "tau_density.svg").write_text(
-            density_svg(
-                [
-                    ("heterogeneity posterior", grid, res.tau_density.density),
-                    ("prior", grid, res.prior.distribution.density(grid)),
-                ],
-                shade=res.tau_interval,
-                x_label="heterogeneity",
-                title="heterogeneity prior and posterior",
-            )
+        files["tau_density.svg"] = density_svg(
+            [
+                ("heterogeneity posterior", grid, res.tau_density.density),
+                ("prior", grid, res.prior.distribution.density(grid)),
+            ],
+            shade=res.tau_interval,
+            x_label="heterogeneity",
+            title="heterogeneity prior and posterior",
         )
-        outputs += ["forest.svg", "mu_density.svg", "tau_density.svg"]
-    _write_manifest(
-        out,
-        "analyze",
-        [path],
-        {"analysis": aid, "prior": args.prior, "mu_prior": args.mu_prior},
-        None,
-        outputs,
-    )
-    if args.json:
-        print(_dump_json(doc), end="")
-    else:
-        lo, hi = res.mu_interval
-        print(f"analysis {aid} (k={sm.k}) under prior {res.prior.text()}")
-        print(f"effect: median {res.mu_median:.4f}  95% [{lo:.4f}, {hi:.4f}]  sd {res.mu_sd:.4f}")
-        tlo, thi = res.tau_interval
-        print(f"heterogeneity: median {res.tau_median:.4f}  95% [{tlo:.4f}, {thi:.4f}]")
-        for ci in res.comparators:
-            print(f"{ci.label:<14} {ci.estimate:>8.4f}  [{ci.lo:.4f}, {ci.hi:.4f}]")
+    lo, hi = res.mu_interval
+    tlo, thi = res.tau_interval
+    lines = [
+        f"analysis {aid} (k={sm.k}) under prior {res.prior.text()}",
+        f"effect: median {res.mu_median:.4f}  95% [{lo:.4f}, {hi:.4f}]  sd {res.mu_sd:.4f}",
+        f"heterogeneity: median {res.tau_median:.4f}  95% [{tlo:.4f}, {thi:.4f}]",
+    ]
+    lines += [
+        f"{ci.label:<14} {ci.estimate:>8.4f}  [{ci.lo:.4f}, {ci.hi:.4f}]" for ci in res.comparators
+    ]
+    options = {"analysis": aid, "prior": args.prior, "mu_prior": args.mu_prior}
+    _emit(args, "analyze", [path], options, None, files, "\n".join(lines))
     return 0
 
 
 def cmd_tau_estimates(args) -> int:
     c, path = _load_corpus(args)
     est = tau_estimate_collection(c, args.method)
+    summary = est.summary()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "method": est.method,
         "estimates": [{"analysis": aid, "tau": tau} for aid, tau in est.estimates],
         "skipped": list(est.skipped),
-        "summary": est.summary(),
+        "summary": summary,
     }
-    out = _out_dir(args)
-    (out / "summary.json").write_text(_dump_json(doc))
-    _write_manifest(
-        out,
-        "tau-estimates",
-        [path],
-        {"method": est.method, "subset_recent": args.subset_recent},
-        None,
-        ["summary.json"],
+    lines = [f"{'analysis':<20} {'tau_hat':>9}"]
+    lines += [f"{aid:<20} {tau:>9.4f}" for aid, tau in est.estimates]
+    lines.append(
+        f"n={summary['n']}  fraction zero={summary['fraction_zero']:.2f}  "
+        f"mean={summary['mean']:.4f}  median={summary['median']:.4f}"
     )
-    if args.json:
-        print(_dump_json(doc), end="")
-    else:
-        print(f"{'analysis':<20} {'tau_hat':>9}")
-        for aid, tau in est.estimates:
-            print(f"{aid:<20} {tau:>9.4f}")
-        summary = est.summary()
-        print(
-            f"n={summary['n']}  fraction zero={summary['fraction_zero']:.2f}  "
-            f"mean={summary['mean']:.4f}  median={summary['median']:.4f}"
-        )
+    options = {"method": est.method, "subset_recent": args.subset_recent}
+    _emit(args, "tau-estimates", [path], options, None, {"summary.json": doc}, "\n".join(lines))
     return 0
 
 
@@ -643,13 +565,8 @@ def main(argv=None) -> int:
     except (GridError, FitError, InitializationError, InfeasibleError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (FormatError, RecordError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except (ConfigError, UndefinedEstimatorError, ValueError, TypeError, KeyError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    # FormatError, RecordError, ConfigError and UndefinedEstimatorError are ValueErrors
+    except (ValueError, TypeError, KeyError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,6 @@ import numpy as np
 from . import _kernels
 from .data import MetaAnalysisCollection
 from .sampler import (
-    HET_FAMILIES,
     McmcConfig,
     ModelSpec,
     PosteriorSamples,
@@ -197,7 +196,3 @@ def format_comparison_table(rows: list[ComparisonRow]) -> str:
             f"  {_cell(p['median'], 6)}  {_cell(p['q95'], 6)}  {_cell(p['q99'], 6)}"
         )
     return "\n".join(lines)
-
-
-# families eligible for comparison, in conventional order
-COMPARISON_FAMILIES = tuple(HET_FAMILIES)

@@ -63,7 +63,7 @@ class GridError(RuntimeError):
 
 
 class UndefinedEstimatorError(ValueError):
-    """A frequentist estimator needs at least two studies."""
+    """A frequentist estimator is undefined for the given studies."""
 
 
 @dataclass(frozen=True)
@@ -332,16 +332,36 @@ def _weighted_mean(sm: SingleMeta, tau: float) -> tuple[float, float, np.ndarray
     return mu, float(1.0 / np.sum(w)), w
 
 
+def _dl_fit(y: np.ndarray, w: np.ndarray) -> tuple[float, float, float | None]:
+    """Fixed-effect mean, Cochran's Q and the DerSimonian-Laird tau^2
+    (truncated at zero) from estimates ``y`` and weights ``w = 1/sigma^2``.
+
+    tau^2 is None where DL is undefined: fewer than two studies, or weights
+    so unequal that the denominator sum(w) - sum(w^2)/sum(w) is not positive.
+    """
+    sw = np.sum(w)
+    mu = float(np.sum(w * y) / sw)
+    q = float(np.sum(w * (y - mu) ** 2))
+    if y.size < 2:
+        return mu, q, None
+    denom = float(sw - np.sum(w**2) / sw)
+    if not denom > 0.0:
+        return mu, q, None
+    return mu, q, max(0.0, (q - (y.size - 1)) / denom)
+
+
 def dl_estimate(sm: SingleMeta) -> DlResult:
     """DerSimonian-Laird moment estimate (truncated at zero) and Cochran's Q."""
     if sm.k < 2:
         raise UndefinedEstimatorError("DL estimate needs at least 2 studies")
-    y = np.asarray(sm.y, dtype=float)
     w = 1.0 / np.asarray(sm.sigma, dtype=float) ** 2
-    mu = float(np.sum(w * y) / np.sum(w))
-    q = float(np.sum(w * (y - mu) ** 2))
-    denom = float(np.sum(w) - np.sum(w**2) / np.sum(w))
-    tau2 = max(0.0, (q - (sm.k - 1)) / denom)
+    _, q, tau2 = _dl_fit(np.asarray(sm.y, dtype=float), w)
+    if tau2 is None:
+        raise UndefinedEstimatorError(
+            "DL estimate undefined: the weight denominator sum(w) - sum(w^2)/sum(w) "
+            f"is not positive (standard errors {min(sm.sigma):g} to {max(sm.sigma):g} "
+            "are too unequal for double precision)"
+        )
     return DlResult(tau=math.sqrt(tau2), q=q)
 
 
@@ -423,14 +443,14 @@ def tau_estimate_collection(c: MetaAnalysisCollection, method: str = "DL") -> Ta
     estimates = []
     skipped = []
     for aid in c.analysis_ids:
-        records = c.analysis(aid)
-        if len(records) < 2:
+        sm = single_meta(c, aid)
+        if sm.k < 2:
             skipped.append(aid)
             continue
-        sm = SingleMeta(
-            y=tuple(r.estimate for r in records), sigma=tuple(r.std_err for r in records)
-        )
-        tau = dl_estimate(sm).tau if norm == "DL" else pm_estimate(sm)
+        try:
+            tau = dl_estimate(sm).tau if norm == "DL" else pm_estimate(sm)
+        except UndefinedEstimatorError as e:
+            raise UndefinedEstimatorError(f"analysis {aid}: {e}") from None
         estimates.append((aid, float(tau)))
     if skipped:
         warnings.warn(

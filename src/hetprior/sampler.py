@@ -123,15 +123,19 @@ class ModelSpec:
             raise ConfigError(f"effect_prior_sd must be positive, got {self.effect_prior_sd!r}")
         if not math.isfinite(self.effect_prior_mean):
             raise ConfigError(f"effect_prior_mean must be finite, got {self.effect_prior_mean!r}")
-        _hyper_code(self.scale_hyperprior)
+        for prior in self.hyperpriors.values():
+            _hyper_code(prior)
+
+    @property
+    def hyperpriors(self) -> dict[str, Distribution]:
+        """The family's hyperparameters, in kernel order, with their priors."""
         if self.het_family == "log-normal":
-            _hyper_code(self.shape_hyperprior)
+            return {"theta": self.scale_hyperprior, "sigma": self.shape_hyperprior}
+        return {"scale": self.scale_hyperprior}
 
     @property
     def hyper_names(self) -> tuple[str, ...]:
-        if self.het_family == "log-normal":
-            return ("theta", "sigma")
-        return ("scale",)
+        return tuple(self.hyperpriors)
 
 
 @dataclass(frozen=True)
@@ -169,11 +173,8 @@ class PosteriorSamples:
         if np.any(self.tau < 0.0) or np.any(self.predictive < 0.0):
             raise ValueError("negative tau or predictive draw: sampler invariant violated")
         if self.model is not None:
-            priors = {"scale": self.model.scale_hyperprior, "theta": self.model.scale_hyperprior,
-                      "sigma": self.model.shape_hyperprior}
-            for name in self.hyper_names:
+            for name, prior in self.model.hyperpriors.items():
                 draws = self.hyper[name]
-                prior = priors[name]
                 for edge in (float(draws.min()), float(draws.max())):
                     if prior.log_density(edge) == -math.inf:
                         raise ValueError(
@@ -229,34 +230,28 @@ def _flatten(c: MetaAnalysisCollection):
 
 
 def _initial_state(y, se2, offsets, m: ModelSpec):
-    """Fixed-effect means, DL-style tau (floored at 0.01), hyperprior medians."""
+    """Fixed-effect means, DL tau (floored at 0.01; 0.01 where DL is
+    undefined), hyperprior medians."""
+    # metaanalysis imports summarize, which imports this module
+    from .metaanalysis import _dl_fit
+
     n = offsets.size - 1
     mu0 = np.empty(n)
     tau0 = np.empty(n)
     for j in range(n):
         sl = slice(offsets[j], offsets[j + 1])
-        w = 1.0 / se2[sl]
-        mu0[j] = float(np.sum(w * y[sl]) / np.sum(w))
-        k = offsets[j + 1] - offsets[j]
-        tau_dl = 0.0
-        if k >= 2:
-            q = float(np.sum(w * (y[sl] - mu0[j]) ** 2))
-            denom = float(np.sum(w) - np.sum(w**2) / np.sum(w))
-            if denom > 0.0:
-                tau_dl = math.sqrt(max(0.0, (q - (k - 1)) / denom))
-        tau0[j] = max(0.01, tau_dl)
-    th10 = float(m.scale_hyperprior.quantile(0.5))
-    th20 = float(m.shape_hyperprior.quantile(0.5)) if m.het_family == "log-normal" else 0.0
-    return mu0, tau0, th10, th20
+        mu0[j], _, tau2 = _dl_fit(y[sl], 1.0 / se2[sl])
+        tau0[j] = 0.01 if tau2 is None else max(0.01, math.sqrt(tau2))
+    th = [float(prior.quantile(0.5)) for prior in m.hyperpriors.values()]
+    return mu0, tau0, th[0], th[1] if len(th) == 2 else 0.0
 
 
 def _check_initial_log_posterior(y, se2, offsets, mu0, tau0, th10, th20, m: ModelSpec):
     fam = HET_FAMILIES[m.het_family]
-    hp1 = _hyper_code(m.scale_hyperprior)
-    lp = _kernels._hyper_logpdf(hp1[0], hp1[1], hp1[2], th10)
-    if m.het_family == "log-normal":
-        hp2 = _hyper_code(m.shape_hyperprior)
-        lp += _kernels._hyper_logpdf(hp2[0], hp2[1], hp2[2], th20)
+    lp = 0.0
+    for prior, th in zip(m.hyperpriors.values(), (th10, th20)):
+        code, a, b, _, _ = _hyper_code(prior)
+        lp += _kernels._hyper_logpdf(code, a, b, th)
     sp2 = m.effect_prior_sd**2
     for j in range(offsets.size - 1):
         lp += _kernels._tau_logpost(
@@ -313,9 +308,7 @@ def run_hierarchical(
             out_mu[ch], out_tau[ch], out_th[ch], out_pred[ch], out_dev[ch],
         )
 
-    hyper = {m.hyper_names[0]: out_th[:, :, 0]}
-    if len(m.hyper_names) == 2:
-        hyper[m.hyper_names[1]] = out_th[:, :, 1]
+    hyper = {name: out_th[:, :, i] for i, name in enumerate(m.hyper_names)}
     return PosteriorSamples(
         family=m.het_family,
         hyper_names=m.hyper_names,
@@ -468,7 +461,12 @@ def samples_to_csv(s: PosteriorSamples) -> str:
 
 
 def draws_from_csv(text: str) -> dict[str, np.ndarray]:
-    """Parse the long-format draw CSV back into (chains, kept) arrays."""
+    """Parse the long-format draw CSV back into (chains, kept) arrays.
+
+    Every row must have the four fields and every parameter a value at
+    every (chain, iter) seen in the file, so a cut or ragged file fails
+    here instead of reaching the summaries as NaN.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if header != ["chain", "iter", "parameter", "value"]:
@@ -479,13 +477,26 @@ def draws_from_csv(text: str) -> dict[str, np.ndarray]:
     for row in reader:
         if not row:
             continue
+        if len(row) != 4:
+            raise ValueError(
+                f"draw CSV line {reader.line_num}: expected 4 fields "
+                f"(chain,iter,parameter,value), got {len(row)}"
+            )
         ch, it, name, value = int(row[0]), int(row[1]), row[2], float(row[3])
+        if ch < 0 or it < 0:
+            raise ValueError(f"draw CSV line {reader.line_num}: negative chain or iter")
         values.setdefault(name, {})[(ch, it)] = value
         max_chain = max(max_chain, ch)
         max_iter = max(max_iter, it)
+    shape = (max_chain + 1, max_iter + 1)
     out = {}
     for name, cells in values.items():
-        arr = np.full((max_chain + 1, max_iter + 1), math.nan)
+        if len(cells) != shape[0] * shape[1]:
+            ch, it = next(cell for cell in np.ndindex(shape) if cell not in cells)
+            raise ValueError(
+                f"draw CSV has no value for chain {ch}, iter {it}, parameter {name!r}"
+            )
+        arr = np.empty(shape)
         for (ch, it), v in cells.items():
             arr[ch, it] = v
         out[name] = arr
@@ -498,10 +509,8 @@ def samples_from_csv(text: str, family: str) -> PosteriorSamples:
     The family determines the hyperparameter names; the analysis ids are
     recovered from the ``mu[...]`` parameter names in file order.
     """
-    if family not in HET_FAMILIES:
-        raise ValueError(f"unknown heterogeneity family {family!r}")
+    hyper_names = ModelSpec(het_family=family).hyper_names
     draws = draws_from_csv(text)
-    hyper_names = ("theta", "sigma") if family == "log-normal" else ("scale",)
     required = set(hyper_names) | {"tau_star", "deviance"}
     missing = sorted(required - set(draws))
     if missing:

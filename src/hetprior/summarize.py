@@ -26,6 +26,7 @@ import numpy as np
 from scipy import optimize
 
 from .dist import (
+    _FAMILIES,
     Distribution,
     Exponential,
     HalfCauchy,
@@ -44,6 +45,7 @@ from .sampler import PosteriorSamples, summarize_samples
 __all__ = [
     "PriorSpec",
     "FitError",
+    "FIT_FAMILIES",
     "point_estimate_prior",
     "mixture_match_prior",
     "fit_predictive_ml",
@@ -121,32 +123,23 @@ def point_estimate_prior(s: PosteriorSamples, statistic: str = "mean", source: s
         sigma_hat = _statistic(s.hyper["sigma"], statistic)
         dist = LogNormal(mu=math.log(theta_hat), sigma=sigma_hat)
     else:
-        scale_hat = _statistic(s.hyper["scale"], statistic)
-        dist = {"half-normal": HalfNormal, "exp": Exponential, "half-cauchy": HalfCauchy}[
-            s.family
-        ](scale_hat)
+        dist = _FAMILIES[s.family](_statistic(s.hyper["scale"], statistic))
     return PriorSpec(distribution=dist, method=method, source=source, note=note)
 
 
 def mixture_match_prior(s: PosteriorSamples, source: str = "") -> PriorSpec:
     """Route 2: analytic match of the hyperparameter-uncertainty mixture."""
     note = None
-    if s.family == "half-normal":
+    if s.family in ("half-normal", "exp"):
         draws = s.hyper["scale"].ravel()
         mean_s, sd_s = float(np.mean(draws)), float(np.std(draws, ddof=1))
-        if sd_s <= mean_s * 1e-12:  # spread below float noise of the mean
-            dist: Distribution = scale_mixture_half_t(mean_s, 0.0)
+        degenerate = sd_s <= mean_s * 1e-12  # spread below float noise of the mean
+        if degenerate:
             note = "degenerate mixture: zero hyperparameter spread"
+        if s.family == "half-normal":
+            dist: Distribution = scale_mixture_half_t(mean_s, 0.0 if degenerate else sd_s)
         else:
-            dist = scale_mixture_half_t(mean_s, sd_s)
-    elif s.family == "exp":
-        draws = s.hyper["scale"].ravel()
-        mean_s, sd_s = float(np.mean(draws)), float(np.std(draws, ddof=1))
-        if sd_s <= mean_s * 1e-12:
-            dist = Exponential(mean_s)
-            note = "degenerate mixture: zero hyperparameter spread"
-        else:
-            dist = exp_mixture_lomax(mean_s, sd_s)
+            dist = Exponential(mean_s) if degenerate else exp_mixture_lomax(mean_s, sd_s)
     elif s.family == "log-normal":
         log_theta = np.log(s.hyper["theta"].ravel())
         sigma2 = s.hyper["sigma"].ravel() ** 2
@@ -163,7 +156,8 @@ def mixture_match_prior(s: PosteriorSamples, source: str = "") -> PriorSpec:
 
 # -- direct fits ---------------------------------------------------------------
 
-_FIT_FAMILIES = ("half-normal", "half-t", "exp", "half-cauchy", "log-normal", "lomax")
+#: families the direct fits (ML and moments) accept
+FIT_FAMILIES = ("half-normal", "half-t", "exp", "half-cauchy", "log-normal", "lomax")
 
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -201,17 +195,10 @@ def _pack(d: Distribution) -> np.ndarray:
 
 
 def _unpack(family: str, v: np.ndarray) -> Distribution:
-    if family == "half-normal":
-        return HalfNormal(math.exp(v[0]))
-    if family == "exp":
-        return Exponential(math.exp(v[0]))
-    if family == "half-cauchy":
-        return HalfCauchy(math.exp(v[0]))
+    """Inverse of :func:`_pack`."""
     if family == "log-normal":
         return LogNormal(v[0], math.exp(v[1]))
-    if family == "half-t":
-        return HalfStudentT(math.exp(v[0]), math.exp(v[1]))
-    return Lomax(math.exp(v[0]), math.exp(v[1]))
+    return _FAMILIES[family](*(math.exp(p) for p in v))
 
 
 def fit_predictive_ml(draws, family: str, source: str = "") -> PriorSpec:
@@ -223,8 +210,8 @@ def fit_predictive_ml(draws, family: str, source: str = "") -> PriorSpec:
     x = np.asarray(draws, dtype=float).ravel()
     if x.size < 1000:
         raise ValueError(f"need at least 1000 draws for a direct fit, got {x.size}")
-    if family not in _FIT_FAMILIES:
-        raise ValueError(f"unsupported fit family {family!r}; choose from {_FIT_FAMILIES}")
+    if family not in FIT_FAMILIES:
+        raise ValueError(f"unsupported fit family {family!r}; choose from {FIT_FAMILIES}")
 
     def neg_ll(v):
         d = _unpack(family, v)

@@ -152,25 +152,14 @@ def test_fit_text_table(corpus_csv, tmp_path, capsys):
     assert "parameter" in text and "tau_star" in text and "deviance" in text
 
 
-def test_fit_json_mode_matches_file(corpus_csv, tmp_path, capsys):
-    out = tmp_path / "j"
-    args = [
-        "fit", str(corpus_csv), "--seed", "3", "--chains", "2", "--iters", "300",
-        "--burnin", "80", "--out", str(out), "--json",
-    ]
-    assert main(args) == 0
-    stdout = capsys.readouterr().out
-    assert stdout == (out / "summary.json").read_text()
-
-
 def test_fit_generated_seed_printed_and_recorded(corpus_csv, tmp_path, capsys):
     out = tmp_path / "g"
     assert (
         main(["fit", str(corpus_csv), "--chains", "2", "--iters", "200", "--burnin", "60", "--out", str(out)])
         == 0
     )
-    stdout = capsys.readouterr().out
-    line = next(l for l in stdout.splitlines() if l.startswith("seed:"))
+    stderr = capsys.readouterr().err
+    line = next(l for l in stderr.splitlines() if l.startswith("seed:"))
     printed = int(line.split()[1])
     man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == printed
@@ -299,6 +288,24 @@ def _low_cv_samples_csv(path):
         w.writerow([0, i, "tau_star", repr(tau)])
         w.writerow([0, i, "deviance", repr(float(rng.normal(20, 2)))])
     path.write_text(out.getvalue())
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda lines: lines[:-1], "no value for chain 1, iter 799, parameter 'deviance'"),
+        (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "\n"], "expected 4 fields"),
+    ],
+    ids=["cut-at-line", "ragged-row"],
+)
+def test_approx_damaged_draw_file_exits_2(fit_dir, tmp_path, capsys, damage, message):
+    lines = (fit_dir / "samples.csv").read_text().splitlines(keepends=True)
+    p = tmp_path / "samples.csv"
+    p.write_text("".join(damage(lines)))
+    out = tmp_path / "o"
+    assert main(["approx", str(p), "--family", "half-normal", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_approx_all_methods_failing_exits_3(tmp_path, capsys):
@@ -445,10 +452,12 @@ def test_tau_estimates_subset_recent(corpus_csv, tmp_path):
     assert sorted(ids) == ["a2", "solo"]
 
 
-def test_tau_estimates_json_mode_matches_file(corpus_csv, tmp_path, capsys):
-    out = tmp_path / "te"
-    assert main(["tau-estimates", str(corpus_csv), "--json", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == (out / "summary.json").read_text()
+def test_tau_estimates_degenerate_weights_exit_2(tmp_path, capsys):
+    p = tmp_path / "tight.csv"
+    p.write_text(CORPUS + "tight,s0,0.1,1e-10,4\ntight,s1,0.3,1.0,4\n")
+    assert main(["tau-estimates", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "analysis tight" in err and "denominator" in err
 
 
 def test_tau_estimates_bad_method_exits_2(corpus_csv, tmp_path, capsys):
@@ -477,3 +486,39 @@ def test_compare_two_families(corpus_csv, tmp_path, capsys):
 def test_compare_single_family_exits_2(corpus_csv, tmp_path, capsys):
     code = main(["compare", str(corpus_csv), "--families", "exp", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("families, bad", [("half-normal,hlaf-cauchy", "hlaf-cauchy"), ("weibull,gamma", "weibull")])
+def test_compare_unknown_family_exits_2_before_sampling(corpus_csv, tmp_path, capsys, families, bad):
+    out = tmp_path / "cmp"
+    code = main(["compare", str(corpus_csv), "--families", families, "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert repr(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -- --json prints exactly the written document ---------------------------------------
+
+_MCMC = ["--chains", "2", "--iters", "300", "--burnin", "80"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["validate", "{corpus}"], "summary.json"),
+        (["tau-estimates", "{corpus}"], "summary.json"),
+        (["fit", "{corpus}", "--seed", "3", *_MCMC], "summary.json"),
+        (["fit", "{corpus}", *_MCMC], "summary.json"),
+        (["approx", "{fit_dir}", "--methods", "point:mean,mixture"], "summary.json"),
+        (["analyze", "{single}", "--prior", "exp(0.3)"], "summary.json"),
+        (["compare", "{corpus}", "--families", "half-normal,exp", "--seed", "2", *_MCMC], "dic.json"),
+        (["compare", "{corpus}", "--families", "half-normal,exp", *_MCMC], "dic.json"),
+    ],
+    ids=["validate", "tau-estimates", "fit", "fit-generated-seed", "approx", "analyze", "compare",
+         "compare-generated-seed"],
+)
+def test_json_mode_matches_file(argv, doc, corpus_csv, single_csv, fit_dir, tmp_path, capsys):
+    paths = {"corpus": corpus_csv, "single": single_csv, "fit_dir": fit_dir}
+    out = tmp_path / "j"
+    assert main([a.format(**paths) for a in argv] + ["--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / doc).read_text()

@@ -310,6 +310,25 @@ def test_estimators_need_two_studies(func):
         func(SingleMeta(y=(0.1,), sigma=(0.5,)))
 
 
+@pytest.mark.parametrize("sigma", [(1e-10, 1.0), (1e-9, 1.0, 1.0)])
+def test_dl_degenerate_weights_fail_loudly(sigma):
+    # one weight swamps the rest: sum(w) - sum(w^2)/sum(w) rounds to zero
+    sm = SingleMeta(y=(0.1, 0.3, -0.2)[: len(sigma)], sigma=sigma)
+    with pytest.raises(UndefinedEstimatorError, match="denominator"):
+        dl_estimate(sm)
+
+
+def test_tau_estimate_collection_names_degenerate_analysis():
+    c = parse_collection(
+        "analysis_id,study_id,estimate,std_err\n"
+        "fine,s1,0.1,0.3\nfine,s2,0.4,0.2\n"
+        "tight,s1,0.1,1e-10\ntight,s2,0.3,1.0\n"
+    )
+    with pytest.raises(UndefinedEstimatorError, match="analysis tight"):
+        tau_estimate_collection(c, "DL")
+    assert [aid for aid, _ in tau_estimate_collection(c, "PM").estimates] == ["fine", "tight"]
+
+
 @pytest.mark.parametrize("c", [0.5, 2.7])
 def test_scale_equivariance(c):
     rng = np.random.default_rng(11)

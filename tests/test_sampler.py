@@ -271,6 +271,45 @@ def test_csv_round_trip(quick_run):
         np.testing.assert_array_equal(parsed[name], quick_run.draws(name))
 
 
+def _draw_csv_lines():
+    s = run_hierarchical(small_corpus(), ModelSpec(), McmcConfig(chains=2, burn_in=20, iterations=30, seed=4))
+    return samples_to_csv(s).splitlines(keepends=True)
+
+
+def test_draws_from_csv_rejects_file_cut_at_line_boundary():
+    lines = _draw_csv_lines()
+    with pytest.raises(ValueError, match=r"chain 1, iter 29, parameter 'deviance'"):
+        draws_from_csv("".join(lines[:-1]))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda row: row.rsplit(",", 1)[0] + "\n", "line 6: expected 4 fields"),
+        (lambda row: "-1" + row[row.index(","):], "line 6: negative chain or iter"),
+    ],
+    ids=["ragged", "negative-chain"],
+)
+def test_draws_from_csv_rejects_malformed_row(damage, message):
+    lines = _draw_csv_lines()
+    lines[5] = damage(lines[5])
+    with pytest.raises(ValueError, match=message):
+        draws_from_csv("".join(lines))
+
+
+def test_initial_state_floors_undefined_dl_start():
+    from hetprior.sampler import _flatten, _initial_state
+
+    c = MetaAnalysisCollection(
+        (
+            ("tight", (StudyRecord("tight", "a", 0.1, 1e-10, 0), StudyRecord("tight", "b", 0.3, 1.0, 1))),
+            ("solo", (StudyRecord("solo", "a", 0.2, 0.4, 2),)),
+        )
+    )
+    _, tau0, _, _ = _initial_state(*_flatten(c), ModelSpec())
+    assert tau0.tolist() == [0.01, 0.01]
+
+
 def test_summary_dict_structure(quick_run):
     doc = summary_dict(quick_run)
     assert doc["family"] == "half-normal"
