@@ -391,6 +391,8 @@ def cmd_analyze(args) -> int:
             for ci in res.comparators
         ],
     }
+    if res.warnings:
+        doc["warnings"] = list(res.warnings)
     files = {"summary.json": doc, "forest.csv": _forest_csv(rows)}
     if args.svg:
         files["forest.svg"] = forest_svg(rows, title=f"meta-analysis {aid}")
@@ -420,6 +422,7 @@ def cmd_analyze(args) -> int:
     lines += [
         f"{ci.label:<14} {ci.estimate:>8.4f}  [{ci.lo:.4f}, {ci.hi:.4f}]" for ci in res.comparators
     ]
+    lines += [f"warning: {w}" for w in res.warnings]
     options = {"analysis": aid, "prior": args.prior, "mu_prior": args.mu_prior}
     _emit(args, "analyze", [path], options, None, files, "\n".join(lines))
     return 0

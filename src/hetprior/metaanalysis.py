@@ -163,6 +163,8 @@ class MetaAnalysisResult:
     tau_density: GridDensity
     prior: PriorSpec
     comparators: tuple[LabeledInterval, ...]
+    #: why comparators are missing, when an estimator is undefined
+    warnings: tuple[str, ...] = ()
 
 
 def _weights(sm: SingleMeta, mu_prior: Normal | None, tau: np.ndarray) -> tuple:
@@ -298,9 +300,14 @@ def bayes_ma(
         ).sum(axis=1)
 
     rows: tuple[LabeledInterval, ...] = ()
+    warns: tuple[str, ...] = ()
     if comparators and sm.k >= 2:
-        dl = dl_estimate(sm)
-        rows = ci_suite(sm, dl.tau) + (_common_effect_interval(sm),)
+        try:
+            dl = dl_estimate(sm)
+        except UndefinedEstimatorError as e:
+            warns = (f"frequentist comparators omitted: {e}",)
+        else:
+            rows = ci_suite(sm, dl.tau) + (_common_effect_interval(sm),)
 
     return MetaAnalysisResult(
         mu_mean=mu_mean,
@@ -313,6 +320,7 @@ def bayes_ma(
         tau_density=td,
         prior=spec,
         comparators=rows,
+        warnings=warns,
     )
 
 

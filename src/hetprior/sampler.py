@@ -3,16 +3,34 @@
 The model: study estimates y_ij are normal around analysis effects mu_j
 with variance sigma_ij^2 + tau_j^2; each analysis has its own
 heterogeneity tau_j drawn from a shared parametric family (half-normal,
-exponential, half-Cauchy or log-normal) whose hyperparameters get uniform
+exponential, half-Cauchy or log-normal) whose hyperparameters get
 hyperpriors; mu_j have a common normal prior. Each iteration draws every
 mu_j from its exact conjugate normal full conditional, slice-samples every
 tau_j and the hyperparameter(s), then draws one predictive heterogeneity
 value tau* from the family at the current hyperparameters and records the
 deviance.
 
-Chains use independent generators spawned from the master seed, so
-results are reproducible bit-for-bit and adding chains never perturbs
-existing ones.
+The sampler runs in lock step: all chains and all analyses advance
+together as (chains, analyses) numpy arrays. Given mu and the
+hyperparameters the tau_j full conditionals are independent, and chains
+are independent, so one stepping-out/shrinkage slice update (Neal 2003,
+"Slice sampling", Ann. Stat. 31:705) moves the whole tau block at once,
+with per-element masks marking which elements are still stepping out or
+still shrinking; the same routine updates each hyperparameter, held as
+a (chains, 1) array, within its hyperprior support. The mu_j draws sum their studies
+with ``np.add.reduceat`` over the CSR ``offsets``.
+
+Slice rules: initial width x0 + 0.1, at most 50 step-outs per side, at
+most 1000 shrinks; an update that hits the shrink cap keeps x0. Per chain
+and per block (tau, each hyperparameter) the sampler counts updates,
+log-posterior evaluations, step-out cap hits and shrink cap hits;
+:func:`summary_dict` reports them and warns on any cap hit.
+
+Stream contract: every chain has its own ``Generator(Philox)`` spawned
+from the master seed, and a chain draws only for its own still-active
+elements, in element order. A chain's draws therefore depend on its own
+stream and state alone: results are reproducible bit for bit, and adding
+chains never perturbs existing ones.
 """
 
 from __future__ import annotations
@@ -21,11 +39,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import special
 
-from . import _kernels
-from ._kernels import BACKEND  # noqa: F401  (re-exported: active kernel path)
 from .data import MetaAnalysisCollection
 from .dist import (
     Distribution,
@@ -34,6 +52,7 @@ from .dist import (
     HalfNormal,
     HalfStudentT,
     LogNormal,
+    Normal,
     Uniform,
 )
 
@@ -56,15 +75,63 @@ __all__ = [
     "samples_from_csv",
     "summary_dict",
     "HET_FAMILIES",
+    "SLICE_COUNTERS",
 ]
+
+#: the one sampler implementation, recorded in summaries and manifests
+BACKEND = "numpy"
+
+_LOG_2PI = math.log(2.0 * math.pi)
+_MAX_STEPOUT = 50
+_MAX_SHRINK = 1000
+#: step directions of a slice interval's (lower, upper) end
+_DOWN_UP = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+#: per-chain slice counters, in the column order of the count arrays
+SLICE_COUNTERS = ("updates", "log_posterior_evals", "stepout_cap_hits", "shrink_cap_hits")
+#: A hyperparameter piles up at the upper bound of a finite hyperprior
+#: support when its draws put more than _PILEUP_RATIO times the prior's mass
+#: into the top _PILEUP_FRACTION of that support: the data push it against
+#: a bound the hyperprior imposes, so the bound, not the data, sets it.
+_PILEUP_FRACTION = 0.05
+_PILEUP_RATIO = 2.0
+
+
+class _Family(NamedTuple):
+    """A heterogeneity family, vectorized over values and hyperparameters:
+    ``log_density(x, th1, th2)`` and ``quantile(p, th1, th2)``, with th1
+    the scale (the log-normal's median) and th2 the log-normal's shape."""
+
+    log_density: Callable
+    quantile: Callable
+
+
+def _log_normal_log_density(x, theta, sigma):
+    logx = np.log(x)
+    z = (logx - np.log(theta)) / sigma
+    return -logx - np.log(sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
+
 
 #: heterogeneity families accepted by ModelSpec, keyed by canonical token
 HET_FAMILIES = {
-    "half-normal": _kernels.FAM_HALF_NORMAL,
-    "exp": _kernels.FAM_EXP,
-    "half-cauchy": _kernels.FAM_HALF_CAUCHY,
-    "log-normal": _kernels.FAM_LOG_NORMAL,
+    "half-normal": _Family(
+        lambda x, s, _: 0.5 * math.log(2.0 / math.pi) - np.log(s) - 0.5 * np.square(x / s),
+        lambda p, s, _: s * math.sqrt(2.0) * special.erfinv(p),
+    ),
+    "exp": _Family(
+        lambda x, s, _: -np.log(s) - x / s,
+        lambda p, s, _: -s * np.log1p(-p),
+    ),
+    "half-cauchy": _Family(
+        lambda x, s, _: math.log(2.0 / math.pi) - np.log(s) - np.log1p(np.square(x / s)),
+        lambda p, s, _: s * np.tan(0.5 * math.pi * p),
+    ),
+    "log-normal": _Family(
+        _log_normal_log_density,
+        lambda p, theta, sigma: theta * np.exp(sigma * special.ndtri(p)),
+    ),
 }
+
+_HYPERPRIORS = (Uniform, HalfNormal, Exponential, HalfCauchy, LogNormal, HalfStudentT)
 
 
 class ConfigError(ValueError):
@@ -75,24 +142,16 @@ class InitializationError(RuntimeError):
     """The log-posterior is not finite at the initial state."""
 
 
-def _hyper_code(prior: Distribution) -> tuple[int, float, float, float, float]:
-    """Map a hyperprior to (kernel code, param a, param b, support lo, hi)."""
+def _hyper_support(prior: Distribution) -> tuple[float, float]:
+    """Support [lo, hi] of a hyperprior; hyperparameters are scales (>= 0)."""
     if isinstance(prior, Uniform):
         if prior.lo < 0.0:
             raise ConfigError(
                 f"hyperprior {prior} allows negative values; hyperparameters are scales (>= 0)"
             )
-        return (_kernels.HP_UNIFORM, prior.lo, prior.hi, prior.lo, prior.hi)
-    if isinstance(prior, HalfNormal):
-        return (_kernels.HP_HALF_NORMAL, prior.scale, 0.0, 0.0, math.inf)
-    if isinstance(prior, Exponential):
-        return (_kernels.HP_EXP, prior.scale, 0.0, 0.0, math.inf)
-    if isinstance(prior, HalfCauchy):
-        return (_kernels.HP_HALF_CAUCHY, prior.scale, 0.0, 0.0, math.inf)
-    if isinstance(prior, LogNormal):
-        return (_kernels.HP_LOG_NORMAL, prior.mu, prior.sigma, 0.0, math.inf)
-    if isinstance(prior, HalfStudentT):
-        return (_kernels.HP_HALF_T, prior.df, prior.scale, 0.0, math.inf)
+        return prior.lo, prior.hi
+    if isinstance(prior, _HYPERPRIORS):
+        return 0.0, math.inf
     raise ConfigError(f"unsupported hyperprior family: {prior}")
 
 
@@ -124,11 +183,11 @@ class ModelSpec:
         if not math.isfinite(self.effect_prior_mean):
             raise ConfigError(f"effect_prior_mean must be finite, got {self.effect_prior_mean!r}")
         for prior in self.hyperpriors.values():
-            _hyper_code(prior)
+            _hyper_support(prior)
 
     @property
     def hyperpriors(self) -> dict[str, Distribution]:
-        """The family's hyperparameters, in kernel order, with their priors."""
+        """The family's hyperparameters, in sampler order, with their priors."""
         if self.het_family == "log-normal":
             return {"theta": self.scale_hyperprior, "sigma": self.shape_hyperprior}
         return {"scale": self.scale_hyperprior}
@@ -156,7 +215,13 @@ class McmcConfig:
 @dataclass(frozen=True, eq=False)
 class PosteriorSamples:
     """Posterior draws, dimensioned (chains, kept) per scalar parameter
-    and (chains, kept, N) for the per-analysis blocks."""
+    and (chains, kept, N) for the per-analysis blocks.
+
+    ``slice_counts`` maps each slice block (``tau`` and each hyperparameter)
+    to a (chains, 4) integer array of the counters named in
+    ``SLICE_COUNTERS``, over all iterations including burn-in; it is
+    ``None`` for draws read back from a file.
+    """
 
     family: str
     hyper_names: tuple[str, ...]
@@ -168,6 +233,7 @@ class PosteriorSamples:
     analysis_ids: tuple[str, ...] = ()
     model: ModelSpec | None = None
     config: McmcConfig | None = None
+    slice_counts: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.any(self.tau < 0.0) or np.any(self.predictive < 0.0):
@@ -221,12 +287,31 @@ class PosteriorSamples:
 
 
 def _flatten(c: MetaAnalysisCollection):
+    """Study estimates, squared standard errors and the CSR offsets of the
+    analyses; the squares are numpy's, as in ``metaanalysis``."""
     records = c.records()
     y = np.array([r.estimate for r in records], dtype=np.float64)
-    se2 = np.array([r.std_err**2 for r in records], dtype=np.float64)
+    se2 = np.array([r.std_err for r in records], dtype=np.float64) ** 2
     offsets = np.zeros(c.n_analyses + 1, dtype=np.int64)
     np.cumsum(c.sizes, out=offsets[1:])
     return y, se2, offsets
+
+
+def _neg2_loglik(se2, resid2, tau, sizes, starts):
+    """Per-analysis -2 log likelihood, less its log(2 pi) terms, at taus of
+    shape (..., N) and squared residuals (y_ij - mu_j)^2 of shape
+    (..., studies); ``sizes`` and ``starts`` lay the studies out by analysis."""
+    v = se2 + np.repeat(np.square(tau), sizes, axis=-1)
+    return np.add.reduceat(np.log(v) + resid2 / v, starts, axis=-1)
+
+
+def _deviance(y, se2, offsets, mu, tau):
+    """-2 log likelihood of all studies at per-analysis effects and taus of
+    shape (..., N); the result has their leading shape."""
+    sizes = np.diff(offsets)
+    resid2 = np.square(y - np.repeat(mu, sizes, axis=-1))
+    terms = _neg2_loglik(se2, resid2, tau, sizes, offsets[:-1])
+    return terms.sum(axis=-1) + y.size * _LOG_2PI
 
 
 def _initial_state(y, se2, offsets, m: ModelSpec):
@@ -247,23 +332,96 @@ def _initial_state(y, se2, offsets, m: ModelSpec):
 
 
 def _check_initial_log_posterior(y, se2, offsets, mu0, tau0, th10, th20, m: ModelSpec):
-    fam = HET_FAMILIES[m.het_family]
-    lp = 0.0
-    for prior, th in zip(m.hyperpriors.values(), (th10, th20)):
-        code, a, b, _, _ = _hyper_code(prior)
-        lp += _kernels._hyper_logpdf(code, a, b, th)
-    sp2 = m.effect_prior_sd**2
-    for j in range(offsets.size - 1):
-        lp += _kernels._tau_logpost(
-            tau0[j], y, se2, offsets[j], offsets[j + 1], mu0[j], fam, th10, th20
-        )
-        z = (mu0[j] - m.effect_prior_mean) ** 2 / sp2
-        lp += -0.5 * (math.log(2.0 * math.pi * sp2) + z)
+    lp = sum(prior.log_density(th) for prior, th in zip(m.hyperpriors.values(), (th10, th20)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp += float(np.sum(HET_FAMILIES[m.het_family].log_density(tau0, th10, th20)))
+    lp += -0.5 * float(_deviance(y, se2, offsets, mu0, tau0))
+    lp += float(np.sum(Normal(m.effect_prior_mean, m.effect_prior_sd).log_density(mu0)))
     if not math.isfinite(lp):
         raise InitializationError(
             f"log-posterior is {lp} at the initial state "
             f"(family {m.het_family!r}, scale start {th10}, shape start {th20})"
         )
+
+
+def _chain_draws(rngs, method: str, shape, mask: np.ndarray | None = None) -> np.ndarray:
+    """Variates from ``Generator.<method>`` in a (chains, m) array, at the
+    True elements of ``mask`` (at every element if it is None) and zero
+    elsewhere: each chain draws from its own generator, for its own
+    elements, in element order."""
+    if mask is None:
+        out = np.empty(shape)
+        for row, r in zip(out, rngs):
+            getattr(r, method)(out=row)
+        return out
+    out = np.zeros(shape)
+    for row, m, r in zip(out, mask, rngs):
+        n = np.count_nonzero(m)
+        if n:
+            row[m] = getattr(r, method)(n)
+    return out
+
+
+def _slice(x0, log_post, lo, hi, rngs, counts):
+    """One stepping-out/shrinkage slice update of every element of the
+    (chains, m) array ``x0``.
+
+    ``log_post`` maps a (chains, m) array, or a (2, chains, m) stack of
+    two, to the elementwise log full conditional; it is evaluated at every
+    element, and the values of elements that are no longer active are
+    ignored. Each element moves within [lo, hi] with initial width
+    x0 + 0.1, at most ``_MAX_STEPOUT`` step-outs per side and at most
+    ``_MAX_SHRINK`` shrinks, and keeps x0 on a shrink cap hit. ``counts``
+    is a (chains, 4) integer array to which the per-chain counts named in
+    ``SLICE_COUNTERS`` are added.
+    """
+    w = x0 + 0.1
+    logy = log_post(x0) - _chain_draws(rngs, "standard_exponential", x0.shape)
+    ends = np.empty((2, *x0.shape))
+    left, right = ends
+    np.subtract(x0, w * _chain_draws(rngs, "random", x0.shape), out=left)
+    np.minimum(left + w, hi, out=right)
+    np.maximum(left, lo, out=left)
+
+    # step both ends out together, the lower one down and the upper one up,
+    # each until it leaves the slice or reaches its bound; ``evals`` counts
+    # each element's log-posterior evaluations after the one at x0
+    step = w * _DOWN_UP
+    out = np.empty(ends.shape, dtype=bool)
+    np.greater(left, lo, out=out[0])
+    np.less(right, hi, out=out[1])
+    evals = np.zeros(x0.shape, dtype=np.int64)
+    for _ in range(_MAX_STEPOUT):
+        if not np.count_nonzero(out):
+            break
+        evals += out[0]
+        evals += out[1]
+        out &= log_post(ends) > logy
+        np.add(ends, step, out=ends, where=out)
+        out[0] &= left > lo
+        out[1] &= right < hi
+    np.maximum(left, lo, out=left)
+    np.minimum(right, hi, out=right)
+
+    x = x0.copy()
+    active = np.ones(x0.shape, dtype=bool)
+    for _ in range(_MAX_SHRINK):
+        evals += active
+        x1 = left + _chain_draws(rngs, "random", x0.shape, active) * (right - left)
+        accept = log_post(x1) > logy
+        accept &= active
+        np.copyto(x, x1, where=accept)
+        active ^= accept
+        if not np.count_nonzero(active):
+            break
+        # shrink toward x0; the bounds of finished elements no longer matter
+        below = x1 < x0
+        left, right = np.where(below, x1, left), np.where(below, right, x1)
+    counts[:, 0] += x0.shape[1]
+    counts[:, 1] += x0.shape[1] + evals.sum(axis=1)
+    counts[:, 2] += out.sum(axis=(0, 2))
+    counts[:, 3] += active.sum(axis=1)
+    return x
 
 
 def run_hierarchical(
@@ -284,29 +442,67 @@ def run_hierarchical(
     _check_initial_log_posterior(y, se2, offsets, mu0, tau0, th10, th20, m)
 
     fam = HET_FAMILIES[m.het_family]
-    hp1_code, hp1_a, hp1_b, hp1_lo, hp1_hi = _hyper_code(m.scale_hyperprior)
-    hp2_code, hp2_a, hp2_b, hp2_lo, hp2_hi = _hyper_code(m.shape_hyperprior)
+    hyper_blocks = [
+        (i, name, prior, *_hyper_support(prior))
+        for i, (name, prior) in enumerate(m.hyperpriors.items())
+    ]
+    sizes = np.diff(offsets)
+    starts = offsets[:-1]
+    prior_prec = 1.0 / m.effect_prior_sd**2
+    prior_wmean = m.effect_prior_mean * prior_prec
 
-    chains, kept = cfg.chains, cfg.iterations
-    n = offsets.size - 1
+    chains, kept, n = cfg.chains, cfg.iterations, offsets.size - 1
     out_mu = np.empty((chains, kept, n))
     out_tau = np.empty((chains, kept, n))
     out_th = np.empty((chains, kept, 2))
     out_pred = np.empty((chains, kept))
     out_dev = np.empty((chains, kept))
+    counts = {
+        name: np.zeros((chains, len(SLICE_COUNTERS)), dtype=np.int64)
+        for name in ("tau", *m.hyper_names)
+    }
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(chains)
-    for ch in range(chains):
-        rng = np.random.Generator(np.random.Philox(seeds[ch]))
-        _kernels.run_chain(
-            y, se2, offsets, fam,
-            hp1_code, hp1_a, hp1_b, hp1_lo, hp1_hi,
-            hp2_code, hp2_a, hp2_b, hp2_lo, hp2_hi,
-            m.effect_prior_mean, m.effect_prior_sd**2,
-            mu0, tau0, th10, th20,
-            cfg.burn_in, kept, cfg.thin, rng,
-            out_mu[ch], out_tau[ch], out_th[ch], out_pred[ch], out_dev[ch],
-        )
+    rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
+    tau = np.tile(tau0, (chains, 1))
+    th = np.tile([th10, th20], (chains, 1))
+    th1, th2 = th[:, :1], th[:, 1:]  # (chains, 1) views that follow th
+    total = cfg.burn_in + (kept - 1) * cfg.thin + 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(total):
+            # mu_j | tau_j: exact conjugate normal draws
+            wgt = 1.0 / (se2 + np.repeat(np.square(tau), sizes, axis=1))
+            prec = prior_prec + np.add.reduceat(wgt, starts, axis=1)
+            mean = (prior_wmean + np.add.reduceat(wgt * y, starts, axis=1)) / prec
+            mu = mean + _chain_draws(rngs, "standard_normal", tau.shape) / np.sqrt(prec)
+            resid2 = np.square(y - np.repeat(mu, sizes, axis=1))
+
+            def tau_log_post(x):
+                return fam.log_density(x, th1, th2) - 0.5 * _neg2_loglik(
+                    se2, resid2, x, sizes, starts
+                )
+
+            tau = _slice(tau, tau_log_post, 0.0, math.inf, rngs, counts["tau"])
+
+            for i, name, prior, lo, hi in hyper_blocks:
+
+                def hyper_log_post(x):
+                    params = [th1, th2]
+                    params[i] = x
+                    lp = fam.log_density(tau, *params).sum(axis=-1, keepdims=True)
+                    return prior.log_density(x) + lp
+
+                block = th[:, i : i + 1]
+                block[:] = _slice(block, hyper_log_post, lo, hi, rngs, counts[name])
+
+            pred = fam.quantile(_chain_draws(rngs, "random", (chains, 1)), th1, th2)[:, 0]
+            if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+                k = (it - cfg.burn_in) // cfg.thin
+                out_mu[:, k] = mu
+                out_tau[:, k] = tau
+                out_th[:, k] = th
+                out_pred[:, k] = pred
+                out_dev[:, k] = _deviance(y, se2, offsets, mu, tau)
 
     hyper = {name: out_th[:, :, i] for i, name in enumerate(m.hyper_names)}
     return PosteriorSamples(
@@ -320,6 +516,7 @@ def run_hierarchical(
         analysis_ids=tuple(c.analysis_ids),
         model=m,
         config=cfg,
+        slice_counts=counts,
     )
 
 
@@ -533,8 +730,49 @@ def samples_from_csv(text: str, family: str) -> PosteriorSamples:
     )
 
 
+def _slice_warnings(counts: dict[str, np.ndarray]) -> list[str]:
+    """One warning per slice block and cap that was hit."""
+    warns = []
+    for block, per_chain in counts.items():
+        stepout = int(per_chain[:, SLICE_COUNTERS.index("stepout_cap_hits")].sum())
+        shrink = int(per_chain[:, SLICE_COUNTERS.index("shrink_cap_hits")].sum())
+        if stepout:
+            warns.append(
+                f"{block}: {stepout} slice step-outs stopped at the {_MAX_STEPOUT}-step cap; "
+                "those slice intervals were truncated"
+            )
+        if shrink:
+            warns.append(
+                f"{block}: {shrink} slice updates hit the {_MAX_SHRINK}-shrink cap "
+                "and kept the current value"
+            )
+    return warns
+
+
+def _bound_warnings(s: PosteriorSamples) -> list[str]:
+    """Warnings for hyperparameters whose draws pile up at the upper bound
+    of a finite hyperprior support (the ``_PILEUP_*`` rule)."""
+    warns = []
+    for name, prior in s.model.hyperpriors.items():
+        lo, hi = _hyper_support(prior)
+        if not math.isfinite(hi):
+            continue
+        edge = hi - _PILEUP_FRACTION * (hi - lo)
+        prior_mass = 1.0 - float(prior.cdf(edge))
+        mass = float(np.mean(s.hyper[name] >= edge))
+        if mass > _PILEUP_RATIO * prior_mass:
+            warns.append(
+                f"{name}: {mass:.1%} of draws lie in the top {_PILEUP_FRACTION:.0%} of the "
+                f"hyperprior support [{lo:g}, {hi:g}], against {prior_mass:.1%} of the prior; "
+                f"the posterior piles up at the bound {hi:g}, so widen the hyperprior"
+            )
+    return warns
+
+
 def summary_dict(s: PosteriorSamples, with_diagnostics: bool = True) -> dict:
-    """JSON-ready summary: per-parameter statistics plus diagnostics."""
+    """JSON-ready summary: per-parameter statistics, diagnostics, the
+    slice-sampler counters of a fresh run, and one list of warnings
+    (diagnostics, slice cap hits, hyperparameters piled up at a bound)."""
     params = {}
     for name in s.parameter_names():
         params[name] = summarize_samples(s.draws(name))
@@ -546,10 +784,20 @@ def summary_dict(s: PosteriorSamples, with_diagnostics: bool = True) -> dict:
         "backend": BACKEND,
         "parameters": params,
     }
+    warns = []
     if with_diagnostics:
         report = diagnostics(s)
         doc["diagnostics"] = {
             p.name: {"rhat": p.rhat, "ess": p.ess} for p in report.parameters
         }
-        doc["warnings"] = list(report.warnings)
+        warns += report.warnings
+    if s.slice_counts is not None:
+        doc["slice_sampler"] = {
+            block: {name: per_chain[:, i].tolist() for i, name in enumerate(SLICE_COUNTERS)}
+            for block, per_chain in s.slice_counts.items()
+        }
+        warns += _slice_warnings(s.slice_counts)
+    if s.model is not None:
+        warns += _bound_warnings(s)
+    doc["warnings"] = warns
     return doc

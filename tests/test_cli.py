@@ -367,6 +367,22 @@ def test_analyze_summary_json_and_text(single_csv, tmp_path, capsys):
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
     textout = capsys.readouterr().out
     assert "effect" in textout and "heterogeneity" in textout
+    assert "warnings" not in doc and "warning" not in textout
+
+
+def test_analyze_undefined_dl_drops_comparators_with_warning(tmp_path, capsys):
+    # one standard error swamps the other: DL is undefined, the grid is not
+    p = tmp_path / "tight.csv"
+    p.write_text("analysis_id,study_id,estimate,std_err\ntight,s1,0.1,1e-10\ntight,s2,0.3,1.0\n")
+    out = tmp_path / "an"
+    assert main(["analyze", str(p), "--prior", "half-normal(0.5)", "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["comparators"] == []
+    assert len(doc["warnings"]) == 1
+    assert doc["warnings"][0].startswith("frequentist comparators omitted: DL estimate undefined")
+    assert "warning: frequentist comparators omitted" in capsys.readouterr().out
+    labels = [row[0] for row in csv.reader(io.StringIO((out / "forest.csv").read_text()))]
+    assert labels == ["label", "s1", "s2", "bayes [half-normal(0.5)]"]
 
 
 def test_analyze_reproducible_bytes(single_csv, tmp_path):
