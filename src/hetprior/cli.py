@@ -56,7 +56,7 @@ from .summarize import (
 )
 from .svg import density_svg, forest_svg, histogram_svg
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -76,8 +76,8 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _emit(
@@ -101,7 +101,7 @@ def _emit(
         "tool_version": __version__,
         "backend": BACKEND,
         "subcommand": command,
-        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
+        "inputs": [{"path": str(p), "sha256": _sha256(p.read_bytes())} for p in inputs],
         "options": options,
         "seed": seed,
         "outputs": sorted([*written, "manifest.json"]),
@@ -213,8 +213,10 @@ def cmd_fit(args) -> int:
     m = ModelSpec(het_family=args.family)
     cfg = _mcmc_config(args, seed)
     s = run_hierarchical(c, m, cfg)
+    samples = samples_to_csv(s)
     doc = summary_dict(s)
     doc["schema_version"] = SCHEMA_VERSION
+    doc["samples_sha256"] = _sha256(samples.encode())
     doc["seed"] = seed
     doc["config"] = {
         "family": args.family,
@@ -224,7 +226,7 @@ def cmd_fit(args) -> int:
         "thin": cfg.thin,
         "seed": seed,
     }
-    files = {"summary.json": doc, "samples.csv": samples_to_csv(s)}
+    files = {"summary.json": doc, "samples.csv": samples}
     if args.svg:
         files["tau_star.svg"] = histogram_svg(
             s.predictive.ravel(),
@@ -286,14 +288,21 @@ def _expand_method(method: str, s, fit_families, source: str):
 def cmd_approx(args) -> int:
     src = Path(args.samples)
     csv_path = src / "samples.csv" if src.is_dir() else src
-    family = args.family
-    if family is None:
-        sibling = csv_path.parent / "summary.json"
-        if sibling.exists():
-            family = json.loads(sibling.read_text()).get("family")
+    text = csv_path.read_text()
+    sibling = csv_path.parent / "summary.json"
+    fit_summary = json.loads(sibling.read_text()) if sibling.exists() else {}
+    if not isinstance(fit_summary, dict):
+        raise ValueError(f"{sibling} is not a JSON object")
+    recorded = fit_summary.get("samples_sha256")
+    if recorded is not None and (digest := _sha256(text.encode())) != recorded:
+        raise ValueError(
+            f"{csv_path} does not match the fit that wrote it: its sha256 is {digest}, "
+            f"{sibling} records {recorded}"
+        )
+    family = args.family if args.family is not None else fit_summary.get("family")
     if family is None:
         raise ValueError("family not given and no summary.json next to the samples file")
-    s = samples_from_csv(csv_path.read_text(), family)
+    s = samples_from_csv(text, family)
     fit_families = _family_list(args.fit_families, FIT_FAMILIES, "fit family")
     source = str(csv_path)
 

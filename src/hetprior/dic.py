@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -85,35 +84,11 @@ def deviance(c: MetaAnalysisCollection, mu, tau) -> float:
     return float(_deviance(y, se2, offsets, mu, tau))
 
 
-def compute_dic(
-    s: PosteriorSamples | Mapping[str, np.ndarray],
-    c: MetaAnalysisCollection,
-    family: str | None = None,
-) -> DicResult:
-    """DIC from posterior draws.
-
-    Accepts a :class:`PosteriorSamples` or a parameter->draws mapping (the
-    draw-CSV form); the mapping route requires a ``deviance`` trace and
-    ``mu[...]``/``tau[...]`` entries for every analysis in ``c``.
-    """
-    if isinstance(s, PosteriorSamples):
-        dev = s.deviance
-        mu_mean = s.mu.mean(axis=(0, 1))
-        tau_mean = s.tau.mean(axis=(0, 1))
-        label = family if family is not None else s.family
-    else:
-        if "deviance" not in s:
-            raise ValueError("draws are missing the deviance trace")
-        dev = np.asarray(s["deviance"], dtype=float)
-        try:
-            mu_mean = np.array([float(np.mean(s[f"mu[{aid}]"])) for aid in c.analysis_ids])
-            tau_mean = np.array([float(np.mean(s[f"tau[{aid}]"])) for aid in c.analysis_ids])
-        except KeyError as exc:
-            raise ValueError(f"draws are missing parameter {exc.args[0]!r}") from None
-        label = family if family is not None else "unspecified"
-    mean_dev = float(np.mean(dev))
-    plug_in = deviance(c, mu_mean, tau_mean)
-    return DicResult.from_deviances(label, mean_dev, plug_in)
+def compute_dic(s: PosteriorSamples, c: MetaAnalysisCollection) -> DicResult:
+    """DIC from posterior draws of the analyses in ``c``; a draw file is
+    read with :func:`~hetprior.sampler.samples_from_csv` first."""
+    plug_in = deviance(c, s.mu.mean(axis=(0, 1)), s.tau.mean(axis=(0, 1)))
+    return DicResult.from_deviances(s.family, float(np.mean(s.deviance)), plug_in)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -71,7 +72,6 @@ __all__ = [
     "effective_sample_size",
     "summarize_samples",
     "samples_to_csv",
-    "draws_from_csv",
     "samples_from_csv",
     "summary_dict",
     "HET_FAMILIES",
@@ -94,6 +94,9 @@ SLICE_COUNTERS = ("updates", "log_posterior_evals", "stepout_cap_hits", "shrink_
 #: a bound the hyperprior imposes, so the bound, not the data, sets it.
 _PILEUP_FRACTION = 0.05
 _PILEUP_RATIO = 2.0
+#: draw-file rows parsed at a time, so reading holds the text, the float
+#: table and one block of row strings, never every row's strings at once
+_READ_BLOCK = 4096
 
 
 class _Family(NamedTuple):
@@ -641,91 +644,155 @@ def diagnostics(s: PosteriorSamples, parameters: list[str] | None = None) -> Dia
 
 
 def samples_to_csv(s: PosteriorSamples) -> str:
-    """Long-format CSV of all draws: ``chain,iter,parameter,value``.
+    """CSV of all draws, one row per draw: header ``chain,iter`` plus
+    :meth:`PosteriorSamples.parameter_names`, then one row per (chain,
+    iter) in chain-major order.
 
     Values are written with ``repr`` so parsing back is exact.
     """
+    names = s.parameter_names()
+    table = np.concatenate(
+        [
+            np.stack([s.hyper[name] for name in s.hyper_names], axis=-1),
+            s.mu,
+            s.tau,
+            s.predictive[..., None],
+            s.deviance[..., None],
+        ],
+        axis=-1,
+    ).reshape(-1, len(names))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["chain", "iter", "parameter", "value"])
-    names = s.parameter_names()
-    columns = [s.draws(name) for name in names]
-    for ch in range(s.n_chains):
-        for it in range(s.n_kept):
-            for name, col in zip(names, columns):
-                writer.writerow([ch, it, name, repr(float(col[ch, it]))])
+    writer.writerow(["chain", "iter", *names])
+    writer.writerows(
+        [i // s.n_kept, i % s.n_kept, *map(repr, row.tolist())] for i, row in enumerate(table)
+    )
     return out.getvalue()
 
 
-def draws_from_csv(text: str) -> dict[str, np.ndarray]:
-    """Parse the long-format draw CSV back into (chains, kept) arrays.
+def _header_problem(header: list[str], expected: list[str]) -> str:
+    """The first duplicate, missing, unexpected or misplaced column."""
+    seen = set()
+    for name in header:
+        if name in seen:
+            return f"duplicate column {name!r}"
+        seen.add(name)
+    for name in expected:
+        if name not in seen:
+            return f"missing column {name!r}"
+    wanted = set(expected)
+    for name in header:
+        if name not in wanted:
+            return f"unexpected column {name!r}"
+    i = next(i for i, (a, b) in enumerate(zip(header, expected)) if a != b)
+    return f"column {i + 1} is {header[i]!r}, expected {expected[i]!r}"
 
-    Every row must have the four fields and every parameter a value at
-    every (chain, iter) seen in the file, so a cut or ragged file fails
-    here instead of reaching the summaries as NaN.
-    """
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["chain", "iter", "parameter", "value"]:
-        raise ValueError(f"unexpected draw-CSV header: {header}")
-    values: dict[str, dict[tuple[int, int], float]] = {}
-    max_chain = -1
-    max_iter = -1
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 4:
+
+def _lines(text: str):
+    """The lines of ``text`` with their ends, split at ``\\n`` only, as a
+    file in text mode yields them; unlike ``io.StringIO`` this copies no
+    more than one line of the text at a time."""
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
+def _parse_block(rows: list[list[str]], header: list[str], first_line: int) -> np.ndarray:
+    """Float table of draw rows that start at ``first_line`` of the file;
+    every row must have the header's width and hold numbers only."""
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
             raise ValueError(
-                f"draw CSV line {reader.line_num}: expected 4 fields "
-                f"(chain,iter,parameter,value), got {len(row)}"
+                f"draw CSV line {first_line + i}: expected {len(header)} fields, got {len(row)}"
             )
-        ch, it, name, value = int(row[0]), int(row[1]), row[2], float(row[3])
-        if ch < 0 or it < 0:
-            raise ValueError(f"draw CSV line {reader.line_num}: negative chain or iter")
-        values.setdefault(name, {})[(ch, it)] = value
-        max_chain = max(max_chain, ch)
-        max_iter = max(max_iter, it)
-    shape = (max_chain + 1, max_iter + 1)
-    out = {}
-    for name, cells in values.items():
-        if len(cells) != shape[0] * shape[1]:
-            ch, it = next(cell for cell in np.ndindex(shape) if cell not in cells)
-            raise ValueError(
-                f"draw CSV has no value for chain {ch}, iter {it}, parameter {name!r}"
-            )
-        arr = np.empty(shape)
-        for (ch, it), v in cells.items():
-            arr[ch, it] = v
-        out[name] = arr
-    return out
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:
+        for i, row in enumerate(rows):
+            for name, cell in zip(header, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"draw CSV line {first_line + i}: {name} is not a number: {cell!r}"
+                    ) from None
+        raise
 
 
 def samples_from_csv(text: str, family: str) -> PosteriorSamples:
-    """Rebuild a :class:`PosteriorSamples` from the long-format draw CSV.
+    """Rebuild a :class:`PosteriorSamples` from the draw CSV of
+    :func:`samples_to_csv`.
 
     The family determines the hyperparameter names; the analysis ids are
-    recovered from the ``mu[...]`` parameter names in file order.
+    read from the ``mu[...]`` columns. The header must list exactly the
+    columns the family and those ids call for, every row must have the
+    header's width, the (chain, iter) cells must run 0..C-1 x 0..K-1 in
+    chain-major order with every chain equally long, and every value must
+    be a finite number, so a cut, ragged or reordered file fails here,
+    naming the line, instead of reaching the summaries.
     """
     hyper_names = ModelSpec(het_family=family).hyper_names
-    draws = draws_from_csv(text)
-    required = set(hyper_names) | {"tau_star", "deviance"}
-    missing = sorted(required - set(draws))
-    if missing:
-        raise ValueError(f"draw CSV is missing parameters: {', '.join(missing)}")
-    ids = [n[3:-1] for n in draws if n.startswith("mu[") and n.endswith("]")]
+    reader = csv.reader(_lines(text))
+    header = next(reader, [])
+    if header == ["chain", "iter", "parameter", "value"]:
+        raise ValueError(
+            "draw CSV is in the schema-1 long layout (chain,iter,parameter,value), "
+            "one row per value; re-run `hetprior fit` to write one row per draw"
+        )
+    ids = [name[3:-1] for name in header if name.startswith("mu[") and name.endswith("]")]
     if not ids:
-        raise ValueError("draw CSV holds no mu[...] parameters")
-    for aid in ids:
-        if f"tau[{aid}]" not in draws:
-            raise ValueError(f"draw CSV is missing tau[{aid}]")
+        raise ValueError("draw CSV holds no mu[...] columns")
+    expected = ["chain", "iter", *hyper_names]
+    expected += [f"mu[{aid}]" for aid in ids] + [f"tau[{aid}]" for aid in ids]
+    expected += ["tau_star", "deviance"]
+    if header != expected:
+        raise ValueError(
+            f"draw CSV header for the {family} family: {_header_problem(header, expected)}"
+        )
+    first_line = reader.line_num + 1
+    blocks = []
+    while rows := list(itertools.islice(reader, _READ_BLOCK)):
+        blocks.append(_parse_block(rows, header, first_line + _READ_BLOCK * len(blocks)))
+    if not blocks:
+        raise ValueError("draw CSV holds no draws")
+    table = np.concatenate(blocks)
+    n_rows = len(table)
+    # the first row after the top with iter 0 starts chain 1, so chain 0
+    # sets the chain length; the other chains must repeat it
+    n_kept = next((i for i, it in enumerate(table[1:, 1], 1) if it == 0.0), n_rows)
+    cells = np.stack(np.divmod(np.arange(n_rows), n_kept), axis=-1)
+    wrong = np.flatnonzero(np.any(table[:, :2] != cells, axis=1))
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(
+            f"draw CSV line {first_line + i}: got chain {table[i, 0]:g}, iter {table[i, 1]:g}, "
+            f"expected chain {cells[i, 0]}, iter {cells[i, 1]} (rows run chain-major, "
+            f"{n_kept} iterations per chain as in chain 0)"
+        )
+    if n_rows % n_kept:
+        raise ValueError(
+            f"draw CSV line {first_line + n_rows - 1}: chain {n_rows // n_kept} ends after "
+            f"{n_rows % n_kept} of {n_kept} iterations"
+        )
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"draw CSV line {first_line + i}: {header[j]} is {table[i, j]}")
+    # contiguous copies, so reductions over a block do not depend on where
+    # its columns sit in the file
+    values = table[:, 2:].reshape(n_rows // n_kept, n_kept, -1)
+    h, n = len(hyper_names), len(ids)
     return PosteriorSamples(
         family=family,
         hyper_names=hyper_names,
-        hyper={name: draws[name] for name in hyper_names},
-        mu=np.stack([draws[f"mu[{aid}]"] for aid in ids], axis=-1),
-        tau=np.stack([draws[f"tau[{aid}]"] for aid in ids], axis=-1),
-        predictive=draws["tau_star"],
-        deviance=draws["deviance"],
+        hyper={name: values[:, :, k].copy() for k, name in enumerate(hyper_names)},
+        mu=values[:, :, h : h + n].copy(),
+        tau=values[:, :, h + n : h + 2 * n].copy(),
+        predictive=values[:, :, -2].copy(),
+        deviance=values[:, :, -1].copy(),
         analysis_ids=tuple(ids),
     )
 

@@ -160,6 +160,9 @@ def mixture_match_prior(s: PosteriorSamples, source: str = "") -> PriorSpec:
 FIT_FAMILIES = ("half-normal", "half-t", "exp", "half-cauchy", "log-normal", "lomax")
 
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+#: an ML fit whose half-t df or Lomax shape exceeds this has run off to the
+#: family's limit (half-normal, exponential) and is reported as that limit
+_ML_LIMIT = 1e4
 
 
 def _moment_start(x: np.ndarray, family: str) -> Distribution:
@@ -205,7 +208,11 @@ def fit_predictive_ml(draws, family: str, source: str = "") -> PriorSpec:
     """Route 3a: maximum likelihood on the predictive draws.
 
     Simplex (Nelder-Mead) search over log-reparametrized parameters,
-    starting from the moment estimate, with a 10^4-evaluation budget.
+    starting from the moment estimate, with a 10^4-evaluation budget. A
+    half-t fit whose df, or a Lomax fit whose shape, ends above 10^4 has
+    run off to its limit, converged or not: it is returned as
+    half-normal(scale) or exp(scale/shape) with a note, and the log
+    likelihood is the limit's.
     """
     x = np.asarray(draws, dtype=float).ravel()
     if x.size < 1000:
@@ -226,17 +233,28 @@ def fit_predictive_ml(draws, family: str, source: str = "") -> PriorSpec:
         method="Nelder-Mead",
         options={"maxfev": 10_000, "xatol": 1e-8, "fatol": 1e-10},
     )
-    if not res.success:
+    dist = _unpack(family, res.x)
+    # past the limit the likelihood is flat along df or shape, so the search
+    # may also stop there without converging
+    note = None
+    if family == "half-t" and dist.df > _ML_LIMIT:
+        note = f"degenerate fit: half-t df {dist.df:.3g} > {_ML_LIMIT:g}, half-normal limit"
+        dist = HalfNormal(dist.scale)
+    elif family == "lomax" and dist.shape > _ML_LIMIT:
+        note = f"degenerate fit: lomax shape {dist.shape:.3g} > {_ML_LIMIT:g}, exponential limit"
+        dist = Exponential(dist.scale / dist.shape)
+    if note is None and not res.success:
         raise FitError(
             f"ML fit of {family!r} did not converge: {res.message} "
             f"(evaluations: {res.nfev}, last point: {res.x.tolist()})"
         )
-    dist = _unpack(family, res.x)
+    log_likelihood = -float(res.fun) if note is None else float(np.sum(dist.log_density(x)))
     return PriorSpec(
         distribution=dist,
         method="direct_fit_ml",
         source=source,
-        log_likelihood=-float(res.fun),
+        note=note,
+        log_likelihood=log_likelihood,
     )
 
 

@@ -120,10 +120,11 @@ def test_fit_outputs_and_manifest(fit_dir):
     assert doc["config"]["chains"] == 2
     assert "scale" in doc["parameters"]
     assert "tau_star" in doc["parameters"]
+    assert doc["samples_sha256"] == hashlib.sha256((fit_dir / "samples.csv").read_bytes()).hexdigest()
     man = json.loads((fit_dir / "manifest.json").read_text())
     assert man["subcommand"] == "fit"
     assert man["seed"] == 11
-    assert man["schema_version"] == 1
+    assert man["schema_version"] == 2
     assert man["tool_version"]
     src = man["inputs"][0]
     digest = hashlib.sha256(open(src["path"], "rb").read()).hexdigest()
@@ -279,22 +280,19 @@ def _low_cv_samples_csv(path):
     rng = np.random.default_rng(0)
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    w.writerow(["chain", "iter", "parameter", "value"])
+    w.writerow(["chain", "iter", "scale", "mu[a]", "tau[a]", "tau_star", "deviance"])
     for i in range(400):
         tau = float(rng.uniform(0.15, 0.25))
-        w.writerow([0, i, "scale", repr(float(rng.uniform(0.19, 0.21)))])
-        w.writerow([0, i, "mu[a]", "0.0"])
-        w.writerow([0, i, "tau[a]", repr(tau)])
-        w.writerow([0, i, "tau_star", repr(tau)])
-        w.writerow([0, i, "deviance", repr(float(rng.normal(20, 2)))])
+        scale = float(rng.uniform(0.19, 0.21))
+        w.writerow([0, i, repr(scale), "0.0", repr(tau), repr(tau), repr(float(rng.normal(20, 2)))])
     path.write_text(out.getvalue())
 
 
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (lambda lines: lines[:-1], "no value for chain 1, iter 799, parameter 'deviance'"),
-        (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "\n"], "expected 4 fields"),
+        (lambda lines: lines[:-1], "line 1600: chain 1 ends after 799 of 800 iterations"),
+        (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "\n"], "line 1601: expected 13 fields, got 12"),
     ],
     ids=["cut-at-line", "ragged-row"],
 )
@@ -306,6 +304,34 @@ def test_approx_damaged_draw_file_exits_2(fit_dir, tmp_path, capsys, damage, mes
     assert main(["approx", str(p), "--family", "half-normal", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_approx_rejects_draw_file_cut_at_chain_boundary(fit_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "summary.json").write_text((fit_dir / "summary.json").read_text())
+    lines = (fit_dir / "samples.csv").read_text().splitlines(keepends=True)
+    chain0 = [line for line in lines if not line.startswith("1,")]
+    assert len(chain0) == 1 + 800
+    (run / "samples.csv").write_text("".join(chain0))
+    recorded = json.loads((run / "summary.json").read_text())["samples_sha256"]
+    actual = hashlib.sha256((run / "samples.csv").read_bytes()).hexdigest()
+    assert main(["approx", str(run), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "does not match the fit" in err and recorded in err and actual in err
+    # without the fit's summary only the reader checks the file, and one
+    # whole chain is a well-formed draw file
+    (run / "summary.json").unlink()
+    assert main(["approx", str(run / "samples.csv"), "--family", "half-normal",
+                 "--out", str(tmp_path / "bare")]) == 0
+
+
+def test_approx_rejects_sibling_summary_that_is_not_an_object(fit_dir, tmp_path, capsys):
+    (tmp_path / "samples.csv").write_text((fit_dir / "samples.csv").read_text())
+    (tmp_path / "summary.json").write_text("[]\n")
+    args = ["approx", str(tmp_path), "--family", "half-normal", "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert "summary.json is not a JSON object" in capsys.readouterr().err
 
 
 def test_approx_all_methods_failing_exits_3(tmp_path, capsys):

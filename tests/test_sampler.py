@@ -14,9 +14,9 @@ from hetprior.sampler import (
     ModelSpec,
     PosteriorSamples,
     diagnostics,
-    draws_from_csv,
     effective_sample_size,
     run_hierarchical,
+    samples_from_csv,
     samples_to_csv,
     split_rhat,
     summarize_samples,
@@ -268,10 +268,30 @@ def test_summarize_samples_against_distribution_oracle():
 
 def test_csv_round_trip(quick_run):
     text = samples_to_csv(quick_run)
-    assert text.splitlines()[0] == "chain,iter,parameter,value"
-    parsed = draws_from_csv(text)
+    lines = text.splitlines()
+    assert lines[0] == ",".join(["chain", "iter", *quick_run.parameter_names()])
+    assert len(lines) == 1 + quick_run.n_chains * quick_run.n_kept
+    assert lines[1].startswith("0,0,") and lines[-1].startswith(f"1,{quick_run.n_kept - 1},")
+    parsed = samples_from_csv(text, quick_run.family)
+    assert parsed.analysis_ids == quick_run.analysis_ids
     for name in quick_run.parameter_names():
-        np.testing.assert_array_equal(parsed[name], quick_run.draws(name))
+        np.testing.assert_array_equal(parsed.draws(name), quick_run.draws(name))
+
+
+def test_csv_round_trip_quotes_analysis_ids():
+    c = MetaAnalysisCollection(
+        tuple(
+            (aid, tuple(StudyRecord(aid, f"S{i}", 0.1 * i + j, 0.2, 3 * j + i) for i in range(3)))
+            for j, aid in enumerate(['trial "A", 2001', "B, pooled"])
+        )
+    )
+    s = run_hierarchical(c, ModelSpec(), McmcConfig(chains=2, burn_in=10, iterations=20, seed=2))
+    text = samples_to_csv(s)
+    assert '"mu[trial ""A"", 2001]"' in text.splitlines()[0]
+    back = samples_from_csv(text, "half-normal")
+    assert back.analysis_ids == s.analysis_ids
+    np.testing.assert_array_equal(back.mu, s.mu)
+    np.testing.assert_array_equal(back.tau, s.tau)
 
 
 def _draw_csv_lines():
@@ -279,25 +299,60 @@ def _draw_csv_lines():
     return samples_to_csv(s).splitlines(keepends=True)
 
 
-def test_draws_from_csv_rejects_file_cut_at_line_boundary():
+def test_samples_from_csv_rejects_file_cut_at_line_boundary():
     lines = _draw_csv_lines()
-    with pytest.raises(ValueError, match=r"chain 1, iter 29, parameter 'deviance'"):
-        draws_from_csv("".join(lines[:-1]))
+    with pytest.raises(ValueError, match=r"line 60: chain 1 ends after 29 of 30 iterations"):
+        samples_from_csv("".join(lines[:-1]), "half-normal")
+
+
+def _edit_line(i, edit):
+    return lambda lines: lines[:i] + [edit(lines[i])] + lines[i + 1 :]
+
+
+def _last_field(value):
+    return lambda line: line.rsplit(",", 1)[0] + value
 
 
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (lambda row: row.rsplit(",", 1)[0] + "\n", "line 6: expected 4 fields"),
-        (lambda row: "-1" + row[row.index(","):], "line 6: negative chain or iter"),
+        (_edit_line(5, _last_field("\n")), "line 6: expected 17 fields, got 16"),
+        (_edit_line(5, lambda line: "-1" + line[1:]), "line 6: got chain -1, iter 4, expected chain 0, iter 4"),
+        (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:], "line 6: got chain 0, iter 5, expected chain 0, iter 4"),
+        (_edit_line(40, lambda line: line.replace("1,9,", "1,10,", 1)), "line 41: got chain 1, iter 10, expected chain 1, iter 9"),
+        (_edit_line(5, _last_field(",oops\n")), "line 6: deviance is not a number: 'oops'"),
+        (_edit_line(5, _last_field(",nan\n")), "line 6: deviance is nan"),
     ],
-    ids=["ragged", "negative-chain"],
+    ids=["ragged", "negative-chain", "out-of-order", "iter-skipped", "not-a-number", "non-finite"],
 )
-def test_draws_from_csv_rejects_malformed_row(damage, message):
-    lines = _draw_csv_lines()
-    lines[5] = damage(lines[5])
+def test_samples_from_csv_rejects_malformed_row(damage, message):
     with pytest.raises(ValueError, match=message):
-        draws_from_csv("".join(lines))
+        samples_from_csv("".join(damage(_draw_csv_lines())), "half-normal")
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda h: h.replace("tau[A2],", "tau[A2],tau[A2],"), "duplicate column 'tau\\[A2\\]'"),
+        (lambda h: h.replace(",deviance", ""), "missing column 'deviance'"),
+        (lambda h: h.replace("tau[A5]", "tau[A9]"), "missing column 'tau\\[A5\\]'"),
+        (lambda h: h.replace("deviance", "deviance,extra"), "unexpected column 'extra'"),
+        (lambda h: h.replace("tau_star,deviance", "deviance,tau_star"), "column 16 is 'deviance', expected 'tau_star'"),
+        (lambda h: h.replace("scale", "theta"), "missing column 'scale'"),
+    ],
+    ids=["duplicate", "missing", "renamed", "unexpected", "misplaced", "wrong-family"],
+)
+def test_samples_from_csv_rejects_bad_header(damage, message):
+    lines = _draw_csv_lines()
+    lines[0] = damage(lines[0])
+    with pytest.raises(ValueError, match=message):
+        samples_from_csv("".join(lines), "half-normal")
+
+
+def test_samples_from_csv_rejects_long_layout_with_rerun_hint():
+    text = "chain,iter,parameter,value\n0,0,scale,0.2\n"
+    with pytest.raises(ValueError, match=r"schema-1 long layout.*re-run `hetprior fit`"):
+        samples_from_csv(text, "half-normal")
 
 
 def test_initial_state_floors_undefined_dl_start():

@@ -241,6 +241,25 @@ def test_ml_log_likelihood_is_reported_and_consistent():
 
 
 @pytest.mark.parametrize(
+    "family, generator, seed, limit",
+    [
+        ("half-t", HalfNormal(0.22), 5, HalfNormal),  # converges at df 8.4e6
+        ("half-t", HalfNormal(0.22), 0, HalfNormal),  # stops at the budget, df 7.4e6
+        ("lomax", Exponential(0.3), 2, Exponential),  # converges at shape 1.4e14
+    ],
+    ids=["half-t-converged", "half-t-budget", "lomax"],
+)
+def test_ml_degenerate_fit_returns_limit_family(family, generator, seed, limit):
+    draws = generator.sample(np.random.default_rng(seed), 4000)
+    spec = fit_predictive_ml(draws, family)
+    assert type(spec.distribution) is limit
+    assert spec.note.startswith(f"degenerate fit: {family}")
+    assert spec.log_likelihood == pytest.approx(float(np.sum(spec.distribution.log_density(draws))))
+    own = fit_predictive_ml(draws, limit.token)
+    assert spec.distribution.scale == pytest.approx(own.distribution.scale, rel=0.01)
+
+
+@pytest.mark.parametrize(
     "family,generator",
     [
         ("half-normal", HalfNormal(0.3)),
