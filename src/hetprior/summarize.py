@@ -13,8 +13,9 @@ Three routes:
    by maximum likelihood (simplex search on log-reparametrized
    parameters) or by moment inversion.
 
-The published form of a prior is rounded (2 decimals by default);
-the unrounded parameters are kept alongside.
+The published form of a prior is rounded (2 decimals by default, two
+significant digits for a parameter that would round to 0); the unrounded
+parameters are kept alongside.
 """
 
 from __future__ import annotations
@@ -76,9 +77,18 @@ class PriorSpec:
     note: str | None = None
     log_likelihood: float | None = None
 
+    def rounded_params(self) -> tuple[float, ...]:
+        """Parameters as published: ``rounding`` decimals, except that a
+        nonzero value which would round to 0 keeps two significant digits
+        (a zero scale is no distribution)."""
+        out = []
+        for p in self.distribution._params():
+            r = round(float(p), self.rounding)
+            out.append(r if r != 0.0 or p == 0.0 else float(f"{p:.2g}"))
+        return tuple(out)
+
     def rounded_distribution(self) -> Distribution:
-        params = [round(p, self.rounding) for p in self.distribution._params()]
-        return type(self.distribution)(*params)
+        return type(self.distribution)(*self.rounded_params())
 
     def text(self) -> str:
         """Canonical (rounded, communicable) text form."""
@@ -90,7 +100,7 @@ def prior_to_dict(spec: PriorSpec) -> dict:
     out = {
         "family": d.token,
         "params": [float(p) for p in d._params()],
-        "rounded": [round(float(p), spec.rounding) for p in d._params()],
+        "rounded": list(spec.rounded_params()),
         "text": spec.text(),
         "method": spec.method,
         "source": spec.source,

@@ -463,6 +463,21 @@ def test_analyze_multi_analysis_needs_flag(corpus_csv, tmp_path, capsys):
     assert json.loads((out / "summary.json").read_text())["analysis"] == "a1"
 
 
+def test_analyze_unknown_analysis_names_it_and_the_ids_held(corpus_csv, tmp_path, capsys):
+    code = main(["analyze", str(corpus_csv), "--prior", "exp(0.3)", "--analysis", "zz", "--out", str(tmp_path)])
+    assert code == 2
+    assert "no analysis 'zz' in the collection; it holds a0, a1, a2, solo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prior,text", [("half-normal(0.004)", "half-normal(0.004)"), ("exp(1e-9)", "exp(1e-09)")])
+def test_analyze_prior_below_rounding_keeps_two_significant_digits(single_csv, tmp_path, prior, text):
+    out = tmp_path / "an"
+    assert main(["analyze", str(single_csv), "--prior", prior, "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["prior"]["text"] == text
+    assert doc["prior"]["rounded"] == [float(text[text.index("(") + 1 : -1])]
+
+
 def test_analyze_unparseable_prior_exits_2(single_csv, tmp_path, capsys):
     assert main(["analyze", str(single_csv), "--prior", "gauss(1)", "--out", str(tmp_path)]) == 2
 

@@ -1,6 +1,7 @@
 """Tests for the single meta-analysis module (grid Bayes + frequentist suite)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from hetprior.metaanalysis import (
     LabeledInterval,
     SingleMeta,
     UndefinedEstimatorError,
+    _mixture_weights,
+    _weights,
     bayes_ma,
     ci_suite,
     dl_estimate,
@@ -81,6 +84,8 @@ def test_single_meta_from_collection():
     assert sm.sigma == (0.5, 0.4)
     with pytest.raises(ValueError, match="analysis_id"):
         single_meta(c)
+    with pytest.raises(ValueError, match=r"no analysis 'zz' in the collection; it holds a, b$"):
+        single_meta(c, "zz")
 
 
 # -- tau marginal ----------------------------------------------------------------
@@ -202,6 +207,57 @@ def test_mu_density_integrates_to_one_and_sd_floor():
         assert res.mu_sd >= math.sqrt(v0) - 1e-12
         lo, hi = res.mu_interval
         assert lo <= res.mu_median <= hi
+
+
+def capped_meta():
+    """k = 8 studies with standard errors <= 2e-4: the effect grid hits its
+    40 001-point cap."""
+    rng = np.random.default_rng(12)
+    sigma = rng.uniform(5e-5, 2e-4, 8)
+    return SingleMeta(y=tuple(rng.normal(0.2, np.sqrt(sigma**2 + 0.09))), sigma=tuple(sigma))
+
+
+def one_shot_mu_density(sm, res, mu_prior, rows):
+    """The effect density at ``mu_grid[rows]`` as one (rows x T) array
+    expression: the mixture formula written without blocking."""
+    td = res.tau_density
+    y, w = _weights(sm, mu_prior, td.grid)
+    total_w = w.sum(axis=1)
+    mu_hat = (w * y).sum(axis=1) / total_w
+    sd_cond = np.sqrt(1.0 / total_w)
+    norm = _mixture_weights(td) / (sd_cond * math.sqrt(2.0 * math.pi))
+    x = res.mu_density.grid[rows, None]
+    return (norm[None, :] * np.exp(-0.5 * ((x - mu_hat[None, :]) / sd_cond[None, :]) ** 2)).sum(
+        axis=1
+    )
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_blocked_mu_density_equals_one_shot_formula(capped):
+    if capped:
+        sm, prior, mu_prior = capped_meta(), Lomax(9.9, 1.5), None
+    else:
+        sm = random_meta(np.random.default_rng(4), k=7)
+        prior, mu_prior = HalfStudentT(8.2, 0.20), Normal(0.0, 2.0)
+    res = bayes_ma(sm, prior, mu_prior, comparators=False)
+    n = res.mu_density.grid.size
+    assert n == (40001 if capped else 1201)
+    rows = slice(5, None, 97) if capped else slice(None)
+    expected = one_shot_mu_density(sm, res, mu_prior, rows)
+    assert np.array_equal(res.mu_density.density[rows], expected)
+
+
+def test_capped_mu_density_needs_no_grid_sized_temporaries():
+    sm = capped_meta()
+    bayes_ma(sm, Lomax(9.9, 1.5), comparators=False)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        res = bayes_ma(sm, Lomax(9.9, 1.5), comparators=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.mu_density.grid.size == 40001
+    assert peak < 16 * 2**20
 
 
 TABLE_PRIORS = [
@@ -379,6 +435,19 @@ def test_ci_suite_translation_equivariance():
         assert b.estimate == pytest.approx(a.estimate + 0.73, abs=1e-9)
         assert b.lo == pytest.approx(a.lo + 0.73, abs=1e-9)
         assert b.hi == pytest.approx(a.hi + 0.73, abs=1e-9)
+
+
+def test_bayes_ma_translation_equivariance():
+    # a large effect with tiny standard errors: the uncentred variance
+    # sum(omega * (v + mu_hat^2)) - mu_mean^2 loses every digit here
+    rng = np.random.default_rng(1)
+    sm = SingleMeta(y=tuple(rng.normal(0.0, 1e-3, 4)), sigma=(1e-3,) * 4)
+    shifted = SingleMeta(y=tuple(v + 1e5 for v in sm.y), sigma=sm.sigma)
+    a = bayes_ma(sm, HalfNormal(0.5), comparators=False)
+    b = bayes_ma(shifted, HalfNormal(0.5), comparators=False)
+    assert b.mu_mean == pytest.approx(a.mu_mean + 1e5, abs=1e-8)
+    assert b.mu_median == pytest.approx(a.mu_median + 1e5, abs=1e-8)
+    assert b.mu_sd == pytest.approx(a.mu_sd, rel=1e-6)
 
 
 def test_ci_suite_validation():

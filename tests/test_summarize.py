@@ -468,6 +468,17 @@ def test_prior_spec_honors_rounding_level():
     assert spec.text() == "half-normal(0.219)"
 
 
+def test_prior_spec_text_keeps_two_significant_digits_below_rounding():
+    spec = PriorSpec(HalfStudentT(8.2, 0.0043217), "mixture_match")
+    assert spec.text() == "half-t(8.2,0.0043)"
+    assert spec.rounded_params() == (8.2, 0.0043)
+    assert PriorSpec(Exponential(1e-9), "given").text() == "exp(1e-09)"
+    # a location that rounds to 0 keeps its sign and two digits; a zero stays 0
+    assert PriorSpec(LogNormal(-0.0012345, 0.5), "given").text() == "log-normal(-0.0012,0.5)"
+    assert PriorSpec(LogNormal(0.0, 0.5), "given").text() == "log-normal(0,0.5)"
+    assert prior_to_dict(spec)["rounded"] == [8.2, 0.0043]
+
+
 def test_prior_to_dict_keys_and_values():
     spec = PriorSpec(
         HalfNormal(0.21949),
