@@ -136,11 +136,13 @@ def _mcmc_config(args, seed: int) -> McmcConfig:
 
 
 def _family_list(text: str, known, what: str) -> tuple[str, ...]:
-    """Comma list of family tokens, each checked against ``known``."""
+    """Comma list of distinct family tokens, each checked against ``known``."""
     families = tuple(f.strip() for f in text.split(",") if f.strip())
     for fam in families:
         if fam not in known:
             raise ValueError(f"unknown {what} {fam!r}; choose from {tuple(known)}")
+        if families.count(fam) > 1:
+            raise ValueError(f"{what} {fam!r} is listed more than once")
     return families
 
 
@@ -299,9 +301,12 @@ def cmd_approx(args) -> int:
             f"{csv_path} does not match the fit that wrote it: its sha256 is {digest}, "
             f"{sibling} records {recorded}"
         )
-    family = args.family if args.family is not None else fit_summary.get("family")
+    fit_family = fit_summary.get("family")
+    family = args.family if args.family is not None else fit_family
     if family is None:
         raise ValueError("family not given and no summary.json next to the samples file")
+    if fit_family not in (None, family):
+        raise ValueError(f"--family {family} contradicts {sibling}, which records the {fit_family} family")
     s = samples_from_csv(text, family)
     fit_families = _family_list(args.fit_families, FIT_FAMILIES, "fit family")
     source = str(csv_path)
@@ -357,13 +362,7 @@ def cmd_approx(args) -> int:
 def cmd_analyze(args) -> int:
     path = Path(args.path)
     c = parse_collection(path.read_text())
-    aid = args.analysis
-    if aid is None:
-        if c.n_analyses != 1:
-            raise ValueError(
-                f"input holds {c.n_analyses} analyses; pass --analysis to pick one"
-            )
-        aid = c.analysis_ids[0]
+    aid = c.resolve_id(args.analysis)
     sm = single_meta(c, aid)
     labels = [r.study_id for r in c.analysis(aid)]
     prior = parse_distribution(args.prior)
@@ -532,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--family",
         default=None,
         choices=tuple(HET_FAMILIES),
-        help="family that produced the samples (read from summary.json if omitted)",
+        help="family that produced the samples (default and check: summary.json beside them)",
     )
     sp.add_argument(
         "--methods",

@@ -106,6 +106,22 @@ class MetaAnalysisCollection:
         """All records in collection order."""
         return [r for _, recs in self.analyses for r in recs]
 
+    def resolve_id(self, analysis_id: str | None = None) -> str:
+        """The id of the analysis meant: ``analysis_id`` if the collection
+        holds it, or the only analysis when none is named."""
+        ids = self.analysis_ids
+        if analysis_id is None:
+            if len(ids) != 1:
+                raise ValueError(
+                    f"collection holds {len(ids)} analyses; pass analysis_id "
+                    "(--analysis on the command line) to pick one"
+                )
+            return ids[0]
+        if analysis_id not in ids:
+            held = ", ".join(ids[:10]) + (f", ... ({len(ids)} in all)" if len(ids) > 10 else "")
+            raise ValueError(f"no analysis {analysis_id!r} in the collection; it holds {held}")
+        return analysis_id
+
     def analysis(self, analysis_id: str) -> tuple[StudyRecord, ...]:
         for aid, records in self.analyses:
             if aid == analysis_id:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .data import MetaAnalysisCollection
 from .sampler import (
+    HET_FAMILIES,
     McmcConfig,
     ModelSpec,
     PosteriorSamples,
@@ -108,9 +109,9 @@ def compare_models(
     """Fit each family on the same data and rank by DIC (lowest first).
 
     A family whose run fails contributes an error row at the end instead
-    of aborting the whole comparison. Half-Cauchy predictive mean/sd are
-    reported as undefined (the distribution has no moments; empirical
-    values would be unstable noise).
+    of aborting the whole comparison. A predictive mean or sd the family
+    does not have (the half-Cauchy has neither) is reported as undefined,
+    since empirical values would be unstable noise.
     """
     if len(families) < 2:
         raise ValueError(f"need at least 2 families to compare, got {len(families)}")
@@ -123,8 +124,12 @@ def compare_models(
             s = run_hierarchical(c, m, cfg)
             dic = compute_dic(s, c)
             pred = summarize_samples(s.predictive)
-            if fam == "half-cauchy":
+            # which moments a family has does not depend on its hyperparameters
+            record = HET_FAMILIES[fam]
+            moments = record.distribution(*[1.0] * len(record.hyper_names)).moments()
+            if moments.mean is None:
                 pred["mean"] = None
+            if moments.sd is None:
                 pred["sd"] = None
             rows.append(ComparisonRow(family=fam, dic=dic, predictive=pred))
         except Exception as exc:  # keep the other families alive

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special as sc
@@ -115,7 +115,8 @@ class Distribution:
     token: str = ""
 
     def _params(self) -> tuple[float, ...]:
-        raise NotImplementedError
+        """The parameters, in the order of the dataclass fields."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def log_density(self, x):
         """Natural-log density; ``-inf`` outside the support."""
@@ -178,9 +179,6 @@ class HalfNormal(Distribution):
     def __post_init__(self):
         _positive("scale", self.scale)
 
-    def _params(self):
-        return (self.scale,)
-
     def _log_density(self, x):
         s = self.scale
         return _half_support(x, 0.5 * math.log(2.0 / math.pi) - math.log(s) - 0.5 * (x / s) ** 2)
@@ -226,9 +224,6 @@ class HalfStudentT(Distribution):
         _positive("df", self.df)
         _positive("scale", self.scale)
 
-    def _params(self):
-        return (self.df, self.scale)
-
     def _log_density(self, x):
         nu, s = self.df, self.scale
         z = x / s
@@ -264,9 +259,6 @@ class Exponential(Distribution):
     def __post_init__(self):
         _positive("scale", self.scale)
 
-    def _params(self):
-        return (self.scale,)
-
     def _log_density(self, x):
         return _half_support(x, -math.log(self.scale) - x / self.scale)
 
@@ -290,9 +282,6 @@ class HalfCauchy(Distribution):
 
     def __post_init__(self):
         _positive("scale", self.scale)
-
-    def _params(self):
-        return (self.scale,)
 
     def _log_density(self, x):
         s = self.scale
@@ -335,9 +324,6 @@ class LogNormal(Distribution):
         """Scale-form parameter: exp(mu), the median."""
         return math.exp(self.mu)
 
-    def _params(self):
-        return (self.mu, self.sigma)
-
     def _log_density(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             logx = np.log(np.where(x > 0.0, x, 1.0))
@@ -375,9 +361,6 @@ class Lomax(Distribution):
     def __post_init__(self):
         _positive("shape", self.shape)
         _positive("scale", self.scale)
-
-    def _params(self):
-        return (self.shape, self.scale)
 
     def _log_density(self, x):
         a, lam = self.shape, self.scale
@@ -419,9 +402,6 @@ class ScaledInvChi(Distribution):
         _positive("df", self.df)
         _positive("scale", self.scale)
 
-    def _params(self):
-        return (self.df, self.scale)
-
     def _log_density(self, x):
         nu, s = self.df, self.scale
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -462,7 +442,8 @@ class ScaledInvChi(Distribution):
 
 @dataclass(frozen=True)
 class InvGamma(Distribution):
-    """Inverse gamma; internal to the exponential/Lomax mixture math."""
+    """Inverse gamma, the mixing law behind :func:`exp_mixture_lomax`; that
+    match is closed-form, so no computation in the package uses this class."""
 
     shape: float
     scale: float
@@ -471,9 +452,6 @@ class InvGamma(Distribution):
     def __post_init__(self):
         _positive("shape", self.shape)
         _positive("scale", self.scale)
-
-    def _params(self):
-        return (self.shape, self.scale)
 
     def _log_density(self, x):
         a, b = self.shape, self.scale
@@ -513,9 +491,6 @@ class Normal(Distribution):
             raise ValueError(f"mean must be finite, got {self.mean!r}")
         _positive("sd", self.sd)
 
-    def _params(self):
-        return (self.mean, self.sd)
-
     def _log_density(self, x):
         z = (x - self.mean) / self.sd
         return -0.5 * _LOG_2PI - math.log(self.sd) - 0.5 * z * z
@@ -542,9 +517,6 @@ class Uniform(Distribution):
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or not self.lo < self.hi:
             raise ValueError(f"uniform bounds must be finite with lo < hi, got ({self.lo!r}, {self.hi!r})")
-
-    def _params(self):
-        return (self.lo, self.hi)
 
     def _log_density(self, x):
         inside = (x >= self.lo) & (x <= self.hi)
@@ -611,18 +583,7 @@ def parse_distribution(text: str) -> Distribution:
         params = [float(p) for p in body.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse parameters in {text!r}: {exc}") from None
-    n_expected = {
-        "half-normal": 1,
-        "exp": 1,
-        "half-cauchy": 1,
-        "half-t": 2,
-        "log-normal": 2,
-        "lomax": 2,
-        "inv-chi": 2,
-        "inv-gamma": 2,
-        "normal": 2,
-        "uniform": 2,
-    }[token]
+    n_expected = len(fields(cls))
     if len(params) != n_expected:
         raise ValueError(f"family {token!r} takes {n_expected} parameter(s), got {len(params)} in {text!r}")
     return cls(*params)

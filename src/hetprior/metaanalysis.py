@@ -105,18 +105,9 @@ class SingleMeta:
 
 
 def single_meta(c: MetaAnalysisCollection, analysis_id: str | None = None) -> SingleMeta:
-    """Pull one analysis out of a collection (the only one, by default)."""
-    if analysis_id is None:
-        if c.n_analyses != 1:
-            raise ValueError(
-                f"collection holds {c.n_analyses} analyses; pass analysis_id to pick one"
-            )
-        analysis_id = c.analysis_ids[0]
-    elif analysis_id not in c.analysis_ids:
-        ids = c.analysis_ids
-        held = ", ".join(ids[:10]) + (f", ... ({len(ids)} in all)" if len(ids) > 10 else "")
-        raise ValueError(f"no analysis {analysis_id!r} in the collection; it holds {held}")
-    records = c.analysis(analysis_id)
+    """Pull one analysis out of a collection (the only one, by default; see
+    :meth:`~hetprior.data.MetaAnalysisCollection.resolve_id`)."""
+    records = c.analysis(c.resolve_id(analysis_id))
     return SingleMeta(
         y=tuple(r.estimate for r in records), sigma=tuple(r.std_err for r in records)
     )

@@ -10,6 +10,10 @@ tau_j and the hyperparameter(s), then draws one predictive heterogeneity
 value tau* from the family at the current hyperparameters and records the
 deviance.
 
+Each family is one record in :data:`HET_FAMILIES` (see :class:`_Family`).
+The hyperpriors, the sampler, the draw container and file, the point
+priors of ``summarize`` and the DIC table of ``dic`` read it there.
+
 The sampler runs in lock step: all chains and all analyses advance
 together as (chains, analyses) numpy arrays. Given mu and the
 hyperparameters the tau_j full conditionals are independent, and chains
@@ -55,6 +59,7 @@ from .dist import (
     LogNormal,
     Normal,
     Uniform,
+    lognormal_from_theta,
 )
 
 __all__ = [
@@ -100,12 +105,20 @@ _READ_BLOCK = 4096
 
 
 class _Family(NamedTuple):
-    """A heterogeneity family, vectorized over values and hyperparameters:
-    ``log_density(x, th1, th2)`` and ``quantile(p, th1, th2)``, with th1
-    the scale (the log-normal's median) and th2 the log-normal's shape."""
+    """A heterogeneity family: its hyperparameter names, in sampler and
+    draw-file order; ``log_density(x, *hyper)`` and ``quantile(p, *hyper)``,
+    vectorized over values and over scalar or (chains, 1) hyperparameters;
+    and ``distribution(*hyper)``, the family as a ``Distribution``.
 
+    The vectorized formulas restate ``dist``'s scalar ones on purpose:
+    ``np.log`` and ``math.log`` differ in the last bit on some inputs, so
+    one shared formula would move either the draws or ``analyze``'s grids.
+    """
+
+    hyper_names: tuple[str, ...]
     log_density: Callable
     quantile: Callable
+    distribution: Callable[..., Distribution]
 
 
 def _log_normal_log_density(x, theta, sigma):
@@ -114,23 +127,32 @@ def _log_normal_log_density(x, theta, sigma):
     return -logx - np.log(sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
 
 
-#: heterogeneity families accepted by ModelSpec, keyed by canonical token
+#: heterogeneity families accepted by ModelSpec, keyed by canonical token;
+#: the log-normal is parametrized by its median theta and shape sigma
 HET_FAMILIES = {
     "half-normal": _Family(
-        lambda x, s, _: 0.5 * math.log(2.0 / math.pi) - np.log(s) - 0.5 * np.square(x / s),
-        lambda p, s, _: s * math.sqrt(2.0) * special.erfinv(p),
+        ("scale",),
+        lambda x, s: 0.5 * math.log(2.0 / math.pi) - np.log(s) - 0.5 * np.square(x / s),
+        lambda p, s: s * math.sqrt(2.0) * special.erfinv(p),
+        HalfNormal,
     ),
     "exp": _Family(
-        lambda x, s, _: -np.log(s) - x / s,
-        lambda p, s, _: -s * np.log1p(-p),
+        ("scale",),
+        lambda x, s: -np.log(s) - x / s,
+        lambda p, s: -s * np.log1p(-p),
+        Exponential,
     ),
     "half-cauchy": _Family(
-        lambda x, s, _: math.log(2.0 / math.pi) - np.log(s) - np.log1p(np.square(x / s)),
-        lambda p, s, _: s * np.tan(0.5 * math.pi * p),
+        ("scale",),
+        lambda x, s: math.log(2.0 / math.pi) - np.log(s) - np.log1p(np.square(x / s)),
+        lambda p, s: s * np.tan(0.5 * math.pi * p),
+        HalfCauchy,
     ),
     "log-normal": _Family(
+        ("theta", "sigma"),
         _log_normal_log_density,
         lambda p, theta, sigma: theta * np.exp(sigma * special.ndtri(p)),
+        lognormal_from_theta,
     ),
 }
 
@@ -162,10 +184,10 @@ def _hyper_support(prior: Distribution) -> tuple[float, float]:
 class ModelSpec:
     """Heterogeneity family plus its hyperpriors and the effect prior.
 
-    ``het_family`` is one of ``half-normal``, ``exp``, ``half-cauchy``,
-    ``log-normal``. The family's scale hyperparameter (the log-normal's
-    median scale) gets ``scale_hyperprior``; the log-normal's shape gets
-    ``shape_hyperprior``. Analysis effects mu_j share a
+    ``het_family`` is a key of :data:`HET_FAMILIES`. The family's first
+    hyperparameter (``scale``, or the log-normal's median ``theta``) gets
+    ``scale_hyperprior``; its second (the log-normal's shape ``sigma``)
+    gets ``shape_hyperprior``. Analysis effects mu_j share a
     Normal(effect_prior_mean, effect_prior_sd^2) prior.
     """
 
@@ -191,13 +213,8 @@ class ModelSpec:
     @property
     def hyperpriors(self) -> dict[str, Distribution]:
         """The family's hyperparameters, in sampler order, with their priors."""
-        if self.het_family == "log-normal":
-            return {"theta": self.scale_hyperprior, "sigma": self.shape_hyperprior}
-        return {"scale": self.scale_hyperprior}
-
-    @property
-    def hyper_names(self) -> tuple[str, ...]:
-        return tuple(self.hyperpriors)
+        names = HET_FAMILIES[self.het_family].hyper_names
+        return dict(zip(names, (self.scale_hyperprior, self.shape_hyperprior)))
 
 
 @dataclass(frozen=True)
@@ -220,6 +237,7 @@ class PosteriorSamples:
     """Posterior draws, dimensioned (chains, kept) per scalar parameter
     and (chains, kept, N) for the per-analysis blocks.
 
+    ``hyper`` maps exactly the family's hyperparameters to their draws.
     ``slice_counts`` maps each slice block (``tau`` and each hyperparameter)
     to a (chains, 4) integer array of the counters named in
     ``SLICE_COUNTERS``, over all iterations including burn-in; it is
@@ -227,7 +245,6 @@ class PosteriorSamples:
     """
 
     family: str
-    hyper_names: tuple[str, ...]
     hyper: dict[str, np.ndarray] = field(repr=False)
     mu: np.ndarray = field(repr=False)
     tau: np.ndarray = field(repr=False)
@@ -239,6 +256,12 @@ class PosteriorSamples:
     slice_counts: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        names = HET_FAMILIES[self.family].hyper_names
+        if sorted(self.hyper) != sorted(names):
+            raise ValueError(
+                f"hyper holds {sorted(self.hyper)}; the {self.family} family's "
+                f"hyperparameters are {list(names)}"
+            )
         if np.any(self.tau < 0.0) or np.any(self.predictive < 0.0):
             raise ValueError("negative tau or predictive draw: sampler invariant violated")
         if self.model is not None:
@@ -249,6 +272,10 @@ class PosteriorSamples:
                         raise ValueError(
                             f"hyperparameter {name!r} draw {edge} outside hyperprior support"
                         )
+
+    @property
+    def hyper_names(self) -> tuple[str, ...]:
+        return HET_FAMILIES[self.family].hyper_names
 
     @property
     def n_chains(self) -> int:
@@ -330,20 +357,20 @@ def _initial_state(y, se2, offsets, m: ModelSpec):
         sl = slice(offsets[j], offsets[j + 1])
         mu0[j], _, tau2 = _dl_fit(y[sl], 1.0 / se2[sl])
         tau0[j] = 0.01 if tau2 is None else max(0.01, math.sqrt(tau2))
-    th = [float(prior.quantile(0.5)) for prior in m.hyperpriors.values()]
-    return mu0, tau0, th[0], th[1] if len(th) == 2 else 0.0
+    th0 = [float(prior.quantile(0.5)) for prior in m.hyperpriors.values()]
+    return mu0, tau0, th0
 
 
-def _check_initial_log_posterior(y, se2, offsets, mu0, tau0, th10, th20, m: ModelSpec):
-    lp = sum(prior.log_density(th) for prior, th in zip(m.hyperpriors.values(), (th10, th20)))
+def _check_initial_log_posterior(y, se2, offsets, mu0, tau0, th0, m: ModelSpec):
+    lp = sum(prior.log_density(th) for prior, th in zip(m.hyperpriors.values(), th0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp += float(np.sum(HET_FAMILIES[m.het_family].log_density(tau0, th10, th20)))
+        lp += float(np.sum(HET_FAMILIES[m.het_family].log_density(tau0, *th0)))
     lp += -0.5 * float(_deviance(y, se2, offsets, mu0, tau0))
     lp += float(np.sum(Normal(m.effect_prior_mean, m.effect_prior_sd).log_density(mu0)))
     if not math.isfinite(lp):
         raise InitializationError(
             f"log-posterior is {lp} at the initial state "
-            f"(family {m.het_family!r}, scale start {th10}, shape start {th20})"
+            f"(family {m.het_family!r}, hyperparameters {dict(zip(m.hyperpriors, th0))})"
         )
 
 
@@ -441,8 +468,8 @@ def run_hierarchical(
     if cfg is None:
         cfg = McmcConfig()
     y, se2, offsets = _flatten(c)
-    mu0, tau0, th10, th20 = _initial_state(y, se2, offsets, m)
-    _check_initial_log_posterior(y, se2, offsets, mu0, tau0, th10, th20, m)
+    mu0, tau0, th0 = _initial_state(y, se2, offsets, m)
+    _check_initial_log_posterior(y, se2, offsets, mu0, tau0, th0, m)
 
     fam = HET_FAMILIES[m.het_family]
     hyper_blocks = [
@@ -457,19 +484,19 @@ def run_hierarchical(
     chains, kept, n = cfg.chains, cfg.iterations, offsets.size - 1
     out_mu = np.empty((chains, kept, n))
     out_tau = np.empty((chains, kept, n))
-    out_th = np.empty((chains, kept, 2))
+    out_th = np.empty((chains, kept, len(th0)))
     out_pred = np.empty((chains, kept))
     out_dev = np.empty((chains, kept))
     counts = {
         name: np.zeros((chains, len(SLICE_COUNTERS)), dtype=np.int64)
-        for name in ("tau", *m.hyper_names)
+        for name in ("tau", *fam.hyper_names)
     }
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(chains)
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
     tau = np.tile(tau0, (chains, 1))
-    th = np.tile([th10, th20], (chains, 1))
-    th1, th2 = th[:, :1], th[:, 1:]  # (chains, 1) views that follow th
+    th = np.tile(th0, (chains, 1))
+    hyper = [th[:, i : i + 1] for i in range(len(th0))]  # (chains, 1) views of th
     total = cfg.burn_in + (kept - 1) * cfg.thin + 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(total):
@@ -481,7 +508,7 @@ def run_hierarchical(
             resid2 = np.square(y - np.repeat(mu, sizes, axis=1))
 
             def tau_log_post(x):
-                return fam.log_density(x, th1, th2) - 0.5 * _neg2_loglik(
+                return fam.log_density(x, *hyper) - 0.5 * _neg2_loglik(
                     se2, resid2, x, sizes, starts
                 )
 
@@ -490,15 +517,14 @@ def run_hierarchical(
             for i, name, prior, lo, hi in hyper_blocks:
 
                 def hyper_log_post(x):
-                    params = [th1, th2]
+                    params = list(hyper)
                     params[i] = x
                     lp = fam.log_density(tau, *params).sum(axis=-1, keepdims=True)
                     return prior.log_density(x) + lp
 
-                block = th[:, i : i + 1]
-                block[:] = _slice(block, hyper_log_post, lo, hi, rngs, counts[name])
+                hyper[i][:] = _slice(hyper[i], hyper_log_post, lo, hi, rngs, counts[name])
 
-            pred = fam.quantile(_chain_draws(rngs, "random", (chains, 1)), th1, th2)[:, 0]
+            pred = fam.quantile(_chain_draws(rngs, "random", (chains, 1)), *hyper)[:, 0]
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
                 k = (it - cfg.burn_in) // cfg.thin
                 out_mu[:, k] = mu
@@ -507,11 +533,9 @@ def run_hierarchical(
                 out_pred[:, k] = pred
                 out_dev[:, k] = _deviance(y, se2, offsets, mu, tau)
 
-    hyper = {name: out_th[:, :, i] for i, name in enumerate(m.hyper_names)}
     return PosteriorSamples(
         family=m.het_family,
-        hyper_names=m.hyper_names,
-        hyper=hyper,
+        hyper={name: out_th[:, :, i] for i, name in enumerate(fam.hyper_names)},
         mu=out_mu,
         tau=out_tau,
         predictive=out_pred,
@@ -734,7 +758,7 @@ def samples_from_csv(text: str, family: str) -> PosteriorSamples:
     be a finite number, so a cut, ragged or reordered file fails here,
     naming the line, instead of reaching the summaries.
     """
-    hyper_names = ModelSpec(het_family=family).hyper_names
+    hyper_names = tuple(ModelSpec(het_family=family).hyperpriors)
     reader = csv.reader(_lines(text))
     header = next(reader, [])
     if header == ["chain", "iter", "parameter", "value"]:
@@ -787,7 +811,6 @@ def samples_from_csv(text: str, family: str) -> PosteriorSamples:
     h, n = len(hyper_names), len(ids)
     return PosteriorSamples(
         family=family,
-        hyper_names=hyper_names,
         hyper={name: values[:, :, k].copy() for k, name in enumerate(hyper_names)},
         mu=values[:, :, h : h + n].copy(),
         tau=values[:, :, h + n : h + 2 * n].copy(),

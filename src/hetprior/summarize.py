@@ -41,7 +41,7 @@ from .dist import (
     half_t_moment_fit,
     scale_mixture_half_t,
 )
-from .sampler import PosteriorSamples, summarize_samples
+from .sampler import HET_FAMILIES, PosteriorSamples, summarize_samples
 
 __all__ = [
     "PriorSpec",
@@ -127,14 +127,11 @@ def _statistic(draws: np.ndarray, statistic: str) -> float:
 def point_estimate_prior(s: PosteriorSamples, statistic: str = "mean", source: str = "") -> PriorSpec:
     """Route 1: the conditional family frozen at a hyperparameter statistic."""
     note = "conservative" if statistic == "q95" else None
-    method = f"point_estimate({statistic})"
-    if s.family == "log-normal":
-        theta_hat = _statistic(s.hyper["theta"], statistic)
-        sigma_hat = _statistic(s.hyper["sigma"], statistic)
-        dist = LogNormal(mu=math.log(theta_hat), sigma=sigma_hat)
-    else:
-        dist = _FAMILIES[s.family](_statistic(s.hyper["scale"], statistic))
-    return PriorSpec(distribution=dist, method=method, source=source, note=note)
+    hyper = [_statistic(s.hyper[name], statistic) for name in s.hyper_names]
+    dist = HET_FAMILIES[s.family].distribution(*hyper)
+    return PriorSpec(
+        distribution=dist, method=f"point_estimate({statistic})", source=source, note=note
+    )
 
 
 def mixture_match_prior(s: PosteriorSamples, source: str = "") -> PriorSpec:
@@ -176,28 +173,22 @@ _ML_LIMIT = 1e4
 
 
 def _moment_start(x: np.ndarray, family: str) -> Distribution:
-    """Moment-based (or robust fallback) starting point for the ML search."""
-    mean = float(np.mean(x))
-    sd = float(np.std(x, ddof=1))
-    if family == "half-normal":
-        return HalfNormal(mean / _ROOT_2_OVER_PI)
-    if family == "exp":
-        return Exponential(mean)
+    """Starting point for the ML search: the moment fit, except for the
+    half-Cauchy (no moments: the median sets the scale) and the log-normal
+    (moments of log x); a fixed-shape half-t or Lomax at the sample mean
+    where the moments are out of the family's reach."""
     if family == "half-cauchy":
         return HalfCauchy(float(np.quantile(x, 0.5)))
     if family == "log-normal":
         lx = np.log(x[x > 0.0])
         return LogNormal(float(np.mean(lx)), max(float(np.std(lx)), 1e-6))
-    if family == "half-t":
-        try:
-            return half_t_moment_fit(mean, sd)
-        except InfeasibleError:
+    try:
+        return _moment_fit(x, family)
+    except InfeasibleError:
+        mean = float(np.mean(x))
+        if family == "half-t":
             return HalfStudentT(50.0, mean / _ROOT_2_OVER_PI)
-    # lomax
-    cv = sd / mean
-    if cv > 1.0:
-        return _lomax_from_moments(mean, sd)
-    return Lomax(3.0, 2.0 * mean)
+        return Lomax(3.0, 2.0 * mean)
 
 
 def _pack(d: Distribution) -> np.ndarray:
@@ -280,29 +271,32 @@ def _lomax_from_moments(mean: float, sd: float) -> Lomax:
     return Lomax(shape=shape, scale=mean * (shape - 1.0))
 
 
+def _moment_fit(x: np.ndarray, family: str) -> Distribution:
+    """The member of ``family`` whose mean and sd are those of ``x``."""
+    mean = float(np.mean(x))
+    sd = float(np.std(x, ddof=1))
+    if family == "half-normal":
+        return HalfNormal(mean / _ROOT_2_OVER_PI)
+    if family == "exp":
+        return Exponential(mean)
+    if family == "half-t":
+        return half_t_moment_fit(mean, sd)  # raises InfeasibleError for cv <= half-normal limit
+    if family == "lomax":
+        return _lomax_from_moments(mean, sd)
+    if family == "log-normal":
+        sigma = math.sqrt(math.log1p((sd / mean) ** 2))
+        return LogNormal(mu=math.log(mean) - sigma**2 / 2.0, sigma=sigma)
+    if family == "half-cauchy":
+        raise ValueError("half-cauchy has no defined moments; a moment fit is impossible")
+    raise ValueError(f"unsupported fit family {family!r}")
+
+
 def fit_predictive_moments(draws, family: str, source: str = "") -> PriorSpec:
     """Route 3b: invert the family's first two moments at the sample values."""
     x = np.asarray(draws, dtype=float).ravel()
     if x.size < 2:
         raise ValueError(f"need at least 2 draws, got {x.size}")
-    mean = float(np.mean(x))
-    sd = float(np.std(x, ddof=1))
-    if family == "half-normal":
-        dist: Distribution = HalfNormal(mean / _ROOT_2_OVER_PI)
-    elif family == "exp":
-        dist = Exponential(mean)
-    elif family == "half-t":
-        dist = half_t_moment_fit(mean, sd)  # raises InfeasibleError for cv <= half-normal limit
-    elif family == "lomax":
-        dist = _lomax_from_moments(mean, sd)
-    elif family == "log-normal":
-        sigma = math.sqrt(math.log1p((sd / mean) ** 2))
-        dist = LogNormal(mu=math.log(mean) - sigma**2 / 2.0, sigma=sigma)
-    elif family == "half-cauchy":
-        raise ValueError("half-cauchy has no defined moments; a moment fit is impossible")
-    else:
-        raise ValueError(f"unsupported fit family {family!r}")
-    return PriorSpec(distribution=dist, method="direct_fit_moments", source=source)
+    return PriorSpec(distribution=_moment_fit(x, family), method="direct_fit_moments", source=source)
 
 
 # -- comparison table ----------------------------------------------------------

@@ -264,6 +264,18 @@ def test_approx_explicit_family_on_bare_csv(fit_dir, tmp_path):
     assert all(p["method"] == "direct_fit_moments" for p in priors["priors"])
 
 
+def test_approx_family_contradicting_the_fit_exits_2(fit_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["approx", str(fit_dir), "--family", "exp", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--family exp contradicts" in err and "records the half-normal family" in err
+    assert not out.exists()
+    # a bare draw file carries no family to check against
+    lone = tmp_path / "samples.csv"
+    lone.write_text((fit_dir / "samples.csv").read_text())
+    assert main(["approx", str(lone), "--family", "exp", "--out", str(tmp_path / "bare")]) == 0
+
+
 def test_approx_unknown_method_exits_2(fit_dir, tmp_path, capsys):
     assert main(["approx", str(fit_dir), "--methods", "magic", "--out", str(tmp_path / "x")]) == 2
     assert "magic" in capsys.readouterr().err
@@ -551,6 +563,23 @@ def test_compare_unknown_family_exits_2_before_sampling(corpus_csv, tmp_path, ca
     code = main(["compare", str(corpus_csv), "--families", families, "--seed", "1", "--out", str(out)])
     assert code == 2
     assert repr(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["compare", "{corpus}", "--families", "exp,half-normal,exp", "--seed", "1", "--chains", "1",
+          "--iters", "50", "--burnin", "10"], "exp"),
+        (["approx", "{fit_dir}", "--methods", "ml", "--fit-families", "half-t,half-t"], "half-t"),
+    ],
+    ids=["compare-families", "approx-fit-families"],
+)
+def test_repeated_family_token_exits_2(argv, token, corpus_csv, fit_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    paths = {"corpus": corpus_csv, "fit_dir": fit_dir}
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert f"{token!r} is listed more than once" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -74,7 +74,6 @@ def _constant_samples(c, mu0, tau0, dev0):
     shape = (2, 50)
     return PosteriorSamples(
         family="half-normal",
-        hyper_names=("scale",),
         hyper={"scale": np.full(shape, 0.2)},
         mu=np.tile(np.asarray(mu0), (2, 50, 1)),
         tau=np.tile(np.asarray(tau0), (2, 50, 1)),
@@ -113,7 +112,6 @@ def test_appending_plug_in_iteration_cannot_increase_pd(quick_fit):
     dev_plug = deviance(c, mu_mean, tau_mean)
     extended = PosteriorSamples(
         family=s.family,
-        hyper_names=s.hyper_names,
         hyper={"scale": np.concatenate([s.hyper["scale"], np.full((s.n_chains, 1), 0.2)], axis=1)},
         mu=np.concatenate([s.mu, np.tile(mu_mean, (s.n_chains, 1, 1))], axis=1),
         tau=np.concatenate([s.tau, np.tile(tau_mean, (s.n_chains, 1, 1))], axis=1),

@@ -8,6 +8,7 @@ from hetprior.data import MetaAnalysisCollection, StudyRecord
 from hetprior.dist import HalfNormal, Normal, Uniform
 from hetprior.sampler import (
     BACKEND,
+    HET_FAMILIES,
     SLICE_COUNTERS,
     ConfigError,
     McmcConfig,
@@ -156,6 +157,51 @@ def test_other_families_run_and_respect_support(family):
         assert s.hyper_names == ("theta", "sigma")
         assert s.draws("sigma").max() < 5.0
         assert s.draws("theta").max() < 10.0
+
+
+#: hyperparameter values for the family-record checks, in record order
+_RECORD_HYPER = (0.7, 0.9)
+
+
+@pytest.mark.parametrize("token", sorted(HET_FAMILIES))
+def test_family_record_matches_its_distribution(token):
+    """The sampler's vectorized log density and quantile restate the
+    scalar ones of ``dist``; both must describe the same family."""
+    fam = HET_FAMILIES[token]
+    hyper = _RECORD_HYPER[: len(fam.hyper_names)]
+    x = np.linspace(0.0, 20.0, 401)[1:]
+    p = np.linspace(0.0, 1.0, 201)[1:-1]
+    d = fam.distribution(*hyper)
+    assert d.token == token
+    np.testing.assert_allclose(fam.log_density(x, *hyper), d.log_density(x), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fam.quantile(p, *hyper), d.quantile(p), rtol=1e-12, atol=1e-12)
+    # per-chain (chains, 1) hyperparameters broadcast against the values
+    per_chain = [np.array([[0.5 * h], [h], [2.0 * h]]) for h in hyper]
+    dens = fam.log_density(x, *per_chain)
+    quant = fam.quantile(p, *per_chain)
+    assert dens.shape == (3, x.size) and quant.shape == (3, p.size)
+    for c in range(3):
+        dc = fam.distribution(*(float(h[c, 0]) for h in per_chain))
+        np.testing.assert_allclose(dens[c], dc.log_density(x), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(quant[c], dc.quantile(p), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, hyper",
+    [("log-normal", ("scale",)), ("half-normal", ("theta", "sigma")), ("exp", ("scale", "sigma"))],
+)
+def test_posterior_samples_rejects_hyper_keys_of_another_family(family, hyper):
+    shape = (1, 10)
+    with pytest.raises(ValueError, match=rf"the {family} family's hyperparameters are"):
+        PosteriorSamples(
+            family=family,
+            hyper={name: np.full(shape, 0.2) for name in hyper},
+            mu=np.zeros((*shape, 1)),
+            tau=np.full((*shape, 1), 0.1),
+            predictive=np.full(shape, 0.1),
+            deviance=np.zeros(shape),
+            analysis_ids=("a",),
+        )
 
 
 def test_model_spec_validation():
@@ -364,7 +410,7 @@ def test_initial_state_floors_undefined_dl_start():
             ("solo", (StudyRecord("solo", "a", 0.2, 0.4, 2),)),
         )
     )
-    _, tau0, _, _ = _initial_state(*_flatten(c), ModelSpec())
+    _, tau0, _ = _initial_state(*_flatten(c), ModelSpec())
     assert tau0.tolist() == [0.01, 0.01]
 
 
@@ -388,7 +434,6 @@ def test_posterior_samples_invariant_rejects_negative_tau(quick_run):
     with pytest.raises(ValueError):
         PosteriorSamples(
             family=quick_run.family,
-            hyper_names=quick_run.hyper_names,
             hyper=quick_run.hyper,
             mu=quick_run.mu,
             tau=bad_tau,

@@ -50,10 +50,8 @@ def fake_run(family, hyper, n_analyses=3):
     """Hand-built PosteriorSamples carrying only what the prior routes read."""
     kept = np.asarray(next(iter(hyper.values()))).size
     hyper2 = {k: np.asarray(v, dtype=float).reshape(1, kept) for k, v in hyper.items()}
-    names = ("theta", "sigma") if family == "log-normal" else ("scale",)
     return PosteriorSamples(
         family=family,
-        hyper_names=names,
         hyper=hyper2,
         mu=np.zeros((1, kept, n_analyses)),
         tau=np.full((1, kept, n_analyses), 0.1),
