@@ -173,9 +173,7 @@ def cmd_validate(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "analyses": c.n_analyses,
         "studies": c.n_studies,
-        "per_analysis": [
-            {"analysis": aid, "k": len(c.analysis(aid))} for aid in c.analysis_ids
-        ],
+        "per_analysis": [{"analysis": a.analysis_id, "k": a.k} for a in report.analyses],
         "warnings": list(report.warnings),
     }
     lines = [f"{c.n_analyses} analyses, {c.n_studies} studies"]
@@ -461,10 +459,11 @@ def cmd_tau_estimates(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_output_flags(sp) -> None:
+def _add_output_flags(sp, svg: bool = False) -> None:
     sp.add_argument("--out", default=".", help="output directory (default: current directory)")
     sp.add_argument("--json", action="store_true", help="print JSON instead of a text table")
-    sp.add_argument("--svg", action="store_true", help="also write SVG plots")
+    if svg:
+        sp.add_argument("--svg", action="store_true", help="also write SVG plots")
 
 
 def _add_corpus_flags(sp) -> None:
@@ -511,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="heterogeneity family (default half-normal)",
     )
     _add_mcmc_flags(sp)
-    _add_output_flags(sp)
+    _add_output_flags(sp, svg=True)
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("compare", help="DIC comparison across heterogeneity families")
@@ -543,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="half-t",
         help="families for the ml/moments direct fits (comma list)",
     )
-    _add_output_flags(sp)
+    _add_output_flags(sp, svg=True)
     sp.set_defaults(func=cmd_approx)
 
     sp = sub.add_parser("analyze", help="Bayesian meta-analysis of one dataset under a prior")
@@ -557,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional normal effect prior, e.g. 'normal(0,2)' (default: flat)",
     )
     sp.add_argument("--analysis", default=None, help="analysis id if the file holds several")
-    _add_output_flags(sp)
+    _add_output_flags(sp, svg=True)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("tau-estimates", help="DL/PM heterogeneity estimates per analysis")

@@ -4,15 +4,14 @@ Provides the distribution families used as heterogeneity models, hyperpriors
 and condensed priors (half-normal, half-Student-t, exponential, half-Cauchy,
 log-normal, Lomax, scaled inverse chi, inverse gamma, normal, uniform),
 each with log-density, cdf, quantile, closed-form moments and sampling,
-plus the scale-mixture matching rules:
+plus the half-normal and exponential scale-mixture matching rules:
 
 * a half-normal scale mixture is matched by a half-Student-t whose
   degrees of freedom are pinned down by the scale's coefficient of
-  variation (via the scaled inverse chi distribution),
+  variation (via the scaled inverse chi distribution), and
 * an exponential scale mixture is matched by a Lomax distribution
-  (inverse-gamma mixing), and
-* a log-normal with uncertain log-scale collapses to a log-normal with
-  inflated shape.
+  (inverse-gamma mixing). The log-normal rule (an inflated shape) lives
+  in ``summarize.mixture_match_prior``.
 
 Moments that do not exist (e.g. half-Cauchy mean, half-Student-t variance
 for df <= 2) are reported as ``None``, never as sentinel numbers.

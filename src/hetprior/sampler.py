@@ -44,6 +44,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -232,12 +233,22 @@ class McmcConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
 
 
+def _parameter_names(family: str, analysis_ids) -> list[str]:
+    """The columns of a draw table, as :meth:`PosteriorSamples.parameter_names`."""
+    names = list(HET_FAMILIES[family].hyper_names)
+    names += [f"mu[{aid}]" for aid in analysis_ids]
+    names += [f"tau[{aid}]" for aid in analysis_ids]
+    names += ["tau_star", "deviance"]
+    return names
+
+
 @dataclass(frozen=True, eq=False)
 class PosteriorSamples:
-    """Posterior draws, dimensioned (chains, kept) per scalar parameter
-    and (chains, kept, N) for the per-analysis blocks.
+    """Posterior draws as one read-only (chains, kept, P) table whose P
+    columns are :meth:`parameter_names`, the row layout of ``samples.csv``.
 
-    ``hyper`` maps exactly the family's hyperparameters to their draws.
+    ``hyper`` (name -> (chains, kept)), ``mu`` and ``tau`` ((chains, kept,
+    N)), ``predictive`` and ``deviance`` are views of its columns.
     ``slice_counts`` maps each slice block (``tau`` and each hyperparameter)
     to a (chains, 4) integer array of the counters named in
     ``SLICE_COUNTERS``, over all iterations including burn-in; it is
@@ -245,23 +256,22 @@ class PosteriorSamples:
     """
 
     family: str
-    hyper: dict[str, np.ndarray] = field(repr=False)
-    mu: np.ndarray = field(repr=False)
-    tau: np.ndarray = field(repr=False)
-    predictive: np.ndarray = field(repr=False)
-    deviance: np.ndarray = field(repr=False)
-    analysis_ids: tuple[str, ...] = ()
+    table: np.ndarray = field(repr=False)
+    analysis_ids: tuple[str, ...]
     model: ModelSpec | None = None
     config: McmcConfig | None = None
     slice_counts: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        names = HET_FAMILIES[self.family].hyper_names
-        if sorted(self.hyper) != sorted(names):
+        width = len(self.parameter_names())
+        if self.table.ndim != 3 or self.table.shape[-1] != width:
             raise ValueError(
-                f"hyper holds {sorted(self.hyper)}; the {self.family} family's "
-                f"hyperparameters are {list(names)}"
+                f"draw table of shape {self.table.shape}, but the {self.family} family and "
+                f"{self.n_analyses} analysis ids call for (chains, kept, {width})"
             )
+        table = self.table.view()
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
         if np.any(self.tau < 0.0) or np.any(self.predictive < 0.0):
             raise ValueError("negative tau or predictive draw: sampler invariant violated")
         if self.model is not None:
@@ -279,41 +289,51 @@ class PosteriorSamples:
 
     @property
     def n_chains(self) -> int:
-        return self.mu.shape[0]
+        return self.table.shape[0]
 
     @property
     def n_kept(self) -> int:
-        return self.mu.shape[1]
+        return self.table.shape[1]
 
     @property
     def n_analyses(self) -> int:
-        return self.mu.shape[2]
+        return len(self.analysis_ids)
+
+    @property
+    def hyper(self) -> dict[str, np.ndarray]:
+        return {name: self.table[..., i] for i, name in enumerate(self.hyper_names)}
+
+    @property
+    def mu(self) -> np.ndarray:
+        n = self.n_analyses
+        return self.table[..., -2 - 2 * n : -2 - n]
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self.table[..., -2 - self.n_analyses : -2]
+
+    @property
+    def predictive(self) -> np.ndarray:
+        return self.table[..., -2]
+
+    @property
+    def deviance(self) -> np.ndarray:
+        return self.table[..., -1]
 
     def parameter_names(self) -> list[str]:
-        names = list(self.hyper_names)
-        names += [f"mu[{aid}]" for aid in self.analysis_ids]
-        names += [f"tau[{aid}]" for aid in self.analysis_ids]
-        names += ["tau_star", "deviance"]
-        return names
+        return _parameter_names(self.family, self.analysis_ids)
+
+    @cached_property
+    def _column(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.parameter_names())}
 
     def draws(self, name: str) -> np.ndarray:
         """Draws of one parameter as a (chains, kept) array."""
-        if name in self.hyper:
-            return self.hyper[name]
-        if name == "tau_star":
-            return self.predictive
-        if name == "deviance":
-            return self.deviance
-        for kind, block in (("mu", self.mu), ("tau", self.tau)):
-            prefix = kind + "["
-            if name.startswith(prefix) and name.endswith("]"):
-                aid = name[len(prefix):-1]
-                try:
-                    j = self.analysis_ids.index(aid)
-                except ValueError:
-                    raise KeyError(name) from None
-                return block[:, :, j]
-        raise KeyError(name)
+        return self.table[..., self._column[name]]
+
+    def columns(self):
+        """(name, (chains, kept) draws) for every column, in table order."""
+        return zip(self.parameter_names(), np.moveaxis(self.table, -1, 0))
 
 
 def _flatten(c: MetaAnalysisCollection):
@@ -481,12 +501,9 @@ def run_hierarchical(
     prior_prec = 1.0 / m.effect_prior_sd**2
     prior_wmean = m.effect_prior_mean * prior_prec
 
-    chains, kept, n = cfg.chains, cfg.iterations, offsets.size - 1
-    out_mu = np.empty((chains, kept, n))
-    out_tau = np.empty((chains, kept, n))
-    out_th = np.empty((chains, kept, len(th0)))
-    out_pred = np.empty((chains, kept))
-    out_dev = np.empty((chains, kept))
+    chains, kept = cfg.chains, cfg.iterations
+    # one row per kept draw, in the column order of parameter_names()
+    table = np.empty((chains, kept, len(_parameter_names(m.het_family, c.analysis_ids))))
     counts = {
         name: np.zeros((chains, len(SLICE_COUNTERS)), dtype=np.int64)
         for name in ("tau", *fam.hyper_names)
@@ -526,20 +543,13 @@ def run_hierarchical(
 
             pred = fam.quantile(_chain_draws(rngs, "random", (chains, 1)), *hyper)[:, 0]
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                k = (it - cfg.burn_in) // cfg.thin
-                out_mu[:, k] = mu
-                out_tau[:, k] = tau
-                out_th[:, k] = th
-                out_pred[:, k] = pred
-                out_dev[:, k] = _deviance(y, se2, offsets, mu, tau)
+                dev = _deviance(y, se2, offsets, mu, tau)
+                row = table[:, (it - cfg.burn_in) // cfg.thin]
+                np.concatenate([th, mu, tau, pred[:, None], dev[:, None]], axis=1, out=row)
 
     return PosteriorSamples(
         family=m.het_family,
-        hyper={name: out_th[:, :, i] for i, name in enumerate(fam.hyper_names)},
-        mu=out_mu,
-        tau=out_tau,
-        predictive=out_pred,
-        deviance=out_dev,
+        table=table,
         analysis_ids=tuple(c.analysis_ids),
         model=m,
         config=cfg,
@@ -568,41 +578,44 @@ def summarize_samples(draws) -> dict[str, float]:
     }
 
 
-def split_rhat(x: np.ndarray) -> float:
-    """Split-chain potential scale reduction factor for (chains, n) draws."""
-    x = np.asarray(x, dtype=float)
-    m, n = x.shape
+def _split_chains(x: np.ndarray):
+    """Each chain of (chains, n) draws cut into a first and a last half of
+    n // 2 draws: the halves, their means, the mean within-half variance W
+    and var+ = (n_half - 1) / n_half W + B / n_half, B the between-half
+    variance."""
+    n = x.shape[1]
     half = n // 2
-    if half < 2:
-        return math.nan
     h = np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
     means = h.mean(axis=1)
     w = float(h.var(axis=1, ddof=1).mean())
     b = half * float(means.var(ddof=1))
+    return h, means, w, (half - 1) / half * w + b / half
+
+
+def split_rhat(x: np.ndarray) -> float:
+    """Split-chain potential scale reduction factor for (chains, n) draws:
+    NaN below 4 draws per chain, infinite when every half-chain is constant
+    but the halves differ."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[1] // 2 < 2:
+        return math.nan
+    _, _, w, var_plus = _split_chains(x)
     if w == 0.0:
-        return 1.0 if b == 0.0 else math.inf
-    var_plus = (half - 1) / half * w + b / half
+        return 1.0 if var_plus == 0.0 else math.inf
     return math.sqrt(var_plus / w)
 
 
 def effective_sample_size(x: np.ndarray) -> float:
     """Effective sample size from split chains, with the combined
     autocorrelation estimate truncated by the initial-monotone-positive
-    pair-sum rule."""
+    pair-sum rule; the draw count below 8 draws per chain or when every
+    draw is equal."""
     x = np.asarray(x, dtype=float)
-    m, n = x.shape
-    total = m * n
-    half = n // 2
-    if half < 4:
+    total = x.size
+    n_sub = x.shape[1] // 2
+    if n_sub < 4 or x.min() == x.max():
         return float(total)
-    h = np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
-    n_sub = half
-    means = h.mean(axis=1)
-    w = float(h.var(axis=1, ddof=1).mean())
-    if w == 0.0:
-        return float(total)
-    b = n_sub * float(means.var(ddof=1))
-    var_plus = (n_sub - 1) / n_sub * w + b / n_sub
+    h, means, w, var_plus = _split_chains(x)
     centered = h - means[:, None]
     size = 1 << (2 * n_sub - 1).bit_length()
     f = np.fft.rfft(centered, n=size, axis=1)
@@ -645,20 +658,28 @@ def diagnostics(s: PosteriorSamples, parameters: list[str] | None = None) -> Dia
     """Split-R-hat and effective sample size per monitored parameter.
 
     Monitors every parameter by default; pass ``parameters`` to restrict.
-    With a single chain R-hat is undefined and reported as ``None``.
-    Warnings flag R-hat > 1.01 and ESS < 400.
+    With a single chain R-hat is undefined and reported as ``None``; an
+    R-hat that is not finite is also reported as ``None``, with a warning
+    that says why. Warnings flag R-hat > 1.01 and ESS < 400.
     """
-    names = parameters if parameters is not None else s.parameter_names()
-    single = s.n_chains < 2
+    if parameters is None:
+        columns = s.columns()
+    else:
+        columns = ((name, s.draws(name)) for name in parameters)
     entries = []
     warns = []
-    for name in names:
-        x = s.draws(name)
-        rhat = None if single else split_rhat(x)
+    for name, x in columns:
+        rhat = None if s.n_chains < 2 else split_rhat(x)
+        if rhat is not None and math.isnan(rhat):
+            warns.append(f"{name}: split-Rhat undefined with {s.n_kept} draws per chain (needs 4)")
+            rhat = None
+        elif rhat == math.inf:
+            warns.append(f"{name}: split-Rhat infinite: every half-chain is constant, the halves differ")
+            rhat = None
+        elif rhat is not None and rhat > 1.01:
+            warns.append(f"{name}: split-Rhat {rhat:.3f} > 1.01")
         ess = effective_sample_size(x)
         entries.append(ParameterDiagnostics(name=name, rhat=rhat, ess=ess))
-        if rhat is not None and math.isfinite(rhat) and rhat > 1.01:
-            warns.append(f"{name}: split-Rhat {rhat:.3f} > 1.01")
         if ess < 400.0:
             warns.append(f"{name}: effective sample size {ess:.0f} < 400")
     return DiagnosticsReport(parameters=tuple(entries), warnings=tuple(warns))
@@ -674,22 +695,13 @@ def samples_to_csv(s: PosteriorSamples) -> str:
 
     Values are written with ``repr`` so parsing back is exact.
     """
-    names = s.parameter_names()
-    table = np.concatenate(
-        [
-            np.stack([s.hyper[name] for name in s.hyper_names], axis=-1),
-            s.mu,
-            s.tau,
-            s.predictive[..., None],
-            s.deviance[..., None],
-        ],
-        axis=-1,
-    ).reshape(-1, len(names))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["chain", "iter", *names])
+    writer.writerow(["chain", "iter", *s.parameter_names()])
     writer.writerows(
-        [i // s.n_kept, i % s.n_kept, *map(repr, row.tolist())] for i, row in enumerate(table)
+        [c, i, *map(repr, row.tolist())]
+        for c, chain in enumerate(s.table)
+        for i, row in enumerate(chain)
     )
     return out.getvalue()
 
@@ -758,7 +770,7 @@ def samples_from_csv(text: str, family: str) -> PosteriorSamples:
     be a finite number, so a cut, ragged or reordered file fails here,
     naming the line, instead of reaching the summaries.
     """
-    hyper_names = tuple(ModelSpec(het_family=family).hyperpriors)
+    ModelSpec(het_family=family)  # raises ConfigError for an unknown family
     reader = csv.reader(_lines(text))
     header = next(reader, [])
     if header == ["chain", "iter", "parameter", "value"]:
@@ -769,9 +781,7 @@ def samples_from_csv(text: str, family: str) -> PosteriorSamples:
     ids = [name[3:-1] for name in header if name.startswith("mu[") and name.endswith("]")]
     if not ids:
         raise ValueError("draw CSV holds no mu[...] columns")
-    expected = ["chain", "iter", *hyper_names]
-    expected += [f"mu[{aid}]" for aid in ids] + [f"tau[{aid}]" for aid in ids]
-    expected += ["tau_star", "deviance"]
+    expected = ["chain", "iter", *_parameter_names(family, ids)]
     if header != expected:
         raise ValueError(
             f"draw CSV header for the {family} family: {_header_problem(header, expected)}"
@@ -805,17 +815,9 @@ def samples_from_csv(text: str, family: str) -> PosteriorSamples:
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"draw CSV line {first_line + i}: {header[j]} is {table[i, j]}")
-    # contiguous copies, so reductions over a block do not depend on where
-    # its columns sit in the file
-    values = table[:, 2:].reshape(n_rows // n_kept, n_kept, -1)
-    h, n = len(hyper_names), len(ids)
     return PosteriorSamples(
         family=family,
-        hyper={name: values[:, :, k].copy() for k, name in enumerate(hyper_names)},
-        mu=values[:, :, h : h + n].copy(),
-        tau=values[:, :, h + n : h + 2 * n].copy(),
-        predictive=values[:, :, -2].copy(),
-        deviance=values[:, :, -1].copy(),
+        table=table[:, 2:].reshape(n_rows // n_kept, n_kept, -1),
         analysis_ids=tuple(ids),
     )
 
@@ -863,9 +865,7 @@ def summary_dict(s: PosteriorSamples, with_diagnostics: bool = True) -> dict:
     """JSON-ready summary: per-parameter statistics, diagnostics, the
     slice-sampler counters of a fresh run, and one list of warnings
     (diagnostics, slice cap hits, hyperparameters piled up at a bound)."""
-    params = {}
-    for name in s.parameter_names():
-        params[name] = summarize_samples(s.draws(name))
+    params = {name: summarize_samples(x) for name, x in s.columns()}
     doc = {
         "family": s.family,
         "n_analyses": s.n_analyses,

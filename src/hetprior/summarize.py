@@ -154,7 +154,7 @@ def mixture_match_prior(s: PosteriorSamples, source: str = "") -> PriorSpec:
         shape = math.sqrt(float(np.mean(sigma2)) + float(np.var(log_theta, ddof=1)))
         dist = LogNormal(mu=location, sigma=shape)
     else:
-        raise ValueError(
+        raise InfeasibleError(
             f"no analytic mixture match for the {s.family!r} family "
             "(supported: half-normal, exp, log-normal)"
         )
@@ -287,7 +287,7 @@ def _moment_fit(x: np.ndarray, family: str) -> Distribution:
         sigma = math.sqrt(math.log1p((sd / mean) ** 2))
         return LogNormal(mu=math.log(mean) - sigma**2 / 2.0, sigma=sigma)
     if family == "half-cauchy":
-        raise ValueError("half-cauchy has no defined moments; a moment fit is impossible")
+        raise InfeasibleError("half-cauchy has no defined moments; a moment fit is impossible")
     raise ValueError(f"unsupported fit family {family!r}")
 
 

@@ -372,6 +372,32 @@ def test_approx_partial_failure_keeps_rest(tmp_path):
     assert priors["failures"][0]["method"] == "moments"
 
 
+@pytest.fixture(scope="module")
+def half_cauchy_fit_dir(tmp_path_factory):
+    src = tmp_path_factory.mktemp("hc_input")
+    (src / "corpus.csv").write_text(CORPUS)
+    out = tmp_path_factory.mktemp("hc_out")
+    argv = ["fit", str(src / "corpus.csv"), "--family", "half-cauchy", "--seed", "5",
+            "--chains", "2", "--iters", "300", "--burnin", "80", "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "methods, failed",
+    [([], "mixture"), (["--methods", "point:mean,moments", "--fit-families", "half-cauchy,half-t"], "moments")],
+    ids=["defaults", "moments"],
+)
+def test_approx_half_cauchy_fit_keeps_point_prior(half_cauchy_fit_dir, tmp_path, capsys, methods, failed):
+    out = tmp_path / "o"
+    assert main(["approx", str(half_cauchy_fit_dir), *methods, "--out", str(out)]) == 0
+    priors = json.loads((out / "priors.json").read_text())
+    assert [p["method"] for p in priors["priors"]] == ["point_estimate(mean)"]
+    assert [f["method"] for f in priors["failures"]] == [failed]
+    assert "half-cauchy" in priors["failures"][0]["error"]
+    assert f"warning: {failed} failed" in capsys.readouterr().err
+
+
 # -- analyze ------------------------------------------------------------------------
 
 
@@ -581,6 +607,32 @@ def test_repeated_family_token_exits_2(argv, token, corpus_csv, fit_dir, tmp_pat
     assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
     assert f"{token!r} is listed more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "{corpus}"], ["tau-estimates", "{corpus}"], ["compare", "{corpus}", "--seed", "1", "--chains", "1", "--iters", "50", "--burnin", "10"]],
+    ids=["validate", "tau-estimates", "compare"],
+)
+def test_svg_flag_only_on_commands_that_plot(argv, corpus_csv, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(corpus=corpus_csv) for a in argv] + ["--svg", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--svg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_too_short_for_rhat_warns_and_writes_no_nan(corpus_csv, tmp_path):
+    out = tmp_path / "fit"
+    argv = ["fit", str(corpus_csv), "--seed", "2", "--chains", "2", "--iters", "3",
+            "--burnin", "5", "--out", str(out)]
+    assert main(argv) == 0
+    text = (out / "summary.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    doc = json.loads(text)
+    assert doc["diagnostics"]["scale"]["rhat"] is None
+    assert "scale: split-Rhat undefined with 3 draws per chain (needs 4)" in doc["warnings"]
 
 
 # -- --json prints exactly the written document ---------------------------------------

@@ -72,13 +72,10 @@ def test_deviance_unimodal_toward_moment_fit():
 def _constant_samples(c, mu0, tau0, dev0):
     n = c.n_analyses
     shape = (2, 50)
+    row = np.concatenate([[0.2], mu0, tau0, [0.1, dev0]])
     return PosteriorSamples(
         family="half-normal",
-        hyper={"scale": np.full(shape, 0.2)},
-        mu=np.tile(np.asarray(mu0), (2, 50, 1)),
-        tau=np.tile(np.asarray(tau0), (2, 50, 1)),
-        predictive=np.full(shape, 0.1),
-        deviance=np.full(shape, dev0),
+        table=np.tile(row, (*shape, 1)),
         analysis_ids=tuple(c.analysis_ids),
     )
 
@@ -110,13 +107,10 @@ def test_appending_plug_in_iteration_cannot_increase_pd(quick_fit):
     mu_mean = s.mu.mean(axis=(0, 1))
     tau_mean = s.tau.mean(axis=(0, 1))
     dev_plug = deviance(c, mu_mean, tau_mean)
+    plug_row = np.concatenate([[0.2], mu_mean, tau_mean, [0.1, dev_plug]])
     extended = PosteriorSamples(
         family=s.family,
-        hyper={"scale": np.concatenate([s.hyper["scale"], np.full((s.n_chains, 1), 0.2)], axis=1)},
-        mu=np.concatenate([s.mu, np.tile(mu_mean, (s.n_chains, 1, 1))], axis=1),
-        tau=np.concatenate([s.tau, np.tile(tau_mean, (s.n_chains, 1, 1))], axis=1),
-        predictive=np.concatenate([s.predictive, np.full((s.n_chains, 1), 0.1)], axis=1),
-        deviance=np.concatenate([s.deviance, np.full((s.n_chains, 1), dev_plug)], axis=1),
+        table=np.concatenate([s.table, np.tile(plug_row, (s.n_chains, 1, 1))], axis=1),
         analysis_ids=s.analysis_ids,
     )
     assert compute_dic(extended, c).p_d <= base.p_d + 1e-12

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -191,17 +192,10 @@ def test_family_record_matches_its_distribution(token):
     [("log-normal", ("scale",)), ("half-normal", ("theta", "sigma")), ("exp", ("scale", "sigma"))],
 )
 def test_posterior_samples_rejects_hyper_keys_of_another_family(family, hyper):
-    shape = (1, 10)
-    with pytest.raises(ValueError, match=rf"the {family} family's hyperparameters are"):
-        PosteriorSamples(
-            family=family,
-            hyper={name: np.full(shape, 0.2) for name in hyper},
-            mu=np.zeros((*shape, 1)),
-            tau=np.full((*shape, 1), 0.1),
-            predictive=np.full(shape, 0.1),
-            deviance=np.zeros(shape),
-            analysis_ids=("a",),
-        )
+    # hyperparameters, mu[a], tau[a], tau_star, deviance
+    row = [0.2] * len(hyper) + [0.0, 0.1, 0.1, 0.0]
+    with pytest.raises(ValueError, match=rf"the {family} family and 1 analysis ids call for"):
+        PosteriorSamples(family=family, table=np.tile(row, (1, 10, 1)), analysis_ids=("a",))
 
 
 def test_model_spec_validation():
@@ -265,6 +259,42 @@ def test_effective_sample_size_iid_and_correlated():
     ess_ar = effective_sample_size(ar)
     # theoretical factor (1-phi)/(1+phi) ~ 1/39
     assert ess_ar < 0.1 * 10000
+
+
+def test_chains_stuck_apart_are_not_reported_as_mixed():
+    stuck = np.stack([np.full(1000, 0.25), np.full(1000, 0.5)])
+    assert split_rhat(stuck) == math.inf
+    # every lag is fully correlated: 2000 draws over 999 autocorrelation time
+    assert effective_sample_size(stuck) == pytest.approx(2000 / 999, rel=1e-12)
+    assert effective_sample_size(np.full((2, 1000), 0.1)) == 2000.0
+
+
+def test_diagnostics_warn_on_infinite_rhat_and_summary_holds_none():
+    rng = np.random.default_rng(3)
+    ids = ("a", "b")
+    table = np.abs(rng.normal(0.3, 0.1, (2, 1000, 7)))  # scale, mu[a], mu[b], tau[a], tau[b], ...
+    table[0, :, 0], table[1, :, 0] = 0.25, 0.5
+    s = PosteriorSamples(family="half-normal", table=table, analysis_ids=ids)
+    rep = diagnostics(s)
+    assert rep["scale"].rhat is None
+    assert "scale: split-Rhat infinite: every half-chain is constant, the halves differ" in rep.warnings
+    assert rep["scale"].ess < 400
+    text = json.dumps(summary_dict(s))
+    assert "NaN" not in text and "Infinity" not in text
+
+
+def test_posterior_samples_columns_are_read_only_views(quick_run):
+    s = quick_run
+    names = s.parameter_names()
+    assert s.table.shape == (s.n_chains, s.n_kept, len(names))
+    for name, block in [("scale", s.hyper["scale"]), ("tau_star", s.predictive), ("deviance", s.deviance)]:
+        np.testing.assert_array_equal(block, s.table[..., names.index(name)])
+    np.testing.assert_array_equal(s.mu[..., 1], s.draws(f"mu[{s.analysis_ids[1]}]"))
+    np.testing.assert_array_equal(s.tau[..., 1], s.draws(f"tau[{s.analysis_ids[1]}]"))
+    for block in (s.table, s.hyper["scale"], s.mu, s.tau, s.predictive, s.deviance):
+        assert np.shares_memory(block, s.table)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
 
 
 def test_diagnostics_report(quick_run):
@@ -429,16 +459,12 @@ def test_summary_dict_structure(quick_run):
 
 
 def test_posterior_samples_invariant_rejects_negative_tau(quick_run):
-    bad_tau = quick_run.tau.copy()
-    bad_tau[0, 0, 0] = -0.1
+    bad = quick_run.table.copy()
+    bad[0, 0, quick_run.parameter_names().index(f"tau[{quick_run.analysis_ids[0]}]")] = -0.1
     with pytest.raises(ValueError):
         PosteriorSamples(
             family=quick_run.family,
-            hyper=quick_run.hyper,
-            mu=quick_run.mu,
-            tau=bad_tau,
-            predictive=quick_run.predictive,
-            deviance=quick_run.deviance,
+            table=bad,
             analysis_ids=quick_run.analysis_ids,
             model=quick_run.model,
             config=quick_run.config,

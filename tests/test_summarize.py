@@ -49,14 +49,12 @@ def positive_draws_with_moments(mean, sd, n=4096, seed=0):
 def fake_run(family, hyper, n_analyses=3):
     """Hand-built PosteriorSamples carrying only what the prior routes read."""
     kept = np.asarray(next(iter(hyper.values()))).size
-    hyper2 = {k: np.asarray(v, dtype=float).reshape(1, kept) for k, v in hyper.items()}
+    columns = [np.asarray(v, dtype=float).reshape(kept, 1) for v in hyper.values()]
+    columns += [np.zeros((kept, n_analyses)), np.full((kept, n_analyses), 0.1)]
+    columns += [np.full((kept, 1), 0.1), np.zeros((kept, 1))]
     return PosteriorSamples(
         family=family,
-        hyper=hyper2,
-        mu=np.zeros((1, kept, n_analyses)),
-        tau=np.full((1, kept, n_analyses), 0.1),
-        predictive=np.full((1, kept), 0.1),
-        deviance=np.zeros((1, kept)),
+        table=np.concatenate(columns, axis=1)[None],
         analysis_ids=tuple(f"a{i}" for i in range(n_analyses)),
     )
 
