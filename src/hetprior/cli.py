@@ -269,16 +269,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _expand_method(method: str, s, fit_families, source: str):
+def _make_prior(method: str, fit_family: str | None, s, source: str):
+    """The prior of one ``--methods`` entry, for one fit family if it is a
+    direct fit."""
     if method == "mixture":
-        return [mixture_match_prior(s, source=source)]
+        return mixture_match_prior(s, source=source)
     if method.startswith("point:"):
-        return [point_estimate_prior(s, method.split(":", 1)[1], source=source)]
-    draws = s.predictive.ravel()
+        return point_estimate_prior(s, method.split(":", 1)[1], source=source)
     if method == "ml":
-        return [fit_predictive_ml(draws, fam, source=source) for fam in fit_families]
+        return fit_predictive_ml(s.predictive, fit_family, source=source)
     if method == "moments":
-        return [fit_predictive_moments(draws, fam, source=source) for fam in fit_families]
+        return fit_predictive_moments(s.predictive, fit_family, source=source)
     raise ValueError(
         f"unknown method {method!r}; choose point:mean, point:median, point:q95, "
         "mixture, ml or moments"
@@ -306,31 +307,40 @@ def cmd_approx(args) -> int:
     if fit_family not in (None, family):
         raise ValueError(f"--family {family} contradicts {sibling}, which records the {fit_family} family")
     s = samples_from_csv(text, family)
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError("--methods names no method")
     fit_families = _family_list(args.fit_families, FIT_FAMILIES, "fit family")
+    if not fit_families:
+        raise ValueError("--fit-families names no family")
     source = str(csv_path)
 
     specs = []
     failures = []
-    for method in (m.strip() for m in args.methods.split(",")):
-        if not method:
-            continue
-        try:
-            specs.extend(_expand_method(method, s, fit_families, source))
-        except (InfeasibleError, FitError) as e:
-            failures.append({"method": method, "error": str(e)})
-            print(f"warning: {method} failed: {e}", file=sys.stderr)
+    errors = []
+    for method in methods:
+        # a direct fit is one unit per fit family, so one family's failure keeps the others
+        for fit_family in fit_families if method in ("ml", "moments") else (None,):
+            try:
+                specs.append(_make_prior(method, fit_family, s, source))
+            except (InfeasibleError, FitError) as e:
+                failure = {"method": method, "error": str(e)}
+                where = ""
+                if fit_family is not None:
+                    failure["family"] = fit_family
+                    where = f" for {fit_family}"
+                failures.append(failure)
+                errors.append(f"{method}{where}: {e}")
+                print(f"warning: {method} failed{where}: {e}", file=sys.stderr)
     if not specs:
-        raise FitError(
-            "no prior could be produced: "
-            + "; ".join(f["method"] + ": " + f["error"] for f in failures)
-        )
+        raise FitError("no prior could be produced: " + "; ".join(errors))
 
     rows = approximation_table(specs, s.predictive)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "family": family,
         "source": source,
-        "table": [r.as_dict() for r in rows],
+        "table": rows,
         "failures": failures,
     }
     priors_doc = {

@@ -25,12 +25,14 @@ import numpy as np
 
 from .data import MetaAnalysisCollection
 from .sampler import (
+    _SUMMARY_HEADING,
     HET_FAMILIES,
     McmcConfig,
     ModelSpec,
     PosteriorSamples,
     _deviance,
     _flatten,
+    _summary_cells,
     run_hierarchical,
     summarize_samples,
 )
@@ -159,27 +161,13 @@ def comparison_to_dict(rows: list[ComparisonRow]) -> list[dict]:
     return out
 
 
-def _cell(v, width) -> str:
-    if v is None:
-        return "-".rjust(width)
-    return f"{v:.2f}".rjust(width)
-
-
 def format_comparison_table(rows: list[ComparisonRow]) -> str:
     """Aligned text table: model, DIC, predictive mean/sd/50%/95%/99%."""
     name_w = max([len("model")] + [len(r.family) for r in rows])
-    header = (
-        f"{'model'.ljust(name_w)}  {'DIC'.rjust(7)}  {'mean'.rjust(6)}  {'sd'.rjust(6)}"
-        f"  {'50%'.rjust(6)}  {'95%'.rjust(6)}  {'99%'.rjust(6)}"
-    )
-    lines = [header]
+    lines = [f"{'model'.ljust(name_w)}  {'DIC'.rjust(7)}  {_SUMMARY_HEADING}"]
     for r in rows:
         if r.error is not None:
             lines.append(f"{r.family.ljust(name_w)}  failed: {r.error}")
             continue
-        p = r.predictive
-        lines.append(
-            f"{r.family.ljust(name_w)}  {r.dic.dic:7.1f}  {_cell(p['mean'], 6)}  {_cell(p['sd'], 6)}"
-            f"  {_cell(p['median'], 6)}  {_cell(p['q95'], 6)}  {_cell(p['q99'], 6)}"
-        )
+        lines.append(f"{r.family.ljust(name_w)}  {r.dic.dic:7.1f}  {_summary_cells(r.predictive)}")
     return "\n".join(lines)

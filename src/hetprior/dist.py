@@ -10,8 +10,8 @@ plus the half-normal and exponential scale-mixture matching rules:
   degrees of freedom are pinned down by the scale's coefficient of
   variation (via the scaled inverse chi distribution), and
 * an exponential scale mixture is matched by a Lomax distribution
-  (inverse-gamma mixing). The log-normal rule (an inflated shape) lives
-  in ``summarize.mixture_match_prior``.
+  (inverse-gamma mixing). Each family's rule, and the log-normal's
+  (an inflated shape), is its ``mixture`` in ``sampler.HET_FAMILIES``.
 
 Moments that do not exist (e.g. half-Cauchy mean, half-Student-t variance
 for df <= 2) are reported as ``None``, never as sentinel numbers.

@@ -11,8 +11,8 @@ value tau* from the family at the current hyperparameters and records the
 deviance.
 
 Each family is one record in :data:`HET_FAMILIES` (see :class:`_Family`).
-The hyperpriors, the sampler, the draw container and file, the point
-priors of ``summarize`` and the DIC table of ``dic`` read it there.
+The hyperpriors, the sampler, the draw container and file, the point and
+mixture priors of ``summarize`` and the DIC table of ``dic`` read it there.
 
 The sampler runs in lock step: all chains and all analyses advance
 together as (chains, analyses) numpy arrays. Given mu and the
@@ -60,7 +60,9 @@ from .dist import (
     LogNormal,
     Normal,
     Uniform,
+    exp_mixture_lomax,
     lognormal_from_theta,
+    scale_mixture_half_t,
 )
 
 __all__ = [
@@ -109,7 +111,10 @@ class _Family(NamedTuple):
     """A heterogeneity family: its hyperparameter names, in sampler and
     draw-file order; ``log_density(x, *hyper)`` and ``quantile(p, *hyper)``,
     vectorized over values and over scalar or (chains, 1) hyperparameters;
-    and ``distribution(*hyper)``, the family as a ``Distribution``.
+    ``distribution(*hyper)``, the family as a ``Distribution``; and
+    ``mixture(*hyper_draws)``, the analytic match of the family mixed over
+    flat hyperparameter draws, as a (``Distribution``, note or ``None``)
+    pair, or ``None`` for a family without one.
 
     The vectorized formulas restate ``dist``'s scalar ones on purpose:
     ``np.log`` and ``math.log`` differ in the last bit on some inputs, so
@@ -120,12 +125,35 @@ class _Family(NamedTuple):
     log_density: Callable
     quantile: Callable
     distribution: Callable[..., Distribution]
+    mixture: Callable[..., tuple[Distribution, str | None]] | None
 
 
 def _log_normal_log_density(x, theta, sigma):
     logx = np.log(x)
     z = (logx - np.log(theta)) / sigma
     return -logx - np.log(sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
+
+
+def _scale_mixture(mixed, degenerate):
+    """Mixture rule of a one-scale family: ``mixed(mean, sd)`` of the scale
+    draws, or ``degenerate(mean)`` with a note when their spread is below
+    the float noise of the mean."""
+
+    def rule(scale):
+        mean, sd = float(np.mean(scale)), float(np.std(scale, ddof=1))
+        if sd <= mean * 1e-12:
+            return degenerate(mean), "degenerate mixture: zero hyperparameter spread"
+        return mixed(mean, sd), None
+
+    return rule
+
+
+def _log_normal_mixture(theta, sigma):
+    """A log-normal mixed over its median and shape is matched by one whose
+    shape absorbs the spread of the log median."""
+    log_theta = np.log(theta)
+    shape = math.sqrt(float(np.mean(sigma**2)) + float(np.var(log_theta, ddof=1)))
+    return LogNormal(mu=float(np.mean(log_theta)), sigma=shape), None
 
 
 #: heterogeneity families accepted by ModelSpec, keyed by canonical token;
@@ -136,24 +164,28 @@ HET_FAMILIES = {
         lambda x, s: 0.5 * math.log(2.0 / math.pi) - np.log(s) - 0.5 * np.square(x / s),
         lambda p, s: s * math.sqrt(2.0) * special.erfinv(p),
         HalfNormal,
+        _scale_mixture(scale_mixture_half_t, lambda mean: scale_mixture_half_t(mean, 0.0)),
     ),
     "exp": _Family(
         ("scale",),
         lambda x, s: -np.log(s) - x / s,
         lambda p, s: -s * np.log1p(-p),
         Exponential,
+        _scale_mixture(exp_mixture_lomax, Exponential),
     ),
     "half-cauchy": _Family(
         ("scale",),
         lambda x, s: math.log(2.0 / math.pi) - np.log(s) - np.log1p(np.square(x / s)),
         lambda p, s: s * np.tan(0.5 * math.pi * p),
         HalfCauchy,
+        None,
     ),
     "log-normal": _Family(
         ("theta", "sigma"),
         _log_normal_log_density,
         lambda p, theta, sigma: theta * np.exp(sigma * special.ndtri(p)),
         lognormal_from_theta,
+        _log_normal_mixture,
     ),
 }
 
@@ -578,6 +610,32 @@ def summarize_samples(draws) -> dict[str, float]:
     }
 
 
+def _distribution_summary(d: Distribution) -> dict[str, float | None]:
+    """The :func:`summarize_samples` statistics of a distribution: its
+    closed-form mean and sd (``None`` where it has none) and quantiles."""
+    m = d.moments()
+    return {
+        "mean": m.mean,
+        "sd": m.sd,
+        "median": float(d.quantile(0.5)),
+        "q95": float(d.quantile(0.95)),
+        "q99": float(d.quantile(0.99)),
+    }
+
+
+#: the text columns of a summary dict, key -> heading
+_SUMMARY_COLUMNS = {"mean": "mean", "sd": "sd", "median": "50%", "q95": "95%", "q99": "99%"}
+_SUMMARY_HEADING = "  ".join(heading.rjust(6) for heading in _SUMMARY_COLUMNS.values())
+
+
+def _summary_cells(summary: dict) -> str:
+    """A summary dict's statistics under :data:`_SUMMARY_HEADING`: 6 wide,
+    2 decimals, ``-`` for ``None``."""
+    return "  ".join(
+        ("-" if summary[key] is None else f"{summary[key]:.2f}").rjust(6) for key in _SUMMARY_COLUMNS
+    )
+
+
 def _split_chains(x: np.ndarray):
     """Each chain of (chains, n) draws cut into a first and a last half of
     n // 2 draws: the halves, their means, the mean within-half variance W
@@ -658,9 +716,9 @@ def diagnostics(s: PosteriorSamples, parameters: list[str] | None = None) -> Dia
     """Split-R-hat and effective sample size per monitored parameter.
 
     Monitors every parameter by default; pass ``parameters`` to restrict.
-    With a single chain R-hat is undefined and reported as ``None``; an
-    R-hat that is not finite is also reported as ``None``, with a warning
-    that says why. Warnings flag R-hat > 1.01 and ESS < 400.
+    A single chain gets the R-hat of its two halves. An R-hat that is not
+    finite is reported as ``None``, with a warning that says why. Warnings
+    flag R-hat > 1.01 and ESS < 400.
     """
     if parameters is None:
         columns = s.columns()
@@ -669,14 +727,14 @@ def diagnostics(s: PosteriorSamples, parameters: list[str] | None = None) -> Dia
     entries = []
     warns = []
     for name, x in columns:
-        rhat = None if s.n_chains < 2 else split_rhat(x)
-        if rhat is not None and math.isnan(rhat):
+        rhat = split_rhat(x)
+        if math.isnan(rhat):
             warns.append(f"{name}: split-Rhat undefined with {s.n_kept} draws per chain (needs 4)")
             rhat = None
         elif rhat == math.inf:
             warns.append(f"{name}: split-Rhat infinite: every half-chain is constant, the halves differ")
             rhat = None
-        elif rhat is not None and rhat > 1.01:
+        elif rhat > 1.01:
             warns.append(f"{name}: split-Rhat {rhat:.3f} > 1.01")
         ess = effective_sample_size(x)
         entries.append(ParameterDiagnostics(name=name, rhat=rhat, ess=ess))

@@ -16,6 +16,10 @@ Three routes:
 The published form of a prior is rounded (2 decimals by default, two
 significant digits for a parameter that would round to 0); the unrounded
 parameters are kept alongside.
+
+Each prior is judged by :func:`approximation_table`, which sets its mean,
+sd, median, 95% and 99% quantiles beside those of the predictive draws:
+the statistics of ``sampler.summarize_samples``, as one dict per row.
 """
 
 from __future__ import annotations
@@ -36,12 +40,17 @@ from .dist import (
     InfeasibleError,
     LogNormal,
     Lomax,
-    exp_mixture_lomax,
     format_distribution,
     half_t_moment_fit,
-    scale_mixture_half_t,
 )
-from .sampler import HET_FAMILIES, PosteriorSamples, summarize_samples
+from .sampler import (
+    _SUMMARY_HEADING,
+    HET_FAMILIES,
+    PosteriorSamples,
+    _distribution_summary,
+    _summary_cells,
+    summarize_samples,
+)
 
 __all__ = [
     "PriorSpec",
@@ -52,7 +61,6 @@ __all__ = [
     "fit_predictive_ml",
     "fit_predictive_moments",
     "approximation_table",
-    "ApproximationRow",
     "prior_to_dict",
     "format_approximation_table",
 ]
@@ -135,29 +143,15 @@ def point_estimate_prior(s: PosteriorSamples, statistic: str = "mean", source: s
 
 
 def mixture_match_prior(s: PosteriorSamples, source: str = "") -> PriorSpec:
-    """Route 2: analytic match of the hyperparameter-uncertainty mixture."""
-    note = None
-    if s.family in ("half-normal", "exp"):
-        draws = s.hyper["scale"].ravel()
-        mean_s, sd_s = float(np.mean(draws)), float(np.std(draws, ddof=1))
-        degenerate = sd_s <= mean_s * 1e-12  # spread below float noise of the mean
-        if degenerate:
-            note = "degenerate mixture: zero hyperparameter spread"
-        if s.family == "half-normal":
-            dist: Distribution = scale_mixture_half_t(mean_s, 0.0 if degenerate else sd_s)
-        else:
-            dist = Exponential(mean_s) if degenerate else exp_mixture_lomax(mean_s, sd_s)
-    elif s.family == "log-normal":
-        log_theta = np.log(s.hyper["theta"].ravel())
-        sigma2 = s.hyper["sigma"].ravel() ** 2
-        location = float(np.mean(log_theta))
-        shape = math.sqrt(float(np.mean(sigma2)) + float(np.var(log_theta, ddof=1)))
-        dist = LogNormal(mu=location, sigma=shape)
-    else:
+    """Route 2: analytic match of the hyperparameter-uncertainty mixture,
+    by the family's ``mixture`` rule in :data:`~hetprior.sampler.HET_FAMILIES`."""
+    rule = HET_FAMILIES[s.family].mixture
+    if rule is None:
+        supported = ", ".join(name for name, fam in HET_FAMILIES.items() if fam.mixture is not None)
         raise InfeasibleError(
-            f"no analytic mixture match for the {s.family!r} family "
-            "(supported: half-normal, exp, log-normal)"
+            f"no analytic mixture match for the {s.family!r} family (supported: {supported})"
         )
+    dist, note = rule(*(s.hyper[name].ravel() for name in s.hyper_names))
     return PriorSpec(distribution=dist, method="mixture_match", source=source, note=note)
 
 
@@ -217,7 +211,7 @@ def fit_predictive_ml(draws, family: str, source: str = "") -> PriorSpec:
     """
     x = np.asarray(draws, dtype=float).ravel()
     if x.size < 1000:
-        raise ValueError(f"need at least 1000 draws for a direct fit, got {x.size}")
+        raise InfeasibleError(f"need at least 1000 draws for a direct fit, got {x.size}")
     if family not in FIT_FAMILIES:
         raise ValueError(f"unsupported fit family {family!r}; choose from {FIT_FAMILIES}")
 
@@ -295,80 +289,29 @@ def fit_predictive_moments(draws, family: str, source: str = "") -> PriorSpec:
     """Route 3b: invert the family's first two moments at the sample values."""
     x = np.asarray(draws, dtype=float).ravel()
     if x.size < 2:
-        raise ValueError(f"need at least 2 draws, got {x.size}")
+        raise InfeasibleError(f"need at least 2 draws, got {x.size}")
     return PriorSpec(distribution=_moment_fit(x, family), method="direct_fit_moments", source=source)
 
 
 # -- comparison table ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproximationRow:
-    label: str
-    mean: float | None
-    sd: float | None
-    median: float
-    q95: float
-    q99: float
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "mean": self.mean,
-            "sd": self.sd,
-            "median": self.median,
-            "q95": self.q95,
-            "q99": self.q99,
-        }
-
-
-def approximation_table(specs: list[PriorSpec], tau_star=None) -> list[ApproximationRow]:
-    """Empirical predictive summary (first row, if draws given) against each
-    prior's analytic moments and quantiles."""
+def approximation_table(specs: list[PriorSpec], tau_star=None) -> list[dict]:
+    """One ``{"label": ..., **summary}`` row per prior: its closed-form mean
+    and sd (``None`` where the family has none) and its median, 95% and 99%
+    quantiles, under its rounded text as the label. Given predictive draws,
+    a first row labelled ``MCMC`` holds their :func:`summarize_samples`."""
     if not specs:
         raise ValueError("need at least one prior spec")
     rows = []
     if tau_star is not None and np.asarray(tau_star).size:
-        emp = summarize_samples(tau_star)
-        rows.append(
-            ApproximationRow(
-                label="MCMC",
-                mean=emp["mean"],
-                sd=emp["sd"],
-                median=emp["median"],
-                q95=emp["q95"],
-                q99=emp["q99"],
-            )
-        )
-    for spec in specs:
-        d = spec.distribution
-        m = d.moments()
-        rows.append(
-            ApproximationRow(
-                label=spec.text(),
-                mean=m.mean,
-                sd=m.sd,
-                median=float(d.quantile(0.5)),
-                q95=float(d.quantile(0.95)),
-                q99=float(d.quantile(0.99)),
-            )
-        )
+        rows.append({"label": "MCMC", **summarize_samples(tau_star)})
+    rows += [{"label": spec.text(), **_distribution_summary(spec.distribution)} for spec in specs]
     return rows
 
 
-def format_approximation_table(rows: list[ApproximationRow]) -> str:
-    label_w = max([len("prior")] + [len(r.label) for r in rows])
-
-    def cell(v):
-        return ("-" if v is None else f"{v:.2f}").rjust(6)
-
-    lines = [
-        f"{'prior'.ljust(label_w)}  {'mean'.rjust(6)}  {'sd'.rjust(6)}"
-        f"  {'50%'.rjust(6)}  {'95%'.rjust(6)}  {'99%'.rjust(6)}"
-    ]
-    for r in rows:
-        lines.append(
-            f"{r.label.ljust(label_w)}  {cell(r.mean)}  {cell(r.sd)}"
-            f"  {cell(r.median)}  {cell(r.q95)}  {cell(r.q99)}"
-        )
+def format_approximation_table(rows: list[dict]) -> str:
+    label_w = max([len("prior")] + [len(r["label"]) for r in rows])
+    lines = [f"{'prior'.ljust(label_w)}  {_SUMMARY_HEADING}"]
+    lines += [f"{r['label'].ljust(label_w)}  {_summary_cells(r)}" for r in rows]
     return "\n".join(lines)

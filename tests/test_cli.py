@@ -384,18 +384,58 @@ def half_cauchy_fit_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "methods, failed",
-    [([], "mixture"), (["--methods", "point:mean,moments", "--fit-families", "half-cauchy,half-t"], "moments")],
+    "methods, kept, failed",
+    [
+        ([], ["point_estimate(mean)"], "mixture"),
+        (
+            ["--methods", "point:mean,moments", "--fit-families", "half-cauchy,half-t"],
+            ["point_estimate(mean)", "direct_fit_moments"],
+            "moments",
+        ),
+    ],
     ids=["defaults", "moments"],
 )
-def test_approx_half_cauchy_fit_keeps_point_prior(half_cauchy_fit_dir, tmp_path, capsys, methods, failed):
+def test_approx_half_cauchy_fit_keeps_point_prior(half_cauchy_fit_dir, tmp_path, capsys, methods, kept, failed):
     out = tmp_path / "o"
     assert main(["approx", str(half_cauchy_fit_dir), *methods, "--out", str(out)]) == 0
     priors = json.loads((out / "priors.json").read_text())
-    assert [p["method"] for p in priors["priors"]] == ["point_estimate(mean)"]
+    assert [p["method"] for p in priors["priors"]] == kept
     assert [f["method"] for f in priors["failures"]] == [failed]
     assert "half-cauchy" in priors["failures"][0]["error"]
     assert f"warning: {failed} failed" in capsys.readouterr().err
+
+
+def test_approx_direct_fit_fails_per_family_and_keeps_the_rest(tmp_path, capsys):
+    p = tmp_path / "samples.csv"
+    _low_cv_samples_csv(p)  # 400 draws, below the 1000 an ML fit needs
+    out = tmp_path / "o"
+    argv = ["approx", str(p), "--family", "half-normal", "--methods", "point:mean,ml,moments",
+            "--fit-families", "half-normal,lomax", "--out", str(out)]
+    assert main(argv) == 0
+    priors = json.loads((out / "priors.json").read_text())
+    assert [(q["method"], q["family"]) for q in priors["priors"]] == [
+        ("point_estimate(mean)", "half-normal"), ("direct_fit_moments", "half-normal"),
+    ]
+    assert [(f["method"], f["family"]) for f in priors["failures"]] == [
+        ("ml", "half-normal"), ("ml", "lomax"), ("moments", "lomax"),
+    ]
+    assert "need at least 1000 draws" in priors["failures"][0]["error"]
+    err = capsys.readouterr().err
+    assert "warning: ml failed for half-normal: need at least 1000 draws" in err
+    assert "warning: moments failed for lomax: sample cv" in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--methods", ","], "--methods"), (["--methods", "ml", "--fit-families", ""], "--fit-families")],
+    ids=["methods", "fit-families"],
+)
+def test_approx_empty_list_exits_2(fit_dir, tmp_path, capsys, flags, named):
+    out = tmp_path / "o"
+    assert main(["approx", str(fit_dir), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and named in err
+    assert not out.exists()
 
 
 # -- analyze ------------------------------------------------------------------------

@@ -307,12 +307,21 @@ def test_diagnostics_report(quick_run):
         rep["nope"]
 
 
-def test_diagnostics_single_chain_rhat_undefined():
+def test_diagnostics_single_chain_rhat_from_its_halves():
     s = run_hierarchical(small_corpus(), ModelSpec(),
                          McmcConfig(chains=1, burn_in=100, iterations=300, seed=4))
     rep = diagnostics(s, ["scale"])
-    assert rep.parameters[0].rhat is None
+    assert math.isfinite(rep.parameters[0].rhat) and rep.parameters[0].rhat < 1.05
     assert rep.parameters[0].ess > 0
+
+
+def test_diagnostics_flag_one_drifting_chain():
+    rng = np.random.default_rng(6)
+    table = np.abs(rng.normal(0.3, 0.1, (1, 1000, 5)))  # scale, mu[a], tau[a], tau_star, deviance
+    table[0, :, 0] = np.linspace(0.2, 0.6, 1000) + rng.normal(0.0, 0.02, 1000)
+    rep = diagnostics(PosteriorSamples(family="half-normal", table=table, analysis_ids=("a",)))
+    assert rep["scale"].rhat > 1.01
+    assert f"scale: split-Rhat {rep['scale'].rhat:.3f} > 1.01" in rep.warnings
 
 
 def test_diagnostics_warnings_trigger():
