@@ -73,7 +73,34 @@ def _jsonify(obj):
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\\n"``,
+    byte for byte, with 1-d float arrays written by the C encoder (``indent``
+    alone would send every value through the pure-Python one)."""
+    return _indented(doc, "\n") + "\n"
+
+
+def _indented(obj, newline: str) -> str:
+    """``obj`` as the indented encoder writes it where ``newline`` (a line
+    break and the current indent) starts its closing line."""
+    inner = newline + "  "
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 1 or obj.dtype.kind != "f" or obj.size == 0:
+            return _indented(obj.tolist(), newline)
+        # a float never prints ", ", so every one is a separator
+        return "[" + inner + json.dumps(obj.tolist())[1:-1].replace(", ", "," + inner) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+        items = [json.dumps(key) + ": " + _indented(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_indented(x, inner) for x in obj) + newline + "]"
+    return json.dumps(obj, default=_jsonify)
 
 
 def _sha256(data: bytes) -> str:
@@ -395,6 +422,7 @@ def cmd_analyze(args) -> int:
             "interval": list(res.mu_interval),
             "grid": res.mu_density.grid,
             "density": res.mu_density.density,
+            "components": res.mu_components,
         },
         "tau": {
             "median": res.tau_median,

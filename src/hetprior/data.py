@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -42,6 +43,23 @@ def _is_finite(x: float) -> bool:
     return x == x and x not in (float("inf"), float("-inf"))
 
 
+def _std_err_problem(s: float) -> str | None:
+    """Why ``s`` cannot be a standard error, or None if it can.
+
+    The models weight a study by 1/(s^2 + tau^2), so s^2 must be a positive
+    normal double, which makes 1/s^2 finite too: s in about [1.5e-154,
+    1.3e154].
+    """
+    if not (_is_finite(s) and s > 0.0):
+        return f"must be positive and finite, got {s!r}"
+    if not sys.float_info.min <= s * s <= sys.float_info.max:
+        return (
+            f"{s!r} is out of range: its square must be a positive normal double "
+            "with a finite inverse (about 1.5e-154 to 1.3e154)"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class StudyRecord:
     """One study: an estimate with its standard error, in effect-measure
@@ -56,8 +74,9 @@ class StudyRecord:
     def __post_init__(self):
         if not _is_finite(self.estimate):
             raise ValueError(f"estimate must be finite, got {self.estimate!r}")
-        if not (_is_finite(self.std_err) and self.std_err > 0.0):
-            raise ValueError(f"std_err must be positive and finite, got {self.std_err!r}")
+        problem = _std_err_problem(self.std_err)
+        if problem is not None:
+            raise ValueError(f"std_err {problem}")
 
 
 @dataclass(frozen=True)

@@ -754,12 +754,12 @@ def samples_to_csv(s: PosteriorSamples) -> str:
     Values are written with ``repr`` so parsing back is exact.
     """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["chain", "iter", *s.parameter_names()])
-    writer.writerows(
-        [c, i, *map(repr, row.tolist())]
+    # ids may need quoting; a float's repr never does
+    csv.writer(out, lineterminator="\n").writerow(["chain", "iter", *s.parameter_names()])
+    out.writelines(
+        f"{c},{i}," + ",".join(map(repr, row)) + "\n"
         for c, chain in enumerate(s.table)
-        for i, row in enumerate(chain)
+        for i, row in enumerate(chain.tolist())
     )
     return out.getvalue()
 

@@ -2,11 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hetprior.cli import main
+from hetprior.cli import _dump_json, _jsonify, main
 from hetprior.data import parse_collection
 from hetprior.metaanalysis import SingleMeta, pm_estimate
 from hetprior.sampler import McmcConfig, ModelSpec, run_hierarchical, samples_from_csv, samples_to_csv
@@ -489,6 +491,36 @@ def test_analyze_undefined_dl_drops_comparators_with_warning(tmp_path, capsys):
     assert labels == ["label", "s1", "s2", "bayes [half-normal(0.5)]"]
 
 
+def test_analyze_records_mixture_components(single_csv, tmp_path):
+    out = tmp_path / "an"
+    assert main(["analyze", str(single_csv), "--prior", "half-normal(0.5)", "--out", str(out)]) == 0
+    k = json.loads((out / "summary.json").read_text())["mu"]["components"]
+    assert isinstance(k, int) and 1 <= k < 2000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--analysis", "a", "--prior", "half-normal(0.5)"],
+        ["fit", "--seed", "1", "--chains", "1", "--iters", "20", "--burnin", "5"],
+        ["tau-estimates"],
+    ],
+    ids=["analyze", "fit", "tau-estimates"],
+)
+@pytest.mark.parametrize("std_err", ["1e-170", "2e154"])
+def test_out_of_range_std_err_exits_2_naming_row_and_value(argv, std_err, tmp_path, capsys):
+    p = tmp_path / "se.csv"
+    p.write_text(
+        "analysis_id,study_id,estimate,std_err\n"
+        f"a,s1,0.1,0.2\na,s2,0.3,{std_err}\nb,s1,0.1,0.2\nb,s2,0.3,0.4\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([argv[0], str(p), *argv[1:], "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"row 3: std_err {float(std_err)!r} is out of range" in capsys.readouterr().err
+
+
 def test_analyze_reproducible_bytes(single_csv, tmp_path):
     out1, out2 = tmp_path / "a1", tmp_path / "a2"
     args = ["analyze", str(single_csv), "--prior", "exp(0.3)"]
@@ -700,3 +732,29 @@ def test_json_mode_matches_file(argv, doc, corpus_csv, single_csv, fit_dir, tmp_
     out = tmp_path / "j"
     assert main([a.format(**paths) for a in argv] + ["--json", "--out", str(out)]) == 0
     assert capsys.readouterr().out == (out / doc).read_text()
+
+
+# -- JSON documents ---------------------------------------------------------------------
+
+
+def test_dump_json_matches_indented_encoder_byte_for_byte():
+    doc = {
+        "b": [1, 2.5, None, True, False, "x, y", (3, 4.0)],
+        "a": {"z": {}, "y": [], "x": {"nested": [[], {}, [1.0]]}, "empty": np.array([])},
+        "scalars": [np.float32(0.1), np.int64(-7), np.float64(1e-310), 1e300],
+        "special": [math.nan, math.inf, -math.inf, np.array([math.nan, -math.inf, 0.0, -0.0])],
+        "text": "caf\u00e9 \u2013 \U0001f600 \"q\" \\ \n",
+        "\u00fcber": np.linspace(-1.0, 1.0, 7),
+        "grid": np.array([[1.0, 2.0], [3.0, 4.0]]),
+        "ints": np.array([1, 2, 3], dtype=np.int64),
+        "f32": np.array([0.1, 0.2], dtype=np.float32),
+        "one": np.array([2.0]),
+        "tuple": (),
+    }
+    assert _dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\n"
+    assert _dump_json({}) == "{}\n"
+
+
+def test_dump_json_rejects_non_string_keys():
+    with pytest.raises(TypeError, match="keys must be str"):
+        _dump_json({"a": {1: 2.0}})

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hetprior import metaanalysis
 from hetprior.data import parse_collection
 from hetprior.dist import (
     HalfCauchy,
@@ -23,6 +24,7 @@ from hetprior.metaanalysis import (
     SingleMeta,
     UndefinedEstimatorError,
     _mixture_weights,
+    _reduced_mixture,
     _weights,
     bayes_ma,
     ci_suite,
@@ -64,6 +66,8 @@ def test_single_meta_basics():
         ((0.1, 0.2), (0.5, 0.0)),
         ((0.1, 0.2), (0.5, -1.0)),
         ((0.1, 0.2), (0.5, float("inf"))),
+        ((0.1, 0.2), (0.5, 1e-170)),
+        ((0.1, 0.2), (0.5, 1e155)),
     ],
 )
 def test_single_meta_rejects_bad_input(y, sigma):
@@ -217,34 +221,91 @@ def capped_meta():
     return SingleMeta(y=tuple(rng.normal(0.2, np.sqrt(sigma**2 + 0.09))), sigma=tuple(sigma))
 
 
-def one_shot_mu_density(sm, res, mu_prior, rows):
-    """The effect density at ``mu_grid[rows]`` as one (rows x T) array
-    expression: the mixture formula written without blocking."""
-    td = res.tau_density
+def _conditionals(sm, td, mu_prior):
+    """Mixture weights, means and variances of the effect conditionals."""
     y, w = _weights(sm, mu_prior, td.grid)
     total_w = w.sum(axis=1)
-    mu_hat = (w * y).sum(axis=1) / total_w
-    sd_cond = np.sqrt(1.0 / total_w)
-    norm = _mixture_weights(td) / (sd_cond * math.sqrt(2.0 * math.pi))
-    x = res.mu_density.grid[rows, None]
-    return (norm[None, :] * np.exp(-0.5 * ((x - mu_hat[None, :]) / sd_cond[None, :]) ** 2)).sum(
+    return _mixture_weights(td), (w * y).sum(axis=1) / total_w, 1.0 / total_w
+
+
+def _mixture_at(x, weight, mean, sd):
+    """sum_c weight_c N(x; mean_c, sd_c^2) as one (rows x components) array
+    expression: the mixture formula written without blocking."""
+    norm = weight / (sd * math.sqrt(2.0 * math.pi))
+    return (norm[None, :] * np.exp(-0.5 * ((x[:, None] - mean[None, :]) / sd[None, :]) ** 2)).sum(
         axis=1
     )
 
 
+def one_shot_mu_density(sm, res, mu_prior, rows):
+    """The effect density at ``mu_grid[rows]`` summed over every cell of the
+    tau grid: the full mixture the reduced one approximates."""
+    omega, mu_hat, v = _conditionals(sm, res.tau_density, mu_prior)
+    return _mixture_at(res.mu_density.grid[rows], omega, mu_hat, np.sqrt(v))
+
+
+def _case(capped):
+    if capped:
+        return capped_meta(), Lomax(9.9, 1.5), None
+    sm = random_meta(np.random.default_rng(4), k=7)
+    return sm, HalfStudentT(8.2, 0.20), Normal(0.0, 2.0)
+
+
 @pytest.mark.parametrize("capped", [False, True])
 def test_blocked_mu_density_equals_one_shot_formula(capped):
-    if capped:
-        sm, prior, mu_prior = capped_meta(), Lomax(9.9, 1.5), None
-    else:
-        sm = random_meta(np.random.default_rng(4), k=7)
-        prior, mu_prior = HalfStudentT(8.2, 0.20), Normal(0.0, 2.0)
+    sm, prior, mu_prior = _case(capped)
     res = bayes_ma(sm, prior, mu_prior, comparators=False)
     n = res.mu_density.grid.size
     assert n == (40001 if capped else 1201)
     rows = slice(5, None, 97) if capped else slice(None)
-    expected = one_shot_mu_density(sm, res, mu_prior, rows)
+    components = _reduced_mixture(*_conditionals(sm, res.tau_density, mu_prior))
+    assert res.mu_components == components[0].size
+    expected = _mixture_at(res.mu_density.grid[rows], *components)
     assert np.array_equal(res.mu_density.density[rows], expected)
+
+
+def _assert_reduced_density_close(sm, prior, mu_prior):
+    res = bayes_ma(sm, prior, mu_prior, comparators=False)
+    dens = res.mu_density.density
+    assert np.all(np.isfinite(dens))
+    rows = slice(None, None, 13) if dens.size > 5000 else slice(None)
+    full = one_shot_mu_density(sm, res, mu_prior, rows)
+    assert np.max(np.abs(dens[rows] - full)) <= 1e-4 * full.max()
+    return res
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_reduced_mu_density_matches_full_mixture(capped):
+    res = _assert_reduced_density_close(*_case(capped))
+    assert 1 <= res.mu_components < 400
+
+
+def test_reduced_mu_density_matches_full_mixture_random_sweep():
+    rng = np.random.default_rng(20)
+    priors = TABLE_PRIORS + [HalfCauchy(1.0)]
+    for n in range(24):
+        k = int(rng.integers(1, 31))
+        sm = SingleMeta(y=tuple(rng.normal(0.0, 0.5, k)), sigma=tuple(rng.uniform(0.05, 1.0, k)))
+        _assert_reduced_density_close(sm, priors[n % len(priors)], Normal(0.0, 2.0) if n % 2 else None)
+
+
+def test_reduced_mixture_moments_survive_subnormal_weights():
+    # a bin of two equal conditionals with subnormal weights: sum(omega * v)
+    # underflows to 0, the in-bin shares keep the variance exact
+    omega = np.array([5e-324, 5e-324, 0.0, 0.5, 0.5])
+    mu_hat = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+    v = np.full(5, 0.01)
+    weight, mean, sd = _reduced_mixture(omega, mu_hat, v)
+    assert weight.tolist() == [1e-323, 1.0]
+    assert mean.tolist() == [0.0, 1.0]
+    assert sd.tolist() == [0.1, 0.1]
+
+
+def test_non_finite_mu_density_is_a_grid_error(monkeypatch):
+    nan = np.array([math.nan])
+    monkeypatch.setattr(metaanalysis, "_reduced_mixture", lambda *a: (nan, nan, nan))
+    with pytest.raises(GridError, match="effect posterior density"):
+        bayes_ma(SingleMeta(y=(0.1, 0.3), sigma=(0.2, 0.3)), HalfNormal(0.5), comparators=False)
 
 
 def test_capped_mu_density_needs_no_grid_sized_temporaries():
