@@ -56,7 +56,7 @@ from .summarize import (
 )
 from .svg import density_svg, forest_svg, histogram_svg
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -112,14 +112,16 @@ def _emit(
 ) -> None:
     """The one output path of every subcommand.
 
-    Writes ``files`` (name -> text, or a dict written as JSON) and a
-    manifest of the run into ``--out``, then prints the first file (the
-    command's JSON document) under ``--json`` and ``text`` otherwise.
+    Writes ``files`` (name -> text, or a dict written as JSON with
+    ``schema_version`` added) and a manifest of the run into ``--out``, then
+    prints the first file (the command's JSON document) under ``--json``
+    and ``text`` otherwise.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = {
-        name: body if isinstance(body, str) else _dump_json(body) for name, body in files.items()
+        name: body if isinstance(body, str) else _dump_json({**body, "schema_version": SCHEMA_VERSION})
+        for name, body in files.items()
     }
     for name, body in written.items():
         (out / name).write_text(body)
@@ -197,7 +199,6 @@ def cmd_validate(args) -> int:
     c, path = _load_corpus(args)
     report = validate_collection(c)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "analyses": c.n_analyses,
         "studies": c.n_studies,
         "per_analysis": [{"analysis": a.analysis_id, "k": a.k} for a in report.analyses],
@@ -242,7 +243,6 @@ def cmd_fit(args) -> int:
     s = run_hierarchical(c, m, cfg)
     samples = samples_to_csv(s)
     doc = summary_dict(s)
-    doc["schema_version"] = SCHEMA_VERSION
     doc["samples_sha256"] = _sha256(samples.encode())
     doc["seed"] = seed
     doc["config"] = {
@@ -278,7 +278,6 @@ def cmd_compare(args) -> int:
     cfg = _mcmc_config(args, seed)
     rows = compare_models(c, families, cfg=cfg)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "models": comparison_to_dict(rows),
     }
@@ -364,14 +363,12 @@ def cmd_approx(args) -> int:
 
     rows = approximation_table(specs, s.predictive)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "family": family,
         "source": source,
         "table": rows,
         "failures": failures,
     }
     priors_doc = {
-        "schema_version": SCHEMA_VERSION,
         "family": family,
         "source": source,
         "priors": [prior_to_dict(spec) for spec in specs],
@@ -411,7 +408,6 @@ def cmd_analyze(args) -> int:
     res = bayes_ma(sm, prior, mu_prior)
     rows = forest_rows(sm, res, labels)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "analysis": aid,
         "k": sm.k,
         "prior": prior_to_dict(res.prior),
@@ -450,7 +446,7 @@ def cmd_analyze(args) -> int:
         files["tau_density.svg"] = density_svg(
             [
                 ("heterogeneity posterior", grid, res.tau_density.density),
-                ("prior", grid, res.prior.distribution.density(grid)),
+                ("prior", grid, res.prior.density(grid)),
             ],
             shade=res.tau_interval,
             x_label="heterogeneity",
@@ -459,7 +455,7 @@ def cmd_analyze(args) -> int:
     lo, hi = res.mu_interval
     tlo, thi = res.tau_interval
     lines = [
-        f"analysis {aid} (k={sm.k}) under prior {res.prior.text()}",
+        f"analysis {aid} (k={sm.k}) under prior {format_distribution(res.prior)}",
         f"effect: median {res.mu_median:.4f}  95% [{lo:.4f}, {hi:.4f}]  sd {res.mu_sd:.4f}",
         f"heterogeneity: median {res.tau_median:.4f}  95% [{tlo:.4f}, {thi:.4f}]",
     ]
@@ -477,7 +473,6 @@ def cmd_tau_estimates(args) -> int:
     est = tau_estimate_collection(c, args.method)
     summary = est.summary()
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "method": est.method,
         "estimates": [{"analysis": aid, "tau": tau} for aid, tau in est.estimates],
         "skipped": list(est.skipped),

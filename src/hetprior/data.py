@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -46,16 +45,16 @@ def _is_finite(x: float) -> bool:
 def _std_err_problem(s: float) -> str | None:
     """Why ``s`` cannot be a standard error, or None if it can.
 
-    The models weight a study by 1/(s^2 + tau^2), so s^2 must be a positive
-    normal double, which makes 1/s^2 finite too: s in about [1.5e-154,
-    1.3e154].
+    The models weight a study by w = 1/(s^2 + tau^2), and the DL estimator
+    sums w^2.  With s in [1e-75, 1e75], w <= 1/s^2 <= 1e150 and s^2 stays a
+    normal double, so w^2 and its sums over any realistic corpus are finite.
     """
     if not (_is_finite(s) and s > 0.0):
         return f"must be positive and finite, got {s!r}"
-    if not sys.float_info.min <= s * s <= sys.float_info.max:
+    if not 1e-75 <= s <= 1e75:
         return (
-            f"{s!r} is out of range: its square must be a positive normal double "
-            "with a finite inverse (about 1.5e-154 to 1.3e154)"
+            f"{s!r} is out of range: standard errors must lie in 1e-75 to 1e75, "
+            "where the inverse-variance weights and their squares stay finite"
         )
     return None
 

@@ -33,7 +33,11 @@ result.
 
 The frequentist comparators are the DerSimonian-Laird and Paule-Mandel
 heterogeneity estimates and the Normal / HKSJ / mKH confidence intervals
-around the weighted mean at a plugged-in tau.
+around the weighted mean at a plugged-in tau.  PM doubles its bracket from
+the largest standard error with no cap, and is undefined where Q never
+falls to k - 1.  One kernel, ``_pool``, computes w, mu_hat, sum_i w_i and Q
+for the tau grid, the conditionals, DL, PM, the intervals and the forest
+weights.
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from .data import MetaAnalysisCollection, _std_err_problem
-from .dist import Distribution, Normal
-from .summarize import PriorSpec
+from .dist import Distribution, Normal, format_distribution
 
 __all__ = [
     "SingleMeta",
@@ -183,34 +186,42 @@ class MetaAnalysisResult:
     tau_median: float
     tau_interval: tuple[float, float]
     tau_density: GridDensity
-    prior: PriorSpec
+    prior: Distribution
     comparators: tuple[LabeledInterval, ...]
     #: why comparators are missing, when an estimator is undefined
     warnings: tuple[str, ...] = ()
 
 
-def _weights(sm: SingleMeta, mu_prior: Normal | None, tau: np.ndarray) -> tuple:
-    """(T, k') weight matrix and y row for the (possibly augmented) studies."""
-    y = np.asarray(sm.y, dtype=float)
-    s2 = np.asarray(sm.sigma, dtype=float) ** 2
-    tau2 = np.asarray(tau, dtype=float)[:, None] ** 2
-    var = s2[None, :] + tau2
+def _pool(y: np.ndarray, var: np.ndarray, mu_prior: Normal | None = None) -> tuple:
+    """Inverse-variance pooling of estimates ``y`` with total variances
+    ``var`` (sigma^2 + tau^2; any leading shape, studies on the last axis),
+    a normal effect prior joining as one more study of variance sd^2.
+    Returns w, sum(w) (the pooled mean's variance is its inverse), the
+    pooled mean mu_hat and Cochran's Q = sum(w (y - mu_hat)^2)."""
     if mu_prior is not None:
         if not isinstance(mu_prior, Normal):
             raise TypeError(
                 f"mu_prior must be a Normal distribution or None, got {mu_prior!r}"
             )
         y = np.append(y, mu_prior.mean)
-        prior_var = np.full((var.shape[0], 1), mu_prior.sd**2)
-        var = np.concatenate([var, prior_var], axis=1)
-    return y, 1.0 / var
+        prior_var = np.full((*var.shape[:-1], 1), mu_prior.sd**2)
+        var = np.concatenate([var, prior_var], axis=-1)
+    w = 1.0 / var
+    total_w = w.sum(axis=-1)
+    mu_hat = (w * y).sum(axis=-1) / total_w
+    q = (w * (y - mu_hat[..., None]) ** 2).sum(axis=-1)
+    return w, total_w, mu_hat, q
+
+
+def _pool_at(sm: SingleMeta, tau, mu_prior: Normal | None = None) -> tuple:
+    """:func:`_pool` at one tau (a Python float keeps its own arithmetic for
+    tau^2), or at each tau of a grid column, one row per grid point."""
+    var = np.asarray(sm.sigma, dtype=float) ** 2 + tau**2
+    return _pool(np.asarray(sm.y, dtype=float), var, mu_prior)
 
 
 def _integrated_loglik(sm: SingleMeta, mu_prior: Normal | None, tau: np.ndarray) -> np.ndarray:
-    y, w = _weights(sm, mu_prior, tau)
-    total_w = w.sum(axis=1)
-    mu_hat = (w * y).sum(axis=1) / total_w
-    q = (w * (y - mu_hat[:, None]) ** 2).sum(axis=1)
+    w, total_w, _, q = _pool_at(sm, tau[:, None], mu_prior)
     return 0.5 * np.log(w).sum(axis=1) - 0.5 * np.log(total_w) - 0.5 * q
 
 
@@ -289,20 +300,14 @@ def _reduced_mixture(
 
 def bayes_ma(
     sm: SingleMeta,
-    prior: Distribution | PriorSpec,
+    prior: Distribution,
     mu_prior: Normal | None = None,
     comparators: bool = True,
 ) -> MetaAnalysisResult:
     """Full Bayesian meta-analysis under the given heterogeneity prior."""
-    if isinstance(prior, PriorSpec):
-        spec = prior
-    else:
-        spec = PriorSpec(distribution=prior, method="point_estimate(mean)", source="given")
-    td = tau_marginal(sm, spec.distribution, mu_prior)
+    td = tau_marginal(sm, prior, mu_prior)
 
-    y, w = _weights(sm, mu_prior, td.grid)
-    total_w = w.sum(axis=1)
-    mu_hat = (w * y).sum(axis=1) / total_w
+    _, total_w, mu_hat, _ = _pool_at(sm, td.grid[:, None], mu_prior)
     v = 1.0 / total_w
     omega = _mixture_weights(td)
 
@@ -381,7 +386,7 @@ def bayes_ma(
         tau_median=td.median(),
         tau_interval=td.central_interval(),
         tau_density=td,
-        prior=spec,
+        prior=prior,
         comparators=rows,
         warnings=warns,
     )
@@ -396,27 +401,17 @@ class DlResult:
     q: float
 
 
-def _weighted_mean(sm: SingleMeta, tau: float) -> tuple[float, float, np.ndarray]:
-    y = np.asarray(sm.y, dtype=float)
-    w = 1.0 / (np.asarray(sm.sigma, dtype=float) ** 2 + tau**2)
-    mu = float(np.sum(w * y) / np.sum(w))
-    return mu, float(1.0 / np.sum(w)), w
-
-
-def _dl_fit(y: np.ndarray, w: np.ndarray) -> tuple[float, float, float | None]:
+def _dl_fit(y: np.ndarray, var: np.ndarray) -> tuple[float, float, float | None]:
     """Fixed-effect mean, Cochran's Q and the DerSimonian-Laird tau^2
-    (truncated at zero) from estimates ``y`` and weights ``w = 1/sigma^2``.
+    (truncated at zero) from estimates ``y`` and variances ``var = sigma^2``.
 
     tau^2 is None where DL is undefined: fewer than two studies, or weights
     so unequal that the denominator sum(w) - sum(w^2)/sum(w) is not positive.
     """
-    sw = np.sum(w)
-    mu = float(np.sum(w * y) / sw)
-    q = float(np.sum(w * (y - mu) ** 2))
-    if y.size < 2:
-        return mu, q, None
+    w, sw, mu, q = _pool(y, var)
+    mu, q = float(mu), float(q)
     denom = float(sw - np.sum(w**2) / sw)
-    if not denom > 0.0:
+    if y.size < 2 or not denom > 0.0:
         return mu, q, None
     return mu, q, max(0.0, (q - (y.size - 1)) / denom)
 
@@ -425,8 +420,7 @@ def dl_estimate(sm: SingleMeta) -> DlResult:
     """DerSimonian-Laird moment estimate (truncated at zero) and Cochran's Q."""
     if sm.k < 2:
         raise UndefinedEstimatorError("DL estimate needs at least 2 studies")
-    w = 1.0 / np.asarray(sm.sigma, dtype=float) ** 2
-    _, q, tau2 = _dl_fit(np.asarray(sm.y, dtype=float), w)
+    _, q, tau2 = _dl_fit(np.asarray(sm.y, dtype=float), np.asarray(sm.sigma, dtype=float) ** 2)
     if tau2 is None:
         raise UndefinedEstimatorError(
             "DL estimate undefined: the weight denominator sum(w) - sum(w^2)/sum(w) "
@@ -438,28 +432,33 @@ def dl_estimate(sm: SingleMeta) -> DlResult:
 
 def pm_estimate(sm: SingleMeta) -> float:
     """Paule-Mandel estimate: tau making the generalized Q statistic match
-    its k-1 degrees of freedom (zero if already below at tau=0)."""
+    its k-1 degrees of freedom (zero if already below at tau=0).
+
+    The root is bracketed by doubling from the largest standard error and
+    found to 1e-12 of the bracket, so the estimate scales with the data.
+    """
     if sm.k < 2:
         raise UndefinedEstimatorError("PM estimate needs at least 2 studies")
 
     def f(tau: float) -> float:
-        mu, _, w = _weighted_mean(sm, tau)
-        return float(np.sum(w * (np.asarray(sm.y) - mu) ** 2)) - (sm.k - 1)
+        return float(_pool_at(sm, tau)[3]) - (sm.k - 1)
 
     if f(0.0) <= 0.0:
         return 0.0
     hi = max(sm.sigma)
-    cap = 1e3 * hi
-    while f(hi) > 0.0:
+    while not f(hi) <= 0.0:
         hi *= 2.0
-        if hi > cap:
-            return float(cap)
-    return float(optimize.brentq(f, 0.0, hi, xtol=1e-8))
+        if not math.isfinite(hi * hi):
+            raise UndefinedEstimatorError(
+                f"PM estimate undefined: the generalized Q statistic stays above k - 1 = "
+                f"{sm.k - 1} at every finite tau"
+            )
+    return float(optimize.brentq(f, 0.0, hi, xtol=1e-12 * hi))
 
 
 def _common_effect_interval(sm: SingleMeta) -> LabeledInterval:
-    mu, v, _ = _weighted_mean(sm, 0.0)
-    half = _Z975 * math.sqrt(v)
+    _, total_w, mu, _ = _pool_at(sm, 0.0)
+    mu, half = float(mu), _Z975 * math.sqrt(1.0 / total_w)
     return LabeledInterval("common-effect", mu, mu - half, mu + half)
 
 
@@ -469,8 +468,8 @@ def ci_suite(sm: SingleMeta, tau_hat: float) -> tuple[LabeledInterval, ...]:
         raise UndefinedEstimatorError("confidence intervals need at least 2 studies")
     if not (math.isfinite(tau_hat) and tau_hat >= 0.0):
         raise ValueError(f"tau_hat must be finite and nonnegative, got {tau_hat!r}")
-    mu, v, w = _weighted_mean(sm, tau_hat)
-    q = float(np.sum(w * (np.asarray(sm.y) - mu) ** 2)) / (sm.k - 1)
+    _, total_w, mu, q = _pool_at(sm, tau_hat)
+    mu, v, q = float(mu), float(1.0 / total_w), float(q) / (sm.k - 1)
     t = float(special.stdtrit(sm.k - 1, 0.975))
     half_normal_ci = _Z975 * math.sqrt(v)
     half_hksj = t * math.sqrt(q * v)
@@ -544,8 +543,8 @@ def forest_rows(
         labels = [f"study {i + 1}" for i in range(sm.k)]
     if len(labels) != sm.k:
         raise ValueError(f"{len(labels)} labels for {sm.k} studies")
-    w = 1.0 / np.asarray(sm.sigma, dtype=float) ** 2
-    w = w / w.sum()
+    w, total_w, _, _ = _pool_at(sm, 0.0)
+    w = w / total_w
     rows = []
     for label, y, s, wt in zip(labels, sm.y, sm.sigma, w):
         rows.append(
@@ -559,7 +558,7 @@ def forest_rows(
         )
     rows.append(
         {
-            "label": f"bayes [{result.prior.text()}]",
+            "label": f"bayes [{format_distribution(result.prior)}]",
             "estimate": result.mu_median,
             "lo": result.mu_interval[0],
             "hi": result.mu_interval[1],

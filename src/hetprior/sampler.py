@@ -64,6 +64,7 @@ from .dist import (
     lognormal_from_theta,
     scale_mixture_half_t,
 )
+from .metaanalysis import _dl_fit
 
 __all__ = [
     "BACKEND",
@@ -399,15 +400,12 @@ def _deviance(y, se2, offsets, mu, tau):
 def _initial_state(y, se2, offsets, m: ModelSpec):
     """Fixed-effect means, DL tau (floored at 0.01; 0.01 where DL is
     undefined), hyperprior medians."""
-    # metaanalysis imports summarize, which imports this module
-    from .metaanalysis import _dl_fit
-
     n = offsets.size - 1
     mu0 = np.empty(n)
     tau0 = np.empty(n)
     for j in range(n):
         sl = slice(offsets[j], offsets[j + 1])
-        mu0[j], _, tau2 = _dl_fit(y[sl], 1.0 / se2[sl])
+        mu0[j], _, tau2 = _dl_fit(y[sl], se2[sl])
         tau0[j] = 0.01 if tau2 is None else max(0.01, math.sqrt(tau2))
     th0 = [float(prior.quantile(0.5)) for prior in m.hyperpriors.values()]
     return mu0, tau0, th0

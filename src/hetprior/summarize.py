@@ -103,21 +103,25 @@ class PriorSpec:
         return format_distribution(self.rounded_distribution())
 
 
-def prior_to_dict(spec: PriorSpec) -> dict:
-    d = spec.distribution
-    out = {
-        "family": d.token,
-        "params": [float(p) for p in d._params()],
-        "rounded": list(spec.rounded_params()),
-        "text": spec.text(),
-        "method": spec.method,
-        "source": spec.source,
-        "rounding": spec.rounding,
+def prior_to_dict(prior: PriorSpec | Distribution) -> dict:
+    """JSON record of a prior.  A prior as given (a bare distribution) is
+    its family, parameters and exact text; a condensed prior adds its
+    rounded form, method and provenance."""
+    d = prior if isinstance(prior, Distribution) else prior.distribution
+    out = {"family": d.token, "params": [float(p) for p in d._params()], "text": format_distribution(d)}
+    if d is prior:
+        return out
+    out |= {
+        "rounded": list(prior.rounded_params()),
+        "text": prior.text(),
+        "method": prior.method,
+        "source": prior.source,
+        "rounding": prior.rounding,
     }
-    if spec.note is not None:
-        out["note"] = spec.note
-    if spec.log_likelihood is not None:
-        out["log_likelihood"] = spec.log_likelihood
+    if prior.note is not None:
+        out["note"] = prior.note
+    if prior.log_likelihood is not None:
+        out["log_likelihood"] = prior.log_likelihood
     return out
 
 

@@ -126,7 +126,7 @@ def test_fit_outputs_and_manifest(fit_dir):
     man = json.loads((fit_dir / "manifest.json").read_text())
     assert man["subcommand"] == "fit"
     assert man["seed"] == 11
-    assert man["schema_version"] == 2
+    assert man["schema_version"] == 3
     assert man["tool_version"]
     src = man["inputs"][0]
     digest = hashlib.sha256(open(src["path"], "rb").read()).hexdigest()
@@ -507,7 +507,7 @@ def test_analyze_records_mixture_components(single_csv, tmp_path):
     ],
     ids=["analyze", "fit", "tau-estimates"],
 )
-@pytest.mark.parametrize("std_err", ["1e-170", "2e154"])
+@pytest.mark.parametrize("std_err", ["1e-170", "1e-100", "2e154"])
 def test_out_of_range_std_err_exits_2_naming_row_and_value(argv, std_err, tmp_path, capsys):
     p = tmp_path / "se.csv"
     p.write_text(
@@ -585,7 +585,17 @@ def test_analyze_prior_below_rounding_keeps_two_significant_digits(single_csv, t
     assert main(["analyze", str(single_csv), "--prior", prior, "--out", str(out)]) == 0
     doc = json.loads((out / "summary.json").read_text())
     assert doc["prior"]["text"] == text
-    assert doc["prior"]["rounded"] == [float(text[text.index("(") + 1 : -1])]
+    assert doc["prior"]["params"] == [float(text[text.index("(") + 1 : -1])]
+
+
+def test_analyze_records_the_prior_as_given(single_csv, tmp_path, capsys):
+    out = tmp_path / "an"
+    assert main(["analyze", str(single_csv), "--prior", "half-normal(0.123)", "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["prior"] == {"family": "half-normal", "params": [0.123], "text": "half-normal(0.123)"}
+    assert "under prior half-normal(0.123)" in capsys.readouterr().out
+    labels = [row[0] for row in csv.reader(io.StringIO((out / "forest.csv").read_text()))]
+    assert "bayes [half-normal(0.123)]" in labels
 
 
 def test_analyze_unparseable_prior_exits_2(single_csv, tmp_path, capsys):
@@ -731,7 +741,9 @@ def test_json_mode_matches_file(argv, doc, corpus_csv, single_csv, fit_dir, tmp_
     paths = {"corpus": corpus_csv, "single": single_csv, "fit_dir": fit_dir}
     out = tmp_path / "j"
     assert main([a.format(**paths) for a in argv] + ["--json", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == (out / doc).read_text()
+    printed = capsys.readouterr().out
+    assert printed == (out / doc).read_text()
+    assert json.loads(printed)["schema_version"] == 3
 
 
 # -- JSON documents ---------------------------------------------------------------------

@@ -68,7 +68,7 @@ A,S2,0.1,0
         parse_collection(text)
 
 
-@pytest.mark.parametrize("bad_value", ["abc", "-0.1", "nan", "inf", "", "1e-170", "1e155"])
+@pytest.mark.parametrize("bad_value", ["abc", "-0.1", "nan", "inf", "", "1e-170", "1e-100", "1e155"])
 def test_parse_bad_std_err_values(bad_value):
     text = f"analysis_id,study_id,estimate,std_err\nA,S1,0.1,{bad_value}\n"
     with pytest.raises(RecordError, match="row 2"):

@@ -24,8 +24,8 @@ from hetprior.metaanalysis import (
     SingleMeta,
     UndefinedEstimatorError,
     _mixture_weights,
+    _pool_at,
     _reduced_mixture,
-    _weights,
     bayes_ma,
     ci_suite,
     dl_estimate,
@@ -36,7 +36,6 @@ from hetprior.metaanalysis import (
     tau_marginal,
 )
 from hetprior.sampler import McmcConfig, ModelSpec, run_hierarchical
-from hetprior.summarize import PriorSpec
 
 T_1_975 = 12.706204736432095
 Z_975 = 1.959963984540054
@@ -67,6 +66,7 @@ def test_single_meta_basics():
         ((0.1, 0.2), (0.5, -1.0)),
         ((0.1, 0.2), (0.5, float("inf"))),
         ((0.1, 0.2), (0.5, 1e-170)),
+        ((0.1, 0.2), (0.5, 1e-100)),
         ((0.1, 0.2), (0.5, 1e155)),
     ],
 )
@@ -223,9 +223,8 @@ def capped_meta():
 
 def _conditionals(sm, td, mu_prior):
     """Mixture weights, means and variances of the effect conditionals."""
-    y, w = _weights(sm, mu_prior, td.grid)
-    total_w = w.sum(axis=1)
-    return _mixture_weights(td), (w * y).sum(axis=1) / total_w, 1.0 / total_w
+    _, total_w, mu_hat, _ = _pool_at(sm, td.grid[:, None], mu_prior)
+    return _mixture_weights(td), mu_hat, 1.0 / total_w
 
 
 def _mixture_at(x, weight, mean, sd):
@@ -374,15 +373,6 @@ def test_invalid_effect_prior_type():
         bayes_ma(sm, HalfNormal(0.2), mu_prior=HalfNormal(1.0))
 
 
-def test_prior_spec_is_carried_through():
-    sm = SingleMeta(y=(0.1, 0.2), sigma=(0.5, 0.5))
-    spec = PriorSpec(HalfNormal(0.22), "point_estimate(mean)", source="corpus")
-    res = bayes_ma(sm, spec)
-    assert res.prior is spec
-    res2 = bayes_ma(sm, HalfNormal(0.22))
-    assert res2.prior.distribution == HalfNormal(0.22)
-
-
 # -- DL and PM estimates -----------------------------------------------------------
 
 
@@ -412,13 +402,22 @@ def test_pm_identical_studies():
 
 def test_pm_equals_dl_for_equal_sigmas():
     rng = np.random.default_rng(9)
-    for _ in range(5):
-        y = tuple(rng.normal(0.0, 2.0, 6))
-        sm = SingleMeta(y=y, sigma=(0.7,) * 6)
-        dl = dl_estimate(sm).tau
-        if dl == 0.0:
-            continue
-        assert pm_estimate(sm) == pytest.approx(dl, abs=1e-6)
+    # sigma = 1e-3: the root lies far above the largest standard error
+    for sigma in (0.7, 1e-3):
+        for _ in range(5):
+            y = tuple(rng.normal(0.0, 2.0, 6))
+            sm = SingleMeta(y=y, sigma=(sigma,) * 6)
+            dl = dl_estimate(sm).tau
+            if dl == 0.0:
+                continue
+            assert pm_estimate(sm) == pytest.approx(dl, abs=1e-6)
+
+
+def test_pm_undefined_where_q_never_falls_to_its_degrees_of_freedom():
+    # (y_i - mu)^2 overflows, so Q stays infinite until the weights vanish
+    sm = SingleMeta(y=(0.0, 1e200), sigma=(1.0, 1.0))
+    with np.errstate(over="ignore"), pytest.raises(UndefinedEstimatorError, match="every finite tau"):
+        pm_estimate(sm)
 
 
 @pytest.mark.parametrize("func", [dl_estimate, pm_estimate])
@@ -446,15 +445,17 @@ def test_tau_estimate_collection_names_degenerate_analysis():
     assert [aid for aid, _ in tau_estimate_collection(c, "PM").estimates] == ["fine", "tight"]
 
 
-@pytest.mark.parametrize("c", [0.5, 2.7])
+@pytest.mark.parametrize("c", [0.5, 2.7, 1e-60])
 def test_scale_equivariance(c):
     rng = np.random.default_rng(11)
     sm = random_meta(rng, k=6, spread=1.5)
     scaled = SingleMeta(
         y=tuple(c * v for v in sm.y), sigma=tuple(c * s for s in sm.sigma)
     )
-    assert dl_estimate(scaled).tau == pytest.approx(c * dl_estimate(sm).tau, rel=1e-9)
-    assert pm_estimate(scaled) == pytest.approx(c * pm_estimate(sm), rel=1e-5, abs=1e-7)
+    # compared in the units of the unscaled data, where approx's absolute
+    # tolerance cannot swallow a tiny scale
+    assert dl_estimate(scaled).tau / c == pytest.approx(dl_estimate(sm).tau, rel=1e-9)
+    assert pm_estimate(scaled) / c == pytest.approx(pm_estimate(sm), rel=1e-9)
 
 
 # -- confidence interval suite ------------------------------------------------------

@@ -54,6 +54,7 @@ def test_traced_commands_run_and_feed_every_hook(tracer, tmp_path, capsys):
     corpus.write_text(CORPUS)
     runs = [
         ["validate", str(corpus)],
+        ["tau-estimates", str(corpus), "--method", "PM"],
         ["fit", str(corpus), *MCMC, "--out", str(tmp_path / "fit")],
         ["approx", str(tmp_path / "fit"), "--methods", "point:mean,mixture"],
         ["analyze", str(corpus), "--analysis", "a0", "--prior", "half-normal(0.5)"],
@@ -68,11 +69,13 @@ def test_traced_commands_run_and_feed_every_hook(tracer, tmp_path, capsys):
     assert tracer.spans
     assert [s.name for s in tracer.spans if s.error] == []
     names = {s.name for s in tracer.spans}
-    for command in ("validate", "fit", "approx", "analyze", "compare"):
+    for command in ("validate", "tau_estimates", "fit", "approx", "analyze", "compare"):
         assert f"cli.cmd_{command}" in names
 
     def attrs(name):
         return [s.attrs for s in tracer.spans if s.name == name]
+
+    assert len(attrs("metaanalysis.pm_estimate")) == 2
 
     (ma,) = attrs("metaanalysis.bayes_ma")
     assert ma["tau_grid_points"] > 0 and ma["mu_grid_points"] > 0
