@@ -56,7 +56,7 @@ from .summarize import (
 )
 from .svg import density_svg, forest_svg, histogram_svg
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -74,8 +74,8 @@ def _jsonify(obj):
 
 def _dump_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\\n"``,
-    byte for byte, with 1-d float arrays written by the C encoder (``indent``
-    alone would send every value through the pure-Python one)."""
+    byte for byte, but refusing a key that is not a ``str`` (``json.dumps``
+    would turn it into one, so two keys could collide)."""
     return _indented(doc, "\n") + "\n"
 
 
@@ -84,10 +84,7 @@ def _indented(obj, newline: str) -> str:
     break and the current indent) starts its closing line."""
     inner = newline + "  "
     if isinstance(obj, np.ndarray):
-        if obj.ndim != 1 or obj.dtype.kind != "f" or obj.size == 0:
-            return _indented(obj.tolist(), newline)
-        # a float never prints ", ", so every one is a separator
-        return "[" + inner + json.dumps(obj.tolist())[1:-1].replace(", ", "," + inner) + newline + "]"
+        return _indented(obj.tolist(), newline)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -107,12 +104,22 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _npy(d) -> bytes:
+    """A tabulated density as ``.npy`` bytes: one (2, n) float64 array, the
+    grid in row 0 and the density in row 1.  ``np.save`` writes the same
+    bytes for the same array (``np.savez`` would not: zip entries carry a
+    timestamp)."""
+    buf = io.BytesIO()
+    np.save(buf, np.stack([d.grid, d.density]), allow_pickle=False)
+    return buf.getvalue()
+
+
 def _emit(
     args, command: str, inputs: list[Path], options: dict, seed, files: dict, text: str
 ) -> None:
     """The one output path of every subcommand.
 
-    Writes ``files`` (name -> text, or a dict written as JSON with
+    Writes ``files`` (name -> text, bytes, or a dict written as JSON with
     ``schema_version`` added) and a manifest of the run into ``--out``, then
     prints the first file (the command's JSON document) under ``--json``
     and ``text`` otherwise.
@@ -120,11 +127,14 @@ def _emit(
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = {
-        name: body if isinstance(body, str) else _dump_json({**body, "schema_version": SCHEMA_VERSION})
+        name: body if isinstance(body, (str, bytes)) else _dump_json({**body, "schema_version": SCHEMA_VERSION})
         for name, body in files.items()
     }
     for name, body in written.items():
-        (out / name).write_text(body)
+        if isinstance(body, bytes):
+            (out / name).write_bytes(body)
+        else:
+            (out / name).write_text(body)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -416,15 +426,13 @@ def cmd_analyze(args) -> int:
             "median": res.mu_median,
             "sd": res.mu_sd,
             "interval": list(res.mu_interval),
-            "grid": res.mu_density.grid,
-            "density": res.mu_density.density,
+            "density_file": "mu_density.npy",
             "components": res.mu_components,
         },
         "tau": {
             "median": res.tau_median,
             "interval": list(res.tau_interval),
-            "grid": res.tau_density.grid,
-            "density": res.tau_density.density,
+            "density_file": "tau_density.npy",
         },
         "comparators": [
             {"label": ci.label, "estimate": ci.estimate, "lo": ci.lo, "hi": ci.hi}
@@ -433,7 +441,12 @@ def cmd_analyze(args) -> int:
     }
     if res.warnings:
         doc["warnings"] = list(res.warnings)
-    files = {"summary.json": doc, "forest.csv": _forest_csv(rows)}
+    files = {
+        "summary.json": doc,
+        "forest.csv": _forest_csv(rows),
+        "mu_density.npy": _npy(res.mu_density),
+        "tau_density.npy": _npy(res.tau_density),
+    }
     if args.svg:
         files["forest.svg"] = forest_svg(rows, title=f"meta-analysis {aid}")
         files["mu_density.svg"] = density_svg(

@@ -59,6 +59,24 @@ def _std_err_problem(s: float) -> str | None:
     return None
 
 
+def _estimate_problem(y: float) -> str | None:
+    """Why ``y`` cannot be an effect estimate, or None if it can.
+
+    Cochran's Q sums w (y - mu)^2 with mu a weighted mean of the estimates.
+    With |y| <= 1e70 every deviation is at most 2e70, so with w <= 1e150
+    (see :func:`_std_err_problem`) each term is at most 4e290 and Q stays
+    finite for any realistic number of studies.
+    """
+    if not _is_finite(y):
+        return f"must be finite, got {y!r}"
+    if not -1e70 <= y <= 1e70:
+        return (
+            f"{y!r} is out of range: estimates must lie in -1e70 to 1e70, "
+            "where the heterogeneity statistics stay finite"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class StudyRecord:
     """One study: an estimate with its standard error, in effect-measure
@@ -71,8 +89,9 @@ class StudyRecord:
     seq: int
 
     def __post_init__(self):
-        if not _is_finite(self.estimate):
-            raise ValueError(f"estimate must be finite, got {self.estimate!r}")
+        problem = _estimate_problem(self.estimate)
+        if problem is not None:
+            raise ValueError(f"estimate {problem}")
         problem = _std_err_problem(self.std_err)
         if problem is not None:
             raise ValueError(f"std_err {problem}")

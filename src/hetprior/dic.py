@@ -27,6 +27,7 @@ from .data import MetaAnalysisCollection
 from .sampler import (
     _SUMMARY_HEADING,
     HET_FAMILIES,
+    InitializationError,
     McmcConfig,
     ModelSpec,
     PosteriorSamples,
@@ -110,8 +111,10 @@ def compare_models(
 ) -> list[ComparisonRow]:
     """Fit each family on the same data and rank by DIC (lowest first).
 
-    A family whose run fails contributes an error row at the end instead
-    of aborting the whole comparison. A predictive mean or sd the family
+    A family whose model fails (a ``ValueError`` such as a bad
+    configuration, or an ``InitializationError``) contributes an error row
+    at the end instead of aborting the whole comparison; any other
+    exception is a bug and propagates. A predictive mean or sd the family
     does not have (the half-Cauchy has neither) is reported as undefined,
     since empirical values would be unstable noise.
     """
@@ -134,7 +137,7 @@ def compare_models(
             if moments.sd is None:
                 pred["sd"] = None
             rows.append(ComparisonRow(family=fam, dic=dic, predictive=pred))
-        except Exception as exc:  # keep the other families alive
+        except (ValueError, InitializationError) as exc:
             rows.append(ComparisonRow(family=fam, dic=None, predictive=None, error=str(exc)))
     ok = sorted((r for r in rows if r.error is None), key=lambda r: r.dic.dic)
     failed = [r for r in rows if r.error is not None]

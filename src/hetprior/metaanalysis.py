@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .data import MetaAnalysisCollection, _std_err_problem
+from .data import MetaAnalysisCollection, _estimate_problem, _std_err_problem
 from .dist import Distribution, Normal, format_distribution
 
 __all__ = [
@@ -108,9 +108,10 @@ class SingleMeta:
             raise ValueError(f"{len(y)} estimates but {len(sigma)} standard errors")
         if not y:
             raise ValueError("need at least one study")
-        if not all(math.isfinite(v) for v in y):
-            raise ValueError("estimates must be finite")
-        for i, s in enumerate(sigma, start=1):
+        for i, (v, s) in enumerate(zip(y, sigma), start=1):
+            problem = _estimate_problem(v)
+            if problem is not None:
+                raise ValueError(f"estimate {i}: {problem}")
             problem = _std_err_problem(s)
             if problem is not None:
                 raise ValueError(f"standard error {i}: {problem}")

@@ -7,10 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from test_metaanalysis import capped_meta
 
 from hetprior.cli import _dump_json, _jsonify, main
 from hetprior.data import parse_collection
-from hetprior.metaanalysis import SingleMeta, pm_estimate
+from hetprior.dist import parse_distribution
+from hetprior.metaanalysis import SingleMeta, bayes_ma, pm_estimate
 from hetprior.sampler import McmcConfig, ModelSpec, run_hierarchical, samples_from_csv, samples_to_csv
 
 CORPUS = """analysis_id,study_id,estimate,std_err,seq
@@ -126,7 +128,7 @@ def test_fit_outputs_and_manifest(fit_dir):
     man = json.loads((fit_dir / "manifest.json").read_text())
     assert man["subcommand"] == "fit"
     assert man["seed"] == 11
-    assert man["schema_version"] == 3
+    assert man["schema_version"] == 4
     assert man["tool_version"]
     src = man["inputs"][0]
     digest = hashlib.sha256(open(src["path"], "rb").read()).hexdigest()
@@ -468,8 +470,8 @@ def test_analyze_summary_json_and_text(single_csv, tmp_path, capsys):
     assert doc["k"] == 4
     lo, hi = doc["mu"]["interval"]
     assert lo < doc["mu"]["median"] < hi
-    dens = np.asarray(doc["tau"]["density"])
-    grid = np.asarray(doc["tau"]["grid"])
+    assert doc["tau"]["density_file"] == "tau_density.npy"
+    grid, dens = np.load(out / "tau_density.npy")
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
     textout = capsys.readouterr().out
     assert "effect" in textout and "heterogeneity" in textout
@@ -496,6 +498,81 @@ def test_analyze_records_mixture_components(single_csv, tmp_path):
     assert main(["analyze", str(single_csv), "--prior", "half-normal(0.5)", "--out", str(out)]) == 0
     k = json.loads((out / "summary.json").read_text())["mu"]["components"]
     assert isinstance(k, int) and 1 <= k < 2000
+
+
+def _single_csv(path, sm):
+    rows = [f"trial,s{i},{y!r},{s!r}" for i, (y, s) in enumerate(zip(sm.y, sm.sigma))]
+    path.write_text("analysis_id,study_id,estimate,std_err\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "sm, mu_prior",
+    [(SingleMeta(y=(-0.35, 0.10, -0.62), sigma=(0.22, 0.30, 0.41)), None),
+     (capped_meta(), "normal(0,2)")],
+    ids=["tiny", "capped"],
+)
+def test_analyze_density_files_hold_bayes_ma_arrays_bit_for_bit(sm, mu_prior, tmp_path):
+    p = _single_csv(tmp_path / "ma.csv", sm)
+    argv = ["analyze", str(p), "--prior", "lomax(9.9,1.5)"]
+    if mu_prior is not None:
+        argv += ["--mu-prior", mu_prior]
+    assert main(argv + ["--out", str(tmp_path / "a1")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "a2")]) == 0
+    res = bayes_ma(sm, parse_distribution("lomax(9.9,1.5)"),
+                   None if mu_prior is None else parse_distribution(mu_prior))
+    doc = json.loads((tmp_path / "a1" / "summary.json").read_text())
+    for what, d in (("mu", res.mu_density), ("tau", res.tau_density)):
+        name = f"{what}_density.npy"
+        assert doc[what]["density_file"] == name
+        assert (tmp_path / "a1" / name).read_bytes() == (tmp_path / "a2" / name).read_bytes()
+        table = np.load(tmp_path / "a1" / name, allow_pickle=False)
+        assert table.dtype == np.float64 and table.shape == (2, d.grid.size)
+        assert table[0].tobytes() == d.grid.tobytes()
+        assert table[1].tobytes() == d.density.tobytes()
+    man = json.loads((tmp_path / "a1" / "manifest.json").read_text())
+    assert {"mu_density.npy", "tau_density.npy"} <= set(man["outputs"])
+
+
+def test_analyze_summary_holds_no_array_longer_than_an_interval(single_csv, tmp_path):
+    out = tmp_path / "an"
+    assert main(["analyze", str(single_csv), "--prior", "half-t(8.2,0.20)", "--out", str(out)]) == 0
+
+    def number_lists(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            if node and all(isinstance(x, float) for x in node):
+                yield node
+            for x in node:
+                yield from number_lists(x)
+
+    doc = json.loads((out / "summary.json").read_text())
+    assert max(len(x) for x in number_lists(doc)) == len(doc["mu"]["interval"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--analysis", "a", "--prior", "half-normal(0.5)"],
+        ["fit", "--seed", "1", "--chains", "1", "--iters", "20", "--burnin", "5"],
+        ["tau-estimates", "--method", "DL"],
+        ["tau-estimates", "--method", "PM"],
+    ],
+    ids=["analyze", "fit", "tau-estimates-DL", "tau-estimates-PM"],
+)
+@pytest.mark.parametrize("estimate", ["5e199", "-1.0000000001e70"])
+def test_out_of_range_estimate_exits_2_naming_row_and_value(argv, estimate, tmp_path, capsys):
+    p = tmp_path / "y.csv"
+    p.write_text(
+        "analysis_id,study_id,estimate,std_err\n"
+        f"a,s1,0.0,0.1\na,s2,{estimate},0.1\na,s3,1e200,0.1\nb,s1,0.1,0.2\nb,s2,0.3,0.4\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([argv[0], str(p), *argv[1:], "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"row 3: estimate {float(estimate)!r} is out of range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -743,7 +820,7 @@ def test_json_mode_matches_file(argv, doc, corpus_csv, single_csv, fit_dir, tmp_
     assert main([a.format(**paths) for a in argv] + ["--json", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert printed == (out / doc).read_text()
-    assert json.loads(printed)["schema_version"] == 3
+    assert json.loads(printed)["schema_version"] == 4
 
 
 # -- JSON documents ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hetprior.data import (
@@ -73,6 +75,18 @@ def test_parse_bad_std_err_values(bad_value):
     text = f"analysis_id,study_id,estimate,std_err\nA,S1,0.1,{bad_value}\n"
     with pytest.raises(RecordError, match="row 2"):
         parse_collection(text)
+
+
+@pytest.mark.parametrize("bad_value", ["1.0000000001e70", "-2e70", "5e199"])
+def test_parse_out_of_range_estimate_names_row_and_value(bad_value):
+    text = f"analysis_id,study_id,estimate,std_err\nA,S1,0.1,0.2\nA,S2,{bad_value},0.2\n"
+    with pytest.raises(RecordError, match=re.escape(f"row 3: estimate {float(bad_value)!r} is out of range")):
+        parse_collection(text)
+
+
+def test_parse_estimates_at_the_range_bounds():
+    c = parse_collection("analysis_id,study_id,estimate,std_err\nA,S1,1e70,0.2\nA,S2,-1e70,0.2\n")
+    assert [r.estimate for r in c.records()] == [1e70, -1e70]
 
 
 def test_parse_non_numeric_estimate_is_record_error():

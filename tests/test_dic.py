@@ -14,6 +14,7 @@ from hetprior.dic import (
     format_comparison_table,
 )
 from hetprior.sampler import (
+    HET_FAMILIES,
     McmcConfig,
     ModelSpec,
     PosteriorSamples,
@@ -207,6 +208,19 @@ def test_compare_models_error_rows_do_not_abort(quick_fit):
     assert rows[-1].family == "bogus-family"
     text = format_comparison_table(rows)
     assert "failed" in text
+
+
+def test_compare_models_lets_programming_errors_propagate(quick_fit, monkeypatch):
+    # an error row is for a model that fails, not for a bug in the code
+    _, c = quick_fit
+
+    def broken(*args):
+        raise TypeError("bug in the exp density")
+
+    monkeypatch.setitem(HET_FAMILIES, "exp", HET_FAMILIES["exp"]._replace(log_density=broken))
+    cfg = McmcConfig(chains=2, burn_in=10, iterations=20, seed=5)
+    with pytest.raises(TypeError, match="bug in the exp density"):
+        compare_models(c, ["half-normal", "exp"], cfg=cfg)
 
 
 def test_compare_models_requires_two_families(quick_fit):

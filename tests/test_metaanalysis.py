@@ -68,6 +68,7 @@ def test_single_meta_basics():
         ((0.1, 0.2), (0.5, 1e-170)),
         ((0.1, 0.2), (0.5, 1e-100)),
         ((0.1, 0.2), (0.5, 1e155)),
+        ((0.1, -2e70), (0.5, 0.6)),
     ],
 )
 def test_single_meta_rejects_bad_input(y, sigma):
@@ -414,8 +415,12 @@ def test_pm_equals_dl_for_equal_sigmas():
 
 
 def test_pm_undefined_where_q_never_falls_to_its_degrees_of_freedom():
-    # (y_i - mu)^2 overflows, so Q stays infinite until the weights vanish
-    sm = SingleMeta(y=(0.0, 1e200), sigma=(1.0, 1.0))
+    # (y_i - mu)^2 overflows, so Q stays infinite until the weights vanish.
+    # SingleMeta rejects such estimates, so the guard is reached only by a
+    # record built around that check.
+    sm = object.__new__(SingleMeta)
+    object.__setattr__(sm, "y", (0.0, 1e200))
+    object.__setattr__(sm, "sigma", (1.0, 1.0))
     with np.errstate(over="ignore"), pytest.raises(UndefinedEstimatorError, match="every finite tau"):
         pm_estimate(sm)
 
