@@ -73,31 +73,19 @@ def _jsonify(obj):
 
 
 def _dump_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\\n"``,
-    byte for byte, but refusing a key that is not a ``str`` (``json.dumps``
-    would turn it into one, so two keys could collide)."""
-    return _indented(doc, "\n") + "\n"
+    """``doc`` as indented JSON with sorted keys, numpy values as plain
+    numbers and lists.  A NaN or infinity raises ``ValueError``: JSON has
+    no such values."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_jsonify) + "\n"
 
 
-def _indented(obj, newline: str) -> str:
-    """``obj`` as the indented encoder writes it where ``newline`` (a line
-    break and the current indent) starts its closing line."""
-    inner = newline + "  "
-    if isinstance(obj, np.ndarray):
-        return _indented(obj.tolist(), newline)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {key!r}")
-        items = [json.dumps(key) + ": " + _indented(obj[key], inner) for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_indented(x, inner) for x in obj) + newline + "]"
-    return json.dumps(obj, default=_jsonify)
+def _json_file(name: str, doc: dict) -> str:
+    """:func:`_dump_json` of the output file ``name``; a non-finite number
+    in it is a numerical failure, reported before any file is written."""
+    try:
+        return _dump_json(doc)
+    except ValueError as e:
+        raise FloatingPointError(f"{name} would hold a non-finite number ({e})") from None
 
 
 def _sha256(data: bytes) -> str:
@@ -125,11 +113,12 @@ def _emit(
     and ``text`` otherwise.
     """
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     written = {
-        name: body if isinstance(body, (str, bytes)) else _dump_json({**body, "schema_version": SCHEMA_VERSION})
+        name: body if isinstance(body, (str, bytes))
+        else _json_file(name, {**body, "schema_version": SCHEMA_VERSION})
         for name, body in files.items()
     }
+    out.mkdir(parents=True, exist_ok=True)
     for name, body in written.items():
         if isinstance(body, bytes):
             (out / name).write_bytes(body)
@@ -145,7 +134,7 @@ def _emit(
         "seed": seed,
         "outputs": sorted([*written, "manifest.json"]),
     }
-    (out / "manifest.json").write_text(_dump_json(manifest))
+    (out / "manifest.json").write_text(_json_file("manifest.json", manifest))
     if args.json:
         print(next(iter(written.values())), end="")
     else:
@@ -229,19 +218,17 @@ def _fit_table(s, doc: dict) -> str:
         f"{'parameter':<12} {'mean':>9} {'sd':>9} {'50%':>9} {'95%':>9} {'99%':>9}"
         f" {'rhat':>7} {'ess':>9}"
     ]
-    diag = doc.get("diagnostics", {})
     for name in names:
         p = doc["parameters"][name]
-        d = diag.get(name, {})
-        rhat = d.get("rhat")
-        ess = d.get("ess")
+        d = doc["diagnostics"][name]
+        rhat = d["rhat"]
         lines.append(
             f"{name:<12} {p['mean']:>9.4f} {p['sd']:>9.4f} {p['median']:>9.4f}"
             f" {p['q95']:>9.4f} {p['q99']:>9.4f}"
             f" {('-' if rhat is None else f'{rhat:.3f}'):>7}"
-            f" {('-' if ess is None else f'{ess:.0f}'):>9}"
+            f" {d['ess']:>9.0f}"
         )
-    lines += [f"warning: {w}" for w in doc.get("warnings", [])]
+    lines += [f"warning: {w}" for w in doc["warnings"]]
     return "\n".join(lines)
 
 
@@ -330,6 +317,10 @@ def cmd_approx(args) -> int:
     fit_summary = json.loads(sibling.read_text()) if sibling.exists() else {}
     if not isinstance(fit_summary, dict):
         raise ValueError(f"{sibling} is not a JSON object")
+    for key in ("family", "samples_sha256"):
+        value = fit_summary.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{sibling}: {key!r} must be a string, got {json.dumps(value)}")
     recorded = fit_summary.get("samples_sha256")
     if recorded is not None and (digest := _sha256(text.encode())) != recorded:
         raise ValueError(
@@ -618,11 +609,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GridError, FitError, InitializationError, InfeasibleError) as e:
+    except (GridError, FitError, InitializationError, InfeasibleError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    # FormatError, RecordError, ConfigError and UndefinedEstimatorError are ValueErrors
-    except (ValueError, TypeError, KeyError, OSError) as e:
+    # FormatError, RecordError, ConfigError and UndefinedEstimatorError are
+    # ValueErrors; any other exception is a bug and propagates
+    except (ValueError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
 

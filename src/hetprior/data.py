@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -38,10 +39,6 @@ class RecordError(ValueError):
     """A data row is invalid; the message includes the 1-based row number."""
 
 
-def _is_finite(x: float) -> bool:
-    return x == x and x not in (float("inf"), float("-inf"))
-
-
 def _std_err_problem(s: float) -> str | None:
     """Why ``s`` cannot be a standard error, or None if it can.
 
@@ -49,7 +46,7 @@ def _std_err_problem(s: float) -> str | None:
     sums w^2.  With s in [1e-75, 1e75], w <= 1/s^2 <= 1e150 and s^2 stays a
     normal double, so w^2 and its sums over any realistic corpus are finite.
     """
-    if not (_is_finite(s) and s > 0.0):
+    if not (math.isfinite(s) and s > 0.0):
         return f"must be positive and finite, got {s!r}"
     if not 1e-75 <= s <= 1e75:
         return (
@@ -67,7 +64,7 @@ def _estimate_problem(y: float) -> str | None:
     (see :func:`_std_err_problem`) each term is at most 4e290 and Q stays
     finite for any realistic number of studies.
     """
-    if not _is_finite(y):
+    if not math.isfinite(y):
         return f"must be finite, got {y!r}"
     if not -1e70 <= y <= 1e70:
         return (

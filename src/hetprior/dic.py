@@ -17,7 +17,6 @@ win by a few DIC units with that in mind.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -104,10 +103,7 @@ class ComparisonRow:
 
 
 def compare_models(
-    c: MetaAnalysisCollection,
-    families: list[str],
-    m_template: ModelSpec | None = None,
-    cfg: McmcConfig | None = None,
+    c: MetaAnalysisCollection, families: list[str], cfg: McmcConfig | None = None
 ) -> list[ComparisonRow]:
     """Fit each family on the same data and rank by DIC (lowest first).
 
@@ -120,13 +116,10 @@ def compare_models(
     """
     if len(families) < 2:
         raise ValueError(f"need at least 2 families to compare, got {len(families)}")
-    if m_template is None:
-        m_template = ModelSpec()
     rows = []
     for fam in families:
         try:
-            m = dataclasses.replace(m_template, het_family=fam)
-            s = run_hierarchical(c, m, cfg)
+            s = run_hierarchical(c, ModelSpec(het_family=fam), cfg)
             dic = compute_dic(s, c)
             pred = summarize_samples(s.predictive)
             # which moments a family has does not depend on its hyperparameters

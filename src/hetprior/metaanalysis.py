@@ -154,8 +154,8 @@ class GridDensity:
     def median(self) -> float:
         return float(self.quantile(0.5))
 
-    def central_interval(self, level: float = 0.95) -> tuple[float, float]:
-        a = (1.0 - level) / 2.0
+    def central_interval(self) -> tuple[float, float]:
+        a = (1.0 - 0.95) / 2.0  # 0.025000000000000022; a literal 0.025 moves the lower end
         lo, hi = self.quantile([a, 1.0 - a])
         return float(lo), float(hi)
 
@@ -303,9 +303,9 @@ def bayes_ma(
     sm: SingleMeta,
     prior: Distribution,
     mu_prior: Normal | None = None,
-    comparators: bool = True,
 ) -> MetaAnalysisResult:
-    """Full Bayesian meta-analysis under the given heterogeneity prior."""
+    """Full Bayesian meta-analysis under the given heterogeneity prior,
+    with the frequentist comparators of :func:`ci_suite` for k >= 2."""
     td = tau_marginal(sm, prior, mu_prior)
 
     _, total_w, mu_hat, _ = _pool_at(sm, td.grid[:, None], mu_prior)
@@ -369,7 +369,7 @@ def bayes_ma(
 
     rows: tuple[LabeledInterval, ...] = ()
     warns: tuple[str, ...] = ()
-    if comparators and sm.k >= 2:
+    if sm.k >= 2:
         try:
             dl = dl_estimate(sm)
         except UndefinedEstimatorError as e:
@@ -535,13 +535,10 @@ def tau_estimate_collection(c: MetaAnalysisCollection, method: str = "DL") -> Ta
     return TauEstimates(method=norm, estimates=tuple(estimates), skipped=tuple(skipped))
 
 
-def forest_rows(
-    sm: SingleMeta, result: MetaAnalysisResult, labels: list[str] | None = None
-) -> list[dict]:
-    """Forest-plot rows: one per study (normal 95% CI, inverse-variance
-    weight) followed by the Bayesian summary and the comparators."""
-    if labels is None:
-        labels = [f"study {i + 1}" for i in range(sm.k)]
+def forest_rows(sm: SingleMeta, result: MetaAnalysisResult, labels: list[str]) -> list[dict]:
+    """Forest-plot rows: one per study (its label, normal 95% CI and
+    inverse-variance weight) followed by the Bayesian summary and the
+    comparators."""
     if len(labels) != sm.k:
         raise ValueError(f"{len(labels)} labels for {sm.k} studies")
     w, total_w, _, _ = _pool_at(sm, 0.0)

@@ -710,21 +710,16 @@ class DiagnosticsReport:
         raise KeyError(name)
 
 
-def diagnostics(s: PosteriorSamples, parameters: list[str] | None = None) -> DiagnosticsReport:
-    """Split-R-hat and effective sample size per monitored parameter.
+def diagnostics(s: PosteriorSamples) -> DiagnosticsReport:
+    """Split-R-hat and effective sample size per parameter.
 
-    Monitors every parameter by default; pass ``parameters`` to restrict.
     A single chain gets the R-hat of its two halves. An R-hat that is not
     finite is reported as ``None``, with a warning that says why. Warnings
     flag R-hat > 1.01 and ESS < 400.
     """
-    if parameters is None:
-        columns = s.columns()
-    else:
-        columns = ((name, s.draws(name)) for name in parameters)
     entries = []
     warns = []
-    for name, x in columns:
+    for name, x in s.columns():
         rhat = split_rhat(x)
         if math.isnan(rhat):
             warns.append(f"{name}: split-Rhat undefined with {s.n_kept} draws per chain (needs 4)")
@@ -917,7 +912,7 @@ def _bound_warnings(s: PosteriorSamples) -> list[str]:
     return warns
 
 
-def summary_dict(s: PosteriorSamples, with_diagnostics: bool = True) -> dict:
+def summary_dict(s: PosteriorSamples) -> dict:
     """JSON-ready summary: per-parameter statistics, diagnostics, the
     slice-sampler counters of a fresh run, and one list of warnings
     (diagnostics, slice cap hits, hyperparameters piled up at a bound)."""
@@ -930,13 +925,9 @@ def summary_dict(s: PosteriorSamples, with_diagnostics: bool = True) -> dict:
         "backend": BACKEND,
         "parameters": params,
     }
-    warns = []
-    if with_diagnostics:
-        report = diagnostics(s)
-        doc["diagnostics"] = {
-            p.name: {"rhat": p.rhat, "ess": p.ess} for p in report.parameters
-        }
-        warns += report.warnings
+    report = diagnostics(s)
+    doc["diagnostics"] = {p.name: {"rhat": p.rhat, "ess": p.ess} for p in report.parameters}
+    warns = list(report.warnings)
     if s.slice_counts is not None:
         doc["slice_sampler"] = {
             block: {name: per_chain[:, i].tolist() for i, name in enumerate(SLICE_COUNTERS)}

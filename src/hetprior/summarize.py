@@ -13,9 +13,9 @@ Three routes:
    by maximum likelihood (simplex search on log-reparametrized
    parameters) or by moment inversion.
 
-The published form of a prior is rounded (2 decimals by default, two
-significant digits for a parameter that would round to 0); the unrounded
-parameters are kept alongside.
+The published form of a prior is rounded to 2 decimals (two significant
+digits for a parameter that would round to 0); the unrounded parameters
+are kept alongside.
 
 Each prior is judged by :func:`approximation_table`, which sets its mean,
 sd, median, 95% and 99% quantiles beside those of the predictive draws:
@@ -70,6 +70,10 @@ class FitError(RuntimeError):
     """A direct fit did not converge within its evaluation budget."""
 
 
+#: decimals of a prior's published parameters
+_ROUNDING = 2
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """A condensed heterogeneity prior plus how it was obtained.
@@ -81,17 +85,16 @@ class PriorSpec:
     distribution: Distribution
     method: str
     source: str = ""
-    rounding: int = 2
     note: str | None = None
     log_likelihood: float | None = None
 
     def rounded_params(self) -> tuple[float, ...]:
-        """Parameters as published: ``rounding`` decimals, except that a
+        """Parameters as published: ``_ROUNDING`` decimals, except that a
         nonzero value which would round to 0 keeps two significant digits
         (a zero scale is no distribution)."""
         out = []
         for p in self.distribution._params():
-            r = round(float(p), self.rounding)
+            r = round(float(p), _ROUNDING)
             out.append(r if r != 0.0 or p == 0.0 else float(f"{p:.2g}"))
         return tuple(out)
 
@@ -116,7 +119,7 @@ def prior_to_dict(prior: PriorSpec | Distribution) -> dict:
         "text": prior.text(),
         "method": prior.method,
         "source": prior.source,
-        "rounding": prior.rounding,
+        "rounding": _ROUNDING,
     }
     if prior.note is not None:
         out["note"] = prior.note
@@ -300,16 +303,15 @@ def fit_predictive_moments(draws, family: str, source: str = "") -> PriorSpec:
 # -- comparison table ----------------------------------------------------------
 
 
-def approximation_table(specs: list[PriorSpec], tau_star=None) -> list[dict]:
-    """One ``{"label": ..., **summary}`` row per prior: its closed-form mean
-    and sd (``None`` where the family has none) and its median, 95% and 99%
-    quantiles, under its rounded text as the label. Given predictive draws,
-    a first row labelled ``MCMC`` holds their :func:`summarize_samples`."""
+def approximation_table(specs: list[PriorSpec], tau_star) -> list[dict]:
+    """A first row labelled ``MCMC`` with the :func:`summarize_samples` of
+    the predictive draws ``tau_star``, then one ``{"label": ..., **summary}``
+    row per prior: its closed-form mean and sd (``None`` where the family
+    has none) and its median, 95% and 99% quantiles, under its rounded
+    text as the label."""
     if not specs:
         raise ValueError("need at least one prior spec")
-    rows = []
-    if tau_star is not None and np.asarray(tau_star).size:
-        rows.append({"label": "MCMC", **summarize_samples(tau_star)})
+    rows = [{"label": "MCMC", **summarize_samples(tau_star)}]
     rows += [{"label": spec.text(), **_distribution_summary(spec.distribution)} for spec in specs]
     return rows
 

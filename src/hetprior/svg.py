@@ -2,10 +2,13 @@
 histogram with density overlays, forest plot, and density curves.
 
 Pure string construction — no graphics dependency, byte-deterministic
-output for identical inputs.
+output for identical inputs.  Titles and labels are XML-escaped, so ids
+such as ``A&B`` or ``X<1>`` keep the file well-formed.
 """
 
 from __future__ import annotations
+
+from html import escape
 
 import numpy as np
 
@@ -21,6 +24,11 @@ _MARGIN_B = 45
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _text(s: str) -> str:
+    """``s`` as XML character data (``&``, ``<`` and ``>`` escaped)."""
+    return escape(s, quote=False)
+
+
 def _f(v: float) -> str:
     return f"{v:.2f}"
 
@@ -29,7 +37,7 @@ def _header(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<title>{title}</title>',
+        f'<title>{_text(title)}</title>',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
 
@@ -71,7 +79,7 @@ def _x_axis(parts: list[str], x_px, lo: float, hi: float, label: str) -> None:
         )
     parts.append(
         f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.1f}" y="{_HEIGHT - 8}" '
-        f'font-size="12" text-anchor="middle" font-family="sans-serif">{label}</text>'
+        f'font-size="12" text-anchor="middle" font-family="sans-serif">{_text(label)}</text>'
     )
 
 
@@ -82,7 +90,6 @@ def _polyline(xs, ys, x_px, y_px, color: str) -> str:
 
 def histogram_svg(
     values,
-    bins: int = 40,
     overlays: list[tuple[str, np.ndarray, np.ndarray]] | None = None,
     x_label: str = "value",
     title: str = "histogram",
@@ -92,7 +99,7 @@ def histogram_svg(
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("no values to plot")
-    counts, edges = np.histogram(v, bins=bins, density=True)
+    counts, edges = np.histogram(v, bins=40, density=True)
     overlays = overlays or []
     y_max = float(counts.max())
     for _, _, ys in overlays:
@@ -119,7 +126,7 @@ def histogram_svg(
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_R - 5}" y="{_MARGIN_T + 15 * (i + 1)}" '
             f'font-size="11" text-anchor="end" fill="{color}" '
-            f'font-family="sans-serif">{label}</text>'
+            f'font-family="sans-serif">{_text(label)}</text>'
         )
     _x_axis(parts, x_px, x_lo, x_hi, x_label)
     parts.append("</svg>")
@@ -163,7 +170,7 @@ def forest_svg(rows: list[dict], title: str = "forest plot") -> str:
             parts.append(f'<rect x="{_f(est_px - 3)}" y="{_f(y - 3)}" width="6" height="6" fill="{color}"/>')
         parts.append(
             f'<text x="5" y="{_f(y + 4)}" font-size="11" '
-            f'font-family="sans-serif">{r["label"]}</text>'
+            f'font-family="sans-serif">{_text(r["label"])}</text>'
         )
     _x_axis(parts, x_px, x_lo - pad, x_hi + pad, "effect")
     parts.append("</svg>")
@@ -206,7 +213,7 @@ def density_svg(
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_R - 5}" y="{_MARGIN_T + 15 * (i + 1)}" '
             f'font-size="11" text-anchor="end" fill="{color}" '
-            f'font-family="sans-serif">{label}</text>'
+            f'font-family="sans-serif">{_text(label)}</text>'
         )
     _x_axis(parts, x_px, x_lo, x_hi, x_label)
     parts.append("</svg>")

@@ -1,19 +1,29 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 from test_metaanalysis import capped_meta
 
-from hetprior.cli import _dump_json, _jsonify, main
+from hetprior import cli
+from hetprior.cli import _dump_json, main
 from hetprior.data import parse_collection
 from hetprior.dist import parse_distribution
 from hetprior.metaanalysis import SingleMeta, bayes_ma, pm_estimate
-from hetprior.sampler import McmcConfig, ModelSpec, run_hierarchical, samples_from_csv, samples_to_csv
+from hetprior.sampler import (
+    HET_FAMILIES,
+    McmcConfig,
+    ModelSpec,
+    run_hierarchical,
+    samples_from_csv,
+    samples_to_csv,
+)
 
 CORPUS = """analysis_id,study_id,estimate,std_err,seq
 a0,s0,0.12,0.30,0
@@ -826,24 +836,89 @@ def test_json_mode_matches_file(argv, doc, corpus_csv, single_csv, fit_dir, tmp_
 # -- JSON documents ---------------------------------------------------------------------
 
 
-def test_dump_json_matches_indented_encoder_byte_for_byte():
-    doc = {
-        "b": [1, 2.5, None, True, False, "x, y", (3, 4.0)],
-        "a": {"z": {}, "y": [], "x": {"nested": [[], {}, [1.0]]}, "empty": np.array([])},
-        "scalars": [np.float32(0.1), np.int64(-7), np.float64(1e-310), 1e300],
-        "special": [math.nan, math.inf, -math.inf, np.array([math.nan, -math.inf, 0.0, -0.0])],
-        "text": "caf\u00e9 \u2013 \U0001f600 \"q\" \\ \n",
-        "\u00fcber": np.linspace(-1.0, 1.0, 7),
-        "grid": np.array([[1.0, 2.0], [3.0, 4.0]]),
-        "ints": np.array([1, 2, 3], dtype=np.int64),
-        "f32": np.array([0.1, 0.2], dtype=np.float32),
-        "one": np.array([2.0]),
-        "tuple": (),
-    }
-    assert _dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\n"
-    assert _dump_json({}) == "{}\n"
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, np.float64(math.nan), np.array([0.0, -math.inf])],
+    ids=["nan", "inf", "-inf", "float64-nan", "array-inf"],
+)
+def test_dump_json_refuses_non_finite_numbers(value):
+    doc = {"a": [1, 2.5, None, True, (3, 4.0)], "b": {"grid": np.array([[1.0, 2.0]])}}
+    assert json.loads(_dump_json(doc)) == {"a": [1, 2.5, None, True, [3, 4.0]], "b": {"grid": [[1.0, 2.0]]}}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _dump_json({**doc, "x": {"y": [value]}})
 
 
-def test_dump_json_rejects_non_string_keys():
-    with pytest.raises(TypeError, match="keys must be str"):
-        _dump_json({"a": {1: 2.0}})
+def test_non_finite_output_is_a_numerical_failure_naming_the_file(corpus_csv, tmp_path, capsys, monkeypatch):
+    real = cli.tau_estimate_collection
+
+    def leaky(c, method):
+        est = real(c, method)
+        return dataclasses.replace(est, estimates=(("a0", math.nan), *est.estimates[1:]))
+
+    monkeypatch.setattr(cli, "tau_estimate_collection", leaky)
+    out = tmp_path / "o"
+    assert main(["tau-estimates", str(corpus_csv), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: summary.json would hold a non-finite number")
+    assert not out.exists()
+
+
+# -- exit codes ----------------------------------------------------------------------
+
+
+def test_programming_error_propagates_instead_of_reading_as_input_error(corpus_csv, tmp_path, monkeypatch):
+    def broken(*args):
+        raise TypeError("bug in the exp density")
+
+    monkeypatch.setitem(HET_FAMILIES, "exp", HET_FAMILIES["exp"]._replace(log_density=broken))
+    argv = ["compare", str(corpus_csv), "--families", "half-normal,exp", "--seed", "2", *_MCMC]
+    with pytest.raises(TypeError, match="bug in the exp density"):
+        main(argv + ["--out", str(tmp_path / "cmp")])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("family", ["half-normal"]), ("family", {"name": "half-normal"}), ("family", 1),
+     ("samples_sha256", 123), ("samples_sha256", ["abc"])],
+)
+def test_approx_sibling_summary_values_must_be_strings(fit_dir, tmp_path, capsys, key, value):
+    (tmp_path / "samples.csv").write_text((fit_dir / "samples.csv").read_text())
+    doc = json.loads((fit_dir / "summary.json").read_text())
+    (tmp_path / "summary.json").write_text(json.dumps({**doc, key: value}))
+    assert main(["approx", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"summary.json: {key!r} must be a string, got {json.dumps(value)}" in err
+    assert not (tmp_path / "o").exists()
+
+
+# -- SVG text ------------------------------------------------------------------------
+
+MARKUP_CORPUS = """analysis_id,study_id,estimate,std_err
+X<1>,A&B,0.12,0.30
+X<1>,"s ""2"" > 1",-0.25,0.41
+X<1>,s3,0.40,0.35
+Y&Z,s0,-0.10,0.22
+Y&Z,s1,0.05,0.28
+"""
+
+
+def _svg_texts(path):
+    root = ElementTree.parse(path).getroot()  # raises unless well-formed
+    return [el.text for el in root.iter() if el.tag.endswith(("}text", "}title"))]
+
+
+def test_svg_labels_from_input_are_escaped(tmp_path):
+    p = tmp_path / "markup.csv"
+    p.write_text(MARKUP_CORPUS)
+    fit = tmp_path / "fit"
+    assert main(["fit", str(p), "--seed", "5", *_MCMC, "--svg", "--out", str(fit)]) == 0
+    assert main(["approx", str(fit), "--svg", "--out", str(tmp_path / "ap")]) == 0
+    an = tmp_path / "an"
+    assert main(["analyze", str(p), "--analysis", "X<1>", "--prior", "half-normal(0.5)",
+                 "--svg", "--out", str(an)]) == 0
+    for svg in (fit / "tau_star.svg", tmp_path / "ap" / "approx.svg",
+                an / "mu_density.svg", an / "tau_density.svg"):
+        _svg_texts(svg)
+    texts = _svg_texts(an / "forest.svg")
+    assert texts[0] == "meta-analysis X<1>"
+    assert {"A&B", 's "2" > 1', "s3"} <= set(texts)

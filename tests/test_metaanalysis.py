@@ -254,7 +254,7 @@ def _case(capped):
 @pytest.mark.parametrize("capped", [False, True])
 def test_blocked_mu_density_equals_one_shot_formula(capped):
     sm, prior, mu_prior = _case(capped)
-    res = bayes_ma(sm, prior, mu_prior, comparators=False)
+    res = bayes_ma(sm, prior, mu_prior)
     n = res.mu_density.grid.size
     assert n == (40001 if capped else 1201)
     rows = slice(5, None, 97) if capped else slice(None)
@@ -265,7 +265,7 @@ def test_blocked_mu_density_equals_one_shot_formula(capped):
 
 
 def _assert_reduced_density_close(sm, prior, mu_prior):
-    res = bayes_ma(sm, prior, mu_prior, comparators=False)
+    res = bayes_ma(sm, prior, mu_prior)
     dens = res.mu_density.density
     assert np.all(np.isfinite(dens))
     rows = slice(None, None, 13) if dens.size > 5000 else slice(None)
@@ -305,15 +305,15 @@ def test_non_finite_mu_density_is_a_grid_error(monkeypatch):
     nan = np.array([math.nan])
     monkeypatch.setattr(metaanalysis, "_reduced_mixture", lambda *a: (nan, nan, nan))
     with pytest.raises(GridError, match="effect posterior density"):
-        bayes_ma(SingleMeta(y=(0.1, 0.3), sigma=(0.2, 0.3)), HalfNormal(0.5), comparators=False)
+        bayes_ma(SingleMeta(y=(0.1, 0.3), sigma=(0.2, 0.3)), HalfNormal(0.5))
 
 
 def test_capped_mu_density_needs_no_grid_sized_temporaries():
     sm = capped_meta()
-    bayes_ma(sm, Lomax(9.9, 1.5), comparators=False)  # warm imports and caches
+    bayes_ma(sm, Lomax(9.9, 1.5))  # warm imports and caches
     tracemalloc.start()
     try:
-        res = bayes_ma(sm, Lomax(9.9, 1.5), comparators=False)
+        res = bayes_ma(sm, Lomax(9.9, 1.5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -343,7 +343,7 @@ def test_stochastically_larger_prior_never_shortens_interval():
     sm = SingleMeta(y=(0.1, 0.6, 0.3), sigma=(0.25, 0.35, 0.3))
     widths = {}
     for prior in priors:
-        res = bayes_ma(sm, prior, comparators=False)
+        res = bayes_ma(sm, prior)
         widths[prior] = res.mu_interval[1] - res.mu_interval[0]
     checked = 0
     for a in priors:
@@ -510,8 +510,8 @@ def test_bayes_ma_translation_equivariance():
     rng = np.random.default_rng(1)
     sm = SingleMeta(y=tuple(rng.normal(0.0, 1e-3, 4)), sigma=(1e-3,) * 4)
     shifted = SingleMeta(y=tuple(v + 1e5 for v in sm.y), sigma=sm.sigma)
-    a = bayes_ma(sm, HalfNormal(0.5), comparators=False)
-    b = bayes_ma(shifted, HalfNormal(0.5), comparators=False)
+    a = bayes_ma(sm, HalfNormal(0.5))
+    b = bayes_ma(shifted, HalfNormal(0.5))
     assert b.mu_mean == pytest.approx(a.mu_mean + 1e5, abs=1e-8)
     assert b.mu_median == pytest.approx(a.mu_median + 1e5, abs=1e-8)
     assert b.mu_sd == pytest.approx(a.mu_sd, rel=1e-6)
@@ -623,11 +623,9 @@ def test_forest_rows_layout():
     assert all(r["weight_or_type"] == "comparator" for r in rows[3:])
 
 
-def test_forest_rows_default_labels_and_validation():
+def test_forest_rows_label_count_validation():
     sm = SingleMeta(y=(0.1, 0.5), sigma=(0.3, 0.4))
     res = bayes_ma(sm, HalfNormal(0.22))
-    rows = forest_rows(sm, res)
-    assert rows[0]["label"] == "study 1"
     with pytest.raises(ValueError, match="labels"):
         forest_rows(sm, res, labels=["only-one"])
 

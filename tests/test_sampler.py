@@ -298,8 +298,9 @@ def test_posterior_samples_columns_are_read_only_views(quick_run):
 
 
 def test_diagnostics_report(quick_run):
-    rep = diagnostics(quick_run, ["scale", "tau_star", "deviance"])
-    for p in rep.parameters:
+    rep = diagnostics(quick_run)
+    assert [p.name for p in rep.parameters] == quick_run.parameter_names()
+    for p in (rep["scale"], rep["tau_star"], rep["deviance"]):
         assert p.rhat is not None and p.rhat < 1.05
         assert p.ess > 50
     assert rep["scale"].name == "scale"
@@ -310,9 +311,9 @@ def test_diagnostics_report(quick_run):
 def test_diagnostics_single_chain_rhat_from_its_halves():
     s = run_hierarchical(small_corpus(), ModelSpec(),
                          McmcConfig(chains=1, burn_in=100, iterations=300, seed=4))
-    rep = diagnostics(s, ["scale"])
-    assert math.isfinite(rep.parameters[0].rhat) and rep.parameters[0].rhat < 1.05
-    assert rep.parameters[0].ess > 0
+    rep = diagnostics(s)
+    assert math.isfinite(rep["scale"].rhat) and rep["scale"].rhat < 1.05
+    assert rep["scale"].ess > 0
 
 
 def test_diagnostics_flag_one_drifting_chain():
@@ -328,8 +329,8 @@ def test_diagnostics_warnings_trigger():
     # tiny run: ESS < 400 must be flagged
     s = run_hierarchical(small_corpus(), ModelSpec(),
                          McmcConfig(chains=2, burn_in=50, iterations=60, seed=8))
-    rep = diagnostics(s, ["scale"])
-    assert any("effective sample size" in w for w in rep.warnings)
+    rep = diagnostics(s)
+    assert any(w.startswith("scale: effective sample size") for w in rep.warnings)
 
 
 def test_summarize_samples_basics():
@@ -586,14 +587,14 @@ def test_cap_hits_reach_summary_warnings():
         shape_hyperprior=Uniform(5.0, 5.0 * (1 + 1e-9)),
     )
     s = run_hierarchical(c, m, McmcConfig(chains=2, burn_in=10, iterations=40, seed=1))
-    doc = summary_dict(s, with_diagnostics=False)
+    doc = summary_dict(s)
     hits = doc["slice_sampler"]["tau"]["stepout_cap_hits"]
     assert sum(hits) > 0
     assert any(w.startswith(f"tau: {sum(hits)} slice step-outs") for w in doc["warnings"])
 
 
 def _scale_pileup_warnings(c, cfg):
-    doc = summary_dict(run_hierarchical(c, ModelSpec(), cfg), with_diagnostics=False)
+    doc = summary_dict(run_hierarchical(c, ModelSpec(), cfg))
     return [w for w in doc["warnings"] if "piles up" in w]
 
 
