@@ -689,6 +689,19 @@ def test_analyze_unparseable_prior_exits_2(single_csv, tmp_path, capsys):
     assert main(["analyze", str(single_csv), "--prior", "gauss(1)", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("prior", ["normal(0,1)", "uniform(-1,1)"])
+def test_analyze_prior_with_mass_below_zero_exits_2(single_csv, tmp_path, capsys, prior):
+    out = tmp_path / "an"
+    assert main(["analyze", str(single_csv), "--prior", prior, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"heterogeneity prior {prior} has cdf(0) = 0.5" in err
+    assert not out.exists()
+
+
+def test_analyze_prior_starting_at_zero_runs(single_csv, tmp_path):
+    assert main(["analyze", str(single_csv), "--prior", "uniform(0,1)", "--out", str(tmp_path / "an")]) == 0
+
+
 # -- tau-estimates ------------------------------------------------------------------
 
 

@@ -1,10 +1,13 @@
 """Tests for the single meta-analysis module (grid Bayes + frequentist suite)."""
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from hetprior import metaanalysis
 from hetprior.data import parse_collection
@@ -109,7 +112,7 @@ def test_two_identical_studies_barely_move_the_prior():
     sm = SingleMeta(y=(0.2, 0.2), sigma=(0.5, 0.5))
     prior = HalfStudentT(8.2, 0.20)
     td = tau_marginal(sm, prior)
-    assert abs(td.median() - prior.quantile(0.5)) < 0.02
+    assert abs(td.quantile(0.5) - prior.quantile(0.5)) < 0.02
 
 
 def test_tau_marginal_matches_mcmc_oracle():
@@ -127,7 +130,7 @@ def test_tau_marginal_matches_mcmc_oracle():
     s = run_hierarchical(c, m, McmcConfig(chains=2, burn_in=500, iterations=6000, seed=77))
     mcmc_median = float(np.quantile(s.draws("tau[a]"), 0.5))
     td = tau_marginal(SingleMeta(y=y, sigma=sigma), HalfNormal(0.3))
-    assert abs(td.median() - mcmc_median) < 0.01
+    assert abs(td.quantile(0.5) - mcmc_median) < 0.01
 
 
 def test_tau_marginal_normalizes_heavy_tailed_priors():
@@ -156,6 +159,13 @@ def test_tau_marginal_rejects_prior_without_finite_quantile():
     sm = SingleMeta(y=(0.1, 0.2), sigma=(0.5, 0.5))
     with pytest.raises(GridError, match="quantile"):
         tau_marginal(sm, Diverging(0.2))
+
+
+@pytest.mark.parametrize("prior", [Normal(0.0, 1.0), Uniform(-1.0, 1.0)])
+def test_tau_marginal_rejects_prior_with_mass_below_zero(prior):
+    sm = SingleMeta(y=(0.1, 0.2), sigma=(0.5, 0.5))
+    with pytest.raises(ValueError, match=rf"prior {re.escape(str(prior))} has cdf\(0\) = 0\.5"):
+        tau_marginal(sm, prior)
 
 
 def test_tau_marginal_rejects_nondecaying_posterior():
@@ -215,8 +225,14 @@ def test_mu_density_integrates_to_one_and_sd_floor():
 
 
 def capped_meta():
-    """k = 8 studies with standard errors <= 2e-4: the effect grid hits its
-    40 001-point cap."""
+    """Two studies 1e-4 apart with standard errors 1e-4: under Lomax(9.9, 1.5)
+    the narrowest reduced component is so much narrower than the window the
+    heavy tau tail opens that the effect grid hits its 40 001-point cap."""
+    return SingleMeta(y=(0.0, 1e-4), sigma=(1e-4, 1e-4))
+
+
+def tiny_se_meta():
+    """k = 8 studies with standard errors <= 2e-4 against a tau of 0.3."""
     rng = np.random.default_rng(12)
     sigma = rng.uniform(5e-5, 2e-4, 8)
     return SingleMeta(y=tuple(rng.normal(0.2, np.sqrt(sigma**2 + 0.09))), sigma=tuple(sigma))
@@ -280,6 +296,13 @@ def test_reduced_mu_density_matches_full_mixture(capped):
     assert 1 <= res.mu_components < 400
 
 
+def test_tiny_standard_errors_need_no_more_than_the_floor_grid():
+    # the narrowest tau-cell conditional (sd ~ 5e-5) no longer sets the step:
+    # the narrowest reduced component is as wide as the grid floor resolves
+    res = _assert_reduced_density_close(tiny_se_meta(), Lomax(9.9, 1.5), None)
+    assert res.mu_density.grid.size == 1201
+
+
 def test_reduced_mu_density_matches_full_mixture_random_sweep():
     rng = np.random.default_rng(20)
     priors = TABLE_PRIORS + [HalfCauchy(1.0)]
@@ -306,6 +329,78 @@ def test_non_finite_mu_density_is_a_grid_error(monkeypatch):
     monkeypatch.setattr(metaanalysis, "_reduced_mixture", lambda *a: (nan, nan, nan))
     with pytest.raises(GridError, match="effect posterior density"):
         bayes_ma(SingleMeta(y=(0.1, 0.3), sigma=(0.2, 0.3)), HalfNormal(0.5))
+
+
+def _brentq_quantile(omega, mu_hat, sd, p):
+    """The p quantile of the full effect mixture by scalar root search."""
+
+    def excess(x):
+        return float(np.sum(omega * special.ndtr((x - mu_hat) / sd))) - p
+
+    lo, hi = float(np.min(mu_hat - 10.0 * sd)), float(np.max(mu_hat + 10.0 * sd))
+    return optimize.brentq(excess, lo, hi, xtol=1e-12)
+
+
+def _quantile_cases():
+    rng = np.random.default_rng(31)
+    priors = TABLE_PRIORS + [HalfCauchy(1.0)]
+    for n in range(18):
+        k = 1 if n % 6 == 0 else int(rng.integers(2, 31))
+        se = rng.uniform(5e-5, 2e-4, k) if n % 3 == 1 else rng.uniform(0.05, 1.0, k)
+        y = rng.normal(0.3, np.sqrt(se**2 + 0.04))
+        yield SingleMeta(y=tuple(y), sigma=tuple(se)), priors[n % len(priors)], (
+            Normal(0.0, 2.0) if n % 2 else None
+        )
+    yield capped_meta(), Lomax(9.9, 1.5), None
+    yield tiny_se_meta(), HalfCauchy(0.1), Normal(0.0, 2.0)
+
+
+def test_newton_quantiles_match_brentq_on_the_full_mixture():
+    for sm, prior, mu_prior in _quantile_cases():
+        res = bayes_ma(sm, prior, mu_prior)
+        omega, mu_hat, v = _conditionals(sm, res.tau_density, mu_prior)
+        lo, hi = res.mu_interval
+        for p, q in ((0.025, lo), (0.5, res.mu_median), (0.975, hi)):
+            assert abs(q - _brentq_quantile(omega, mu_hat, np.sqrt(v), p)) <= 1e-12
+        assert lo <= res.mu_median <= hi
+
+
+@pytest.mark.parametrize(
+    "y,sigma",
+    [
+        # a cdf too flat for its rounding: Newton steps are noise, bisection
+        # takes over (about 52 passes)
+        ((1e69, -1e69), (1e70, 1e70)),
+        # an effect grid narrower than its rounding: the start is NaN
+        ((1e60, 1e60 + 1.0), (0.1, 0.2)),
+        # a conditional spike at tau = 0
+        ((0.1, 0.2), (1e-70, 1e-70)),
+    ],
+)
+def test_newton_quantiles_converge_at_extreme_scales(y, sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = bayes_ma(SingleMeta(y=y, sigma=sigma), HalfNormal(0.5))
+    lo, hi = res.mu_interval
+    assert np.all(np.isfinite([lo, res.mu_median, hi]))
+    assert lo <= res.mu_median <= hi
+
+
+def test_unconverged_newton_quantiles_are_a_grid_error(monkeypatch):
+    monkeypatch.setattr(metaanalysis, "_NEWTON_PASSES", 1)
+    with pytest.raises(GridError, match="effect quantiles did not converge in 1 Newton pass"):
+        bayes_ma(SingleMeta(y=(0.1, 0.3), sigma=(0.2, 0.3)), HalfNormal(0.5))
+
+
+def test_bayes_ma_tau_outputs_equal_tau_marginal():
+    for sm, prior, mu_prior in _quantile_cases():
+        res = bayes_ma(sm, prior, mu_prior)
+        td = tau_marginal(sm, prior, mu_prior)
+        assert np.array_equal(res.tau_density.grid, td.grid)
+        assert np.array_equal(res.tau_density.density, td.density)
+        a = (1.0 - 0.95) / 2.0
+        median, lo, hi = td.quantile([0.5, a, 1.0 - a])
+        assert (res.tau_median, res.tau_interval) == (median, (lo, hi))
 
 
 def test_capped_mu_density_needs_no_grid_sized_temporaries():
