@@ -53,7 +53,6 @@ from .sampler import (  # noqa: F401
     split_rhat,
     effective_sample_size,
     diagnostics,
-    DiagnosticsReport,
     samples_to_csv,
     samples_from_csv,
     summary_dict,

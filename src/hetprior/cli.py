@@ -196,15 +196,9 @@ def _forest_csv(rows: list[dict]) -> str:
 
 def cmd_validate(args) -> int:
     c, path = _load_corpus(args)
-    report = validate_collection(c)
-    doc = {
-        "analyses": c.n_analyses,
-        "studies": c.n_studies,
-        "per_analysis": [{"analysis": a.analysis_id, "k": a.k} for a in report.analyses],
-        "warnings": list(report.warnings),
-    }
-    lines = [f"{c.n_analyses} analyses, {c.n_studies} studies"]
-    lines += [f"warning: {w}" for w in report.warnings]
+    doc = validate_collection(c)
+    lines = [f"{doc['analyses']} analyses, {doc['studies']} studies"]
+    lines += [f"warning: {w}" for w in doc["warnings"]]
     _emit(
         args, "validate", [path], {"subset_recent": args.subset_recent}, None,
         {"summary.json": doc}, "\n".join(lines),
@@ -362,7 +356,7 @@ def cmd_approx(args) -> int:
     if not specs:
         raise FitError("no prior could be produced: " + "; ".join(errors))
 
-    rows = approximation_table(specs, s.predictive)
+    rows = approximation_table(specs, s)
     doc = {
         "family": family,
         "source": source,
@@ -476,11 +470,18 @@ def cmd_tau_estimates(args) -> int:
     c, path = _load_corpus(args)
     est = tau_estimate_collection(c, args.method)
     summary = est.summary()
+    warns = []
+    if est.skipped:
+        warns.append(
+            f"skipped {len(est.skipped)} single-study analyses (no heterogeneity "
+            f"information): {', '.join(est.skipped)}"
+        )
     doc = {
         "method": est.method,
         "estimates": [{"analysis": aid, "tau": tau} for aid, tau in est.estimates],
         "skipped": list(est.skipped),
         "summary": summary,
+        "warnings": warns,
     }
     lines = [f"{'analysis':<20} {'tau_hat':>9}"]
     lines += [f"{aid:<20} {tau:>9.4f}" for aid, tau in est.estimates]
@@ -488,6 +489,7 @@ def cmd_tau_estimates(args) -> int:
         f"n={summary['n']}  fraction zero={summary['fraction_zero']:.2f}  "
         f"mean={summary['mean']:.4f}  median={summary['median']:.4f}"
     )
+    lines += [f"warning: {w}" for w in warns]
     options = {"method": est.method, "subset_recent": args.subset_recent}
     _emit(args, "tau-estimates", [path], options, None, {"summary.json": doc}, "\n".join(lines))
     return 0

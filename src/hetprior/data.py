@@ -5,6 +5,8 @@ plus an optional ``seq`` column giving a recency order (later = more recent).
 When ``seq`` is absent it defaults to the data-row index, so file order is the
 recency order. A single meta-analysis uses the same schema with exactly one
 ``analysis_id``.
+
+:func:`validate_collection` returns the document that ``validate`` writes.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 __all__ = [
     "StudyRecord",
     "MetaAnalysisCollection",
-    "ValidationReport",
-    "AnalysisSummary",
     "FormatError",
     "RecordError",
     "parse_collection",
@@ -163,24 +163,6 @@ class MetaAnalysisCollection:
         raise KeyError(analysis_id)
 
 
-@dataclass(frozen=True)
-class AnalysisSummary:
-    analysis_id: str
-    k: int
-    warning: str | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    analyses: tuple[AnalysisSummary, ...]
-    n_analyses: int
-    n_studies: int
-
-    @property
-    def warnings(self) -> list[str]:
-        return [a.warning for a in self.analyses if a.warning is not None]
-
-
 def _parse_float(raw: str, column: str, row_number: int) -> float:
     try:
         return float(raw)
@@ -289,25 +271,24 @@ def serialize_collection(c: MetaAnalysisCollection) -> str:
     return out.getvalue()
 
 
-def validate_collection(c: MetaAnalysisCollection) -> ValidationReport:
-    """Report per-analysis sizes and totals; flag single-study analyses.
+def validate_collection(c: MetaAnalysisCollection) -> dict:
+    """``validate``'s document: the totals, each analysis with its size k,
+    and a warning for each single-study analysis.
 
     A k_j = 1 analysis is allowed — the model stays well-defined — but it
     carries almost no information about heterogeneity, so it gets a
     warning entry rather than an error.
     """
-    summaries = []
-    for aid, records in c.analyses:
-        k = len(records)
-        warning = None
-        if k == 1:
-            warning = f"analysis {aid!r} has a single study; it is nearly uninformative about heterogeneity"
-        summaries.append(AnalysisSummary(analysis_id=aid, k=k, warning=warning))
-    return ValidationReport(
-        analyses=tuple(summaries),
-        n_analyses=c.n_analyses,
-        n_studies=c.n_studies,
-    )
+    return {
+        "analyses": c.n_analyses,
+        "studies": c.n_studies,
+        "per_analysis": [{"analysis": aid, "k": k} for aid, k in zip(c.analysis_ids, c.sizes)],
+        "warnings": [
+            f"analysis {aid!r} has a single study; it is nearly uninformative about heterogeneity"
+            for aid, k in zip(c.analysis_ids, c.sizes)
+            if k == 1
+        ],
+    }
 
 
 def subset_recent(c: MetaAnalysisCollection, n: int) -> MetaAnalysisCollection:

@@ -13,28 +13,31 @@ on corpora simulated from the half-normal model it often ranks the
 half-Cauchy first although the exact marginal likelihood favours the
 half-normal, and more analyses do not remove the lean. Read a half-Cauchy
 win by a few DIC units with that in mind.
+
+:func:`compute_dic` returns the four numbers of a row of ``compare``'s
+``dic.json`` as a :class:`DicResult`; :func:`comparison_to_dict` spreads
+them into the row beside the model name and its predictive summary.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import MetaAnalysisCollection
 from .sampler import (
     _SUMMARY_HEADING,
-    HET_FAMILIES,
     InitializationError,
     McmcConfig,
     ModelSpec,
     PosteriorSamples,
     _deviance,
     _flatten,
+    _predictive_summary,
     _summary_cells,
     run_hierarchical,
-    summarize_samples,
 )
 
 __all__ = [
@@ -48,30 +51,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DicResult:
-    family: str
+class DicResult(NamedTuple):
+    """The four numbers of :func:`compute_dic`; ``dic`` = mean_deviance + p_d
+    and ``p_d`` = mean_deviance - plug_in_deviance."""
+
     dic: float
     p_d: float
     mean_deviance: float
     plug_in_deviance: float
-
-    def __post_init__(self):
-        if not math.isclose(self.p_d, self.mean_deviance - self.plug_in_deviance, rel_tol=0, abs_tol=1e-9):
-            raise ValueError("p_d must equal mean_deviance - plug_in_deviance")
-        if not math.isclose(self.dic, self.mean_deviance + self.p_d, rel_tol=0, abs_tol=1e-9):
-            raise ValueError("dic must equal mean_deviance + p_d")
-
-    @classmethod
-    def from_deviances(cls, family: str, mean_deviance: float, plug_in_deviance: float) -> "DicResult":
-        p_d = mean_deviance - plug_in_deviance
-        return cls(
-            family=family,
-            dic=mean_deviance + p_d,
-            p_d=p_d,
-            mean_deviance=mean_deviance,
-            plug_in_deviance=plug_in_deviance,
-        )
 
 
 def deviance(c: MetaAnalysisCollection, mu, tau) -> float:
@@ -90,8 +77,10 @@ def deviance(c: MetaAnalysisCollection, mu, tau) -> float:
 def compute_dic(s: PosteriorSamples, c: MetaAnalysisCollection) -> DicResult:
     """DIC from posterior draws of the analyses in ``c``; a draw file is
     read with :func:`~hetprior.sampler.samples_from_csv` first."""
+    mean_deviance = float(np.mean(s.deviance))
     plug_in = deviance(c, s.mu.mean(axis=(0, 1)), s.tau.mean(axis=(0, 1)))
-    return DicResult.from_deviances(s.family, float(np.mean(s.deviance)), plug_in)
+    p_d = mean_deviance - plug_in
+    return DicResult(mean_deviance + p_d, p_d, mean_deviance, plug_in)
 
 
 @dataclass(frozen=True)
@@ -120,16 +109,7 @@ def compare_models(
     for fam in families:
         try:
             s = run_hierarchical(c, ModelSpec(het_family=fam), cfg)
-            dic = compute_dic(s, c)
-            pred = summarize_samples(s.predictive)
-            # which moments a family has does not depend on its hyperparameters
-            record = HET_FAMILIES[fam]
-            moments = record.distribution(*[1.0] * len(record.hyper_names)).moments()
-            if moments.mean is None:
-                pred["mean"] = None
-            if moments.sd is None:
-                pred["sd"] = None
-            rows.append(ComparisonRow(family=fam, dic=dic, predictive=pred))
+            rows.append(ComparisonRow(family=fam, dic=compute_dic(s, c), predictive=_predictive_summary(s)))
         except (ValueError, InitializationError) as exc:
             rows.append(ComparisonRow(family=fam, dic=None, predictive=None, error=str(exc)))
     ok = sorted((r for r in rows if r.error is None), key=lambda r: r.dic.dic)
@@ -144,16 +124,7 @@ def comparison_to_dict(rows: list[ComparisonRow]) -> list[dict]:
         if r.error is not None:
             out.append({"model": r.family, "error": r.error})
             continue
-        out.append(
-            {
-                "model": r.family,
-                "dic": r.dic.dic,
-                "p_d": r.dic.p_d,
-                "mean_deviance": r.dic.mean_deviance,
-                "plug_in_deviance": r.dic.plug_in_deviance,
-                "predictive": dict(r.predictive),
-            }
-        )
+        out.append({"model": r.family, **r.dic._asdict(), "predictive": dict(r.predictive)})
     return out
 
 

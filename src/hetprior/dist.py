@@ -3,8 +3,8 @@
 Provides the distribution families used as heterogeneity models, hyperpriors
 and condensed priors (half-normal, half-Student-t, exponential, half-Cauchy,
 log-normal, Lomax, scaled inverse chi, inverse gamma, normal, uniform),
-each with log-density, cdf, quantile, closed-form moments and sampling,
-plus the half-normal and exponential scale-mixture matching rules:
+each with log-density, cdf, quantile, closed-form mean and sd, and
+sampling, plus the half-normal and exponential scale-mixture matching rules:
 
 * a half-normal scale mixture is matched by a half-Student-t whose
   degrees of freedom are pinned down by the scale's coefficient of
@@ -14,7 +14,9 @@ plus the half-normal and exponential scale-mixture matching rules:
   (an inflated shape), is its ``mixture`` in ``sampler.HET_FAMILIES``.
 
 Moments that do not exist (e.g. half-Cauchy mean, half-Student-t variance
-for df <= 2) are reported as ``None``, never as sentinel numbers.
+for df <= 2) are reported as ``None``, never as sentinel numbers. The
+half-line families evaluate their log-density formulas at max(x, 0), so a
+negative x gives -inf and no floating-point warning.
 """
 
 from __future__ import annotations
@@ -72,19 +74,10 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """First two moments plus median; ``None`` marks nonexistent moments."""
+    """Mean and standard deviation; ``None`` marks a moment that does not exist."""
 
     mean: float | None
     sd: float | None
-    cv: float | None
-    median: float
-
-    @staticmethod
-    def from_mean_sd(mean: float | None, sd: float | None, median: float) -> "MomentSummary":
-        cv = None
-        if mean is not None and sd is not None and mean != 0.0:
-            cv = sd / mean
-        return MomentSummary(mean=mean, sd=sd, cv=cv, median=median)
 
 
 def _positive(name: str, value: float) -> float:
@@ -164,10 +157,11 @@ class Distribution:
 
 
 def _half_support(x, log_pdf):
-    """Clamp a log-density defined on x >= 0 to -inf below zero."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(x >= 0.0, log_pdf, -np.inf)
-    return np.where(np.isnan(out) & (x < 0.0), -np.inf, out)
+    """A log-density formula ``log_pdf`` on x >= 0, set to -inf below zero
+    and at NaN.  The formula sees 0 in place of those x, so none of them
+    can raise a floating-point warning."""
+    inside = x >= 0.0
+    return np.where(inside, log_pdf(np.where(inside, x, 0.0)), -np.inf)
 
 
 @dataclass(frozen=True)
@@ -180,7 +174,7 @@ class HalfNormal(Distribution):
 
     def _log_density(self, x):
         s = self.scale
-        return _half_support(x, 0.5 * math.log(2.0 / math.pi) - math.log(s) - 0.5 * (x / s) ** 2)
+        return _half_support(x, lambda t: 0.5 * math.log(2.0 / math.pi) - math.log(s) - 0.5 * (t / s) ** 2)
 
     def _cdf(self, x):
         return np.where(x <= 0.0, 0.0, sc.erf(np.maximum(x, 0.0) / (self.scale * math.sqrt(2.0))))
@@ -191,7 +185,7 @@ class HalfNormal(Distribution):
     def moments(self):
         mean = self.scale * math.sqrt(2.0 / math.pi)
         sd = self.scale * math.sqrt(1.0 - 2.0 / math.pi)
-        return MomentSummary.from_mean_sd(mean, sd, float(self._quantile(np.asarray(0.5))))
+        return MomentSummary(mean, sd)
 
     def _sample(self, rng, n):
         return self.scale * np.abs(rng.standard_normal(n))
@@ -225,7 +219,6 @@ class HalfStudentT(Distribution):
 
     def _log_density(self, x):
         nu, s = self.df, self.scale
-        z = x / s
         lognorm = (
             math.log(2.0)
             + sc.gammaln((nu + 1.0) / 2.0)
@@ -233,7 +226,7 @@ class HalfStudentT(Distribution):
             - 0.5 * math.log(nu * math.pi)
             - math.log(s)
         )
-        return _half_support(x, lognorm - (nu + 1.0) / 2.0 * np.log1p(z * z / nu))
+        return _half_support(x, lambda t: lognorm - (nu + 1.0) / 2.0 * np.log1p(np.square(t / s) / nu))
 
     def _cdf(self, x):
         return np.where(x <= 0.0, 0.0, 2.0 * sc.stdtr(self.df, np.maximum(x, 0.0) / self.scale) - 1.0)
@@ -244,7 +237,7 @@ class HalfStudentT(Distribution):
     def moments(self):
         mean = self.scale * _half_t_mean_unit(self.df) if self.df > 1.0 else None
         sd = self.scale * math.sqrt(_half_t_var_unit(self.df)) if self.df > 2.0 else None
-        return MomentSummary.from_mean_sd(mean, sd, float(self._quantile(np.asarray(0.5))))
+        return MomentSummary(mean, sd)
 
     def _sample(self, rng, n):
         return self.scale * np.abs(rng.standard_t(self.df, n))
@@ -259,7 +252,7 @@ class Exponential(Distribution):
         _positive("scale", self.scale)
 
     def _log_density(self, x):
-        return _half_support(x, -math.log(self.scale) - x / self.scale)
+        return _half_support(x, lambda t: -math.log(self.scale) - t / self.scale)
 
     def _cdf(self, x):
         return np.where(x <= 0.0, 0.0, -np.expm1(-np.maximum(x, 0.0) / self.scale))
@@ -268,7 +261,7 @@ class Exponential(Distribution):
         return -self.scale * np.log1p(-p)
 
     def moments(self):
-        return MomentSummary.from_mean_sd(self.scale, self.scale, self.scale * math.log(2.0))
+        return MomentSummary(self.scale, self.scale)
 
     def _sample(self, rng, n):
         return self.scale * rng.standard_exponential(n)
@@ -284,7 +277,7 @@ class HalfCauchy(Distribution):
 
     def _log_density(self, x):
         s = self.scale
-        return _half_support(x, math.log(2.0 / math.pi) - math.log(s) - np.log1p((x / s) ** 2))
+        return _half_support(x, lambda t: math.log(2.0 / math.pi) - math.log(s) - np.log1p((t / s) ** 2))
 
     def _cdf(self, x):
         return np.where(x <= 0.0, 0.0, (2.0 / math.pi) * np.arctan(np.maximum(x, 0.0) / self.scale))
@@ -294,7 +287,7 @@ class HalfCauchy(Distribution):
 
     def moments(self):
         # mean and sd do not exist
-        return MomentSummary(mean=None, sd=None, cv=None, median=self.scale)
+        return MomentSummary(None, None)
 
     def _sample(self, rng, n):
         return self.scale * np.abs(rng.standard_cauchy(n))
@@ -343,7 +336,7 @@ class LogNormal(Distribution):
         s2 = self.sigma**2
         mean = math.exp(self.mu + s2 / 2.0)
         sd = mean * math.sqrt(math.expm1(s2))
-        return MomentSummary.from_mean_sd(mean, sd, math.exp(self.mu))
+        return MomentSummary(mean, sd)
 
     def _sample(self, rng, n):
         return rng.lognormal(self.mu, self.sigma, n)
@@ -363,7 +356,7 @@ class Lomax(Distribution):
 
     def _log_density(self, x):
         a, lam = self.shape, self.scale
-        return _half_support(x, math.log(a) - math.log(lam) - (a + 1.0) * np.log1p(x / lam))
+        return _half_support(x, lambda t: math.log(a) - math.log(lam) - (a + 1.0) * np.log1p(t / lam))
 
     def _cdf(self, x):
         return np.where(x <= 0.0, 0.0, -np.expm1(-self.shape * np.log1p(np.maximum(x, 0.0) / self.scale)))
@@ -377,7 +370,7 @@ class Lomax(Distribution):
         sd = None
         if a > 2.0:
             sd = lam * math.sqrt(a / (a - 2.0)) / (a - 1.0)
-        return MomentSummary.from_mean_sd(mean, sd, float(self._quantile(np.asarray(0.5))))
+        return MomentSummary(mean, sd)
 
     def _sample(self, rng, n):
         return self.scale * rng.pareto(self.shape, n)
@@ -433,7 +426,7 @@ class ScaledInvChi(Distribution):
         if self.df > 2.0:
             second = self.scale**2 / (self.df - 2.0)
             sd = math.sqrt(second - mean * mean)
-        return MomentSummary.from_mean_sd(mean, sd, float(self._quantile(np.asarray(0.5))))
+        return MomentSummary(mean, sd)
 
     def _sample(self, rng, n):
         return self.scale / np.sqrt(rng.chisquare(self.df, n))
@@ -473,7 +466,7 @@ class InvGamma(Distribution):
         sd = None
         if a > 2.0:
             sd = b / ((a - 1.0) * math.sqrt(a - 2.0))
-        return MomentSummary.from_mean_sd(mean, sd, float(self._quantile(np.asarray(0.5))))
+        return MomentSummary(mean, sd)
 
     def _sample(self, rng, n):
         return self.scale / rng.gamma(self.shape, 1.0, n)
@@ -501,7 +494,7 @@ class Normal(Distribution):
         return self.mean + self.sd * sc.ndtri(p)
 
     def moments(self):
-        return MomentSummary.from_mean_sd(self.mean, self.sd, self.mean)
+        return MomentSummary(self.mean, self.sd)
 
     def _sample(self, rng, n):
         return rng.normal(self.mean, self.sd, n)
@@ -530,7 +523,7 @@ class Uniform(Distribution):
     def moments(self):
         mean = 0.5 * (self.lo + self.hi)
         sd = (self.hi - self.lo) / math.sqrt(12.0)
-        return MomentSummary.from_mean_sd(mean, sd, mean)
+        return MomentSummary(mean, sd)
 
     def _sample(self, rng, n):
         return rng.uniform(self.lo, self.hi, n)

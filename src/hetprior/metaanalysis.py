@@ -58,7 +58,6 @@ weights.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,10 +219,6 @@ def _pool(y: np.ndarray, var: np.ndarray, mu_prior: Normal | None = None) -> tup
     Returns w, sum(w) (the pooled mean's variance is its inverse), the
     pooled mean mu_hat and Cochran's Q = sum(w (y - mu_hat)^2)."""
     if mu_prior is not None:
-        if not isinstance(mu_prior, Normal):
-            raise TypeError(
-                f"mu_prior must be a Normal distribution or None, got {mu_prior!r}"
-            )
         y = np.append(y, mu_prior.mean)
         prior_var = np.full((*var.shape[:-1], 1), mu_prior.sd**2)
         var = np.concatenate([var, prior_var], axis=-1)
@@ -280,6 +275,16 @@ def _tau_posterior(
             f"heterogeneity prior {format_distribution(prior)} has cdf(0) = {below:g}: it puts "
             "mass below tau = 0, but tau is a standard deviation"
         )
+    if mu_prior is not None:
+        if not isinstance(mu_prior, Normal):
+            raise TypeError(f"mu_prior must be a Normal distribution or None, got {mu_prior!r}")
+        # the prior joins _pool as one more study, so it obeys a study's ranges
+        for what, problem in (
+            ("mean", _estimate_problem(mu_prior.mean)),
+            ("sd", _std_err_problem(mu_prior.sd)),
+        ):
+            if problem is not None:
+                raise ValueError(f"effect prior {format_distribution(mu_prior)}: {what} {problem}")
     for extensions in range(_MAX_EXTENSIONS + 1):
         grid = _tau_grid(prior, extensions)
         loglik, total_w, mu_hat = _integrated_loglik(sm, mu_prior, grid)
@@ -578,8 +583,8 @@ class TauEstimates:
 def tau_estimate_collection(c: MetaAnalysisCollection, method: str = "DL") -> TauEstimates:
     """Per-analysis heterogeneity point estimates across a collection.
 
-    Single-study analyses carry no heterogeneity information and are
-    skipped with a warning.
+    Single-study analyses carry no heterogeneity information; they are
+    skipped and listed in ``skipped``.
     """
     norm = method.upper()
     if norm not in ("DL", "PM"):
@@ -596,13 +601,6 @@ def tau_estimate_collection(c: MetaAnalysisCollection, method: str = "DL") -> Ta
         except UndefinedEstimatorError as e:
             raise UndefinedEstimatorError(f"analysis {aid}: {e}") from None
         estimates.append((aid, float(tau)))
-    if skipped:
-        warnings.warn(
-            f"skipped {len(skipped)} single-study analyses (no heterogeneity "
-            f"information): {', '.join(skipped)}",
-            UserWarning,
-            stacklevel=2,
-        )
     if not estimates:
         raise ValueError("no analysis with at least 2 studies")
     return TauEstimates(method=norm, estimates=tuple(estimates), skipped=tuple(skipped))

@@ -75,8 +75,6 @@ __all__ = [
     "InitializationError",
     "run_hierarchical",
     "diagnostics",
-    "DiagnosticsReport",
-    "ParameterDiagnostics",
     "split_rhat",
     "effective_sample_size",
     "summarize_samples",
@@ -608,6 +606,21 @@ def summarize_samples(draws) -> dict[str, float]:
     }
 
 
+def _predictive_summary(s: PosteriorSamples) -> dict[str, float | None]:
+    """:func:`summarize_samples` of the predictive draws of ``s``, with the
+    mean and sd its family does not have (the half-Cauchy has neither) as
+    ``None``: the draws' values would be unstable noise."""
+    summary = summarize_samples(s.predictive)
+    record = HET_FAMILIES[s.family]
+    # which moments a family has does not depend on its hyperparameters
+    moments = record.distribution(*[1.0] * len(record.hyper_names)).moments()
+    if moments.mean is None:
+        summary["mean"] = None
+    if moments.sd is None:
+        summary["sd"] = None
+    return summary
+
+
 def _distribution_summary(d: Distribution) -> dict[str, float | None]:
     """The :func:`summarize_samples` statistics of a distribution: its
     closed-form mean and sd (``None`` where it has none) and quantiles."""
@@ -691,33 +704,15 @@ def effective_sample_size(x: np.ndarray) -> float:
     return float(min(total / tau_int, total))
 
 
-@dataclass(frozen=True)
-class ParameterDiagnostics:
-    name: str
-    rhat: float | None
-    ess: float
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    parameters: tuple[ParameterDiagnostics, ...]
-    warnings: tuple[str, ...]
-
-    def __getitem__(self, name: str) -> ParameterDiagnostics:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
-
-def diagnostics(s: PosteriorSamples) -> DiagnosticsReport:
-    """Split-R-hat and effective sample size per parameter.
+def diagnostics(s: PosteriorSamples) -> tuple[dict[str, dict], list[str]]:
+    """Split-R-hat and effective sample size per parameter, as
+    ``({name: {"rhat", "ess"}}, warnings)``.
 
     A single chain gets the R-hat of its two halves. An R-hat that is not
     finite is reported as ``None``, with a warning that says why. Warnings
     flag R-hat > 1.01 and ESS < 400.
     """
-    entries = []
+    entries = {}
     warns = []
     for name, x in s.columns():
         rhat = split_rhat(x)
@@ -730,10 +725,10 @@ def diagnostics(s: PosteriorSamples) -> DiagnosticsReport:
         elif rhat > 1.01:
             warns.append(f"{name}: split-Rhat {rhat:.3f} > 1.01")
         ess = effective_sample_size(x)
-        entries.append(ParameterDiagnostics(name=name, rhat=rhat, ess=ess))
+        entries[name] = {"rhat": rhat, "ess": ess}
         if ess < 400.0:
             warns.append(f"{name}: effective sample size {ess:.0f} < 400")
-    return DiagnosticsReport(parameters=tuple(entries), warnings=tuple(warns))
+    return entries, warns
 
 
 # -- serialization -------------------------------------------------------------
@@ -925,9 +920,7 @@ def summary_dict(s: PosteriorSamples) -> dict:
         "backend": BACKEND,
         "parameters": params,
     }
-    report = diagnostics(s)
-    doc["diagnostics"] = {p.name: {"rhat": p.rhat, "ess": p.ess} for p in report.parameters}
-    warns = list(report.warnings)
+    doc["diagnostics"], warns = diagnostics(s)
     if s.slice_counts is not None:
         doc["slice_sampler"] = {
             block: {name: per_chain[:, i].tolist() for i, name in enumerate(SLICE_COUNTERS)}

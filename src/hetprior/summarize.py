@@ -19,7 +19,8 @@ are kept alongside.
 
 Each prior is judged by :func:`approximation_table`, which sets its mean,
 sd, median, 95% and 99% quantiles beside those of the predictive draws:
-the statistics of ``sampler.summarize_samples``, as one dict per row.
+the statistics of ``sampler.summarize_samples``, less the mean and sd the
+fitted family does not have, as one dict per row.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .sampler import (
     HET_FAMILIES,
     PosteriorSamples,
     _distribution_summary,
+    _predictive_summary,
     _summary_cells,
-    summarize_samples,
 )
 
 __all__ = [
@@ -303,15 +304,16 @@ def fit_predictive_moments(draws, family: str, source: str = "") -> PriorSpec:
 # -- comparison table ----------------------------------------------------------
 
 
-def approximation_table(specs: list[PriorSpec], tau_star) -> list[dict]:
-    """A first row labelled ``MCMC`` with the :func:`summarize_samples` of
-    the predictive draws ``tau_star``, then one ``{"label": ..., **summary}``
-    row per prior: its closed-form mean and sd (``None`` where the family
-    has none) and its median, 95% and 99% quantiles, under its rounded
-    text as the label."""
+def approximation_table(specs: list[PriorSpec], s: PosteriorSamples) -> list[dict]:
+    """A first row labelled ``MCMC`` with the statistics of the predictive
+    draws of ``s`` (the mean and sd its family does not have are ``None``,
+    as in ``compare``), then one ``{"label": ..., **summary}`` row per
+    prior: its closed-form mean and sd (``None`` where the family has
+    none) and its median, 95% and 99% quantiles, under its rounded text as
+    the label."""
     if not specs:
         raise ValueError("need at least one prior spec")
-    rows = [{"label": "MCMC", **summarize_samples(tau_star)}]
+    rows = [{"label": "MCMC", **_predictive_summary(s)}]
     rows += [{"label": spec.text(), **_distribution_summary(spec.distribution)} for spec in specs]
     return rows
 

@@ -13,13 +13,15 @@ from test_metaanalysis import capped_meta
 
 from hetprior import cli
 from hetprior.cli import _dump_json, main
-from hetprior.data import parse_collection
-from hetprior.dist import parse_distribution
+from hetprior.data import parse_collection, validate_collection
+from hetprior.dic import compare_models, comparison_to_dict
+from hetprior.dist import format_distribution, parse_distribution
 from hetprior.metaanalysis import SingleMeta, bayes_ma, pm_estimate
 from hetprior.sampler import (
     HET_FAMILIES,
     McmcConfig,
     ModelSpec,
+    diagnostics,
     run_hierarchical,
     samples_from_csv,
     samples_to_csv,
@@ -649,6 +651,26 @@ def test_analyze_non_normal_mu_prior_exits_2(single_csv, tmp_path, capsys):
     assert "normal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mu_prior, problem",
+    [
+        ("normal(0,1e200)", "sd 1e+200 is out of range"),
+        ("normal(0,1e-200)", "sd 1e-200 is out of range"),
+        ("normal(1e300,1)", "mean 1e+300 is out of range"),
+    ],
+)
+def test_analyze_mu_prior_outside_a_studys_range_exits_2(single_csv, tmp_path, capsys, mu_prior, problem):
+    out = tmp_path / "an"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", str(single_csv), "--prior", "half-normal(0.5)", "--mu-prior", mu_prior,
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"effect prior {format_distribution(parse_distribution(mu_prior))}: {problem}" in err
+    assert not out.exists()
+
+
 def test_analyze_multi_analysis_needs_flag(corpus_csv, tmp_path, capsys):
     assert main(["analyze", str(corpus_csv), "--prior", "exp(0.3)", "--out", str(tmp_path / "x")]) == 2
     assert "--analysis" in capsys.readouterr().err
@@ -844,6 +866,31 @@ def test_json_mode_matches_file(argv, doc, corpus_csv, single_csv, fit_dir, tmp_
     printed = capsys.readouterr().out
     assert printed == (out / doc).read_text()
     assert json.loads(printed)["schema_version"] == 4
+
+
+# -- the library functions return the documents their commands write ------------------
+
+
+def _without_schema_version(doc: dict) -> dict:
+    return {key: value for key, value in doc.items() if key != "schema_version"}
+
+
+def test_library_results_are_the_written_documents(corpus_csv, fit_dir, tmp_path):
+    c = parse_collection(CORPUS)
+    assert main(["validate", str(corpus_csv), "--out", str(tmp_path / "v")]) == 0
+    written = json.loads((tmp_path / "v" / "summary.json").read_text())
+    assert _without_schema_version(written) == validate_collection(c)
+
+    fit = json.loads((fit_dir / "summary.json").read_text())
+    s = samples_from_csv((fit_dir / "samples.csv").read_text(), "half-normal")
+    assert fit["diagnostics"] == diagnostics(s)[0]
+
+    argv = ["--seed", "2", "--chains", "2", "--iters", "300", "--burnin", "80"]
+    assert main(["compare", str(corpus_csv), "--families", "half-normal,half-cauchy", *argv,
+                 "--out", str(tmp_path / "cmp")]) == 0
+    written = json.loads((tmp_path / "cmp" / "dic.json").read_text())
+    cfg = McmcConfig(chains=2, burn_in=80, iterations=300, seed=2)
+    assert written["models"] == comparison_to_dict(compare_models(c, ["half-normal", "half-cauchy"], cfg))
 
 
 # -- JSON documents ---------------------------------------------------------------------

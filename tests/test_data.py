@@ -144,11 +144,11 @@ def test_collection_invariants():
 
 def test_validate_reports_sizes_and_totals():
     c = parse_collection(MINIMAL)
-    report = validate_collection(c)
-    assert report.n_analyses == 1
-    assert report.n_studies == 2
-    assert report.analyses[0].k == 2
-    assert report.warnings == []
+    doc = validate_collection(c)
+    assert doc["analyses"] == 1
+    assert doc["studies"] == 2
+    assert doc["per_analysis"] == [{"analysis": "MA1", "k": 2}]
+    assert doc["warnings"] == []
 
 
 def test_validate_flags_single_study_analysis():
@@ -157,9 +157,9 @@ A,S1,0.1,0.2
 B,S1,0.3,0.4
 B,S2,0.2,0.4
 """
-    report = validate_collection(parse_collection(text))
-    assert len(report.warnings) == 1
-    assert "'A'" in report.warnings[0]
+    doc = validate_collection(parse_collection(text))
+    assert len(doc["warnings"]) == 1
+    assert "'A'" in doc["warnings"][0]
 
 
 def _collection_with_seq():

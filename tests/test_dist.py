@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,14 +71,18 @@ def test_cdf_monotone_and_bounded(d):
     assert np.all((c >= 0.0) & (c <= 1.0))
 
 
-@pytest.mark.parametrize(
-    "d", [HalfNormal(0.22), HalfStudentT(8.2, 0.2), Exponential(0.2), HalfCauchy(0.1),
-          LogNormal(-2.6, 1.7), Lomax(9.9, 1.5), ScaledInvChi(8.2, 2.0), InvGamma(3.0, 0.4)],
-    ids=ids([HalfNormal(0.22), HalfStudentT(8.2, 0.2), Exponential(0.2), HalfCauchy(0.1),
-             LogNormal(-2.6, 1.7), Lomax(9.9, 1.5), ScaledInvChi(8.2, 2.0), InvGamma(3.0, 0.4)]),
-)
+#: every distribution on x >= 0, with a Lomax whose density formula would
+#: take log1p of a value below -1 at x = -2
+HALF_LINE = [d for d in ZOO if not isinstance(d, Normal)] + [Lomax(2.0, 1.0)]
+
+
+@pytest.mark.parametrize("d", HALF_LINE, ids=ids(HALF_LINE))
 def test_support_is_nonnegative(d):
-    assert d.log_density(-1.0) == -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.log_density(-1.0) == -math.inf
+        assert d.log_density(-2.0) == -math.inf
+        assert np.all(d.log_density(np.array([-2.0, -1e-300, -math.inf, math.nan])) == -math.inf)
     assert d.cdf(-1.0) == 0.0
 
 
@@ -96,8 +101,8 @@ def test_half_cauchy_mode_and_median():
     assert d.log_density(0.0) == pytest.approx(math.log(2.0 / (math.pi * 0.10)), abs=1e-12)
     assert d.cdf(0.10) == pytest.approx(0.5, abs=1e-12)
     m = d.moments()
-    assert m.mean is None and m.sd is None and m.cv is None
-    assert m.median == pytest.approx(0.10)
+    assert m.mean is None and m.sd is None
+    assert d.quantile(0.5) == pytest.approx(0.10)
     assert d.quantile(0.99) == pytest.approx(6.37, abs=5e-3)
 
 
@@ -112,8 +117,8 @@ def test_printed_moment_values():
     assert (round(m.mean, 2), round(m.sd, 2)) == (0.18, 0.13)
     m = Lomax(9.9, 1.5).moments()
     assert (round(m.mean, 2), round(m.sd, 2)) == (0.17, 0.19)
-    m = LogNormal(-2.6, 1.7).moments()
-    assert (round(m.median, 2), round(m.mean, 2)) == (0.07, 0.32)
+    d = LogNormal(-2.6, 1.7)
+    assert (round(d.quantile(0.5), 2), round(d.moments().mean, 2)) == (0.07, 0.32)
 
 
 def test_undefined_moments_are_none():

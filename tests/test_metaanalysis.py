@@ -1,5 +1,6 @@
 """Tests for the single meta-analysis module (grid Bayes + frequentist suite)."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from hetprior import metaanalysis
+from hetprior import cli, metaanalysis
 from hetprior.data import parse_collection
 from hetprior.dist import (
     HalfCauchy,
@@ -657,20 +658,29 @@ def test_identical_y_corpus_is_all_zero():
     assert est.skipped == ()
 
 
-def test_single_study_analyses_are_skipped_with_warning():
-    c = parse_collection(
-        corpus_csv(
-            [
-                ("a", [(0.0, 1.0), (2.0, 1.0)]),
-                ("solo", [(0.5, 0.4)]),
-            ]
-        )
+def test_single_study_analyses_are_skipped_with_warning(tmp_path, capsys):
+    text = corpus_csv(
+        [
+            ("a", [(0.0, 1.0), (2.0, 1.0)]),
+            ("solo", [(0.5, 0.4)]),
+        ]
     )
-    with pytest.warns(UserWarning, match="solo"):
-        est = tau_estimate_collection(c, "DL")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = tau_estimate_collection(parse_collection(text), "DL")
     assert est.skipped == ("solo",)
     assert dict(est.estimates)["a"] == pytest.approx(1.0)
     assert est.summary()["n"] == 1
+    # the command's document carries the warning, on every run of one process
+    path = tmp_path / "corpus.csv"
+    path.write_text(text)
+    warning = "skipped 1 single-study analyses (no heterogeneity information): solo"
+    for run in ("first", "second"):
+        assert cli.main(["tau-estimates", str(path), "--out", str(tmp_path / run)]) == 0
+        doc = json.loads((tmp_path / run / "summary.json").read_text())
+        assert doc["skipped"] == ["solo"]
+        assert doc["warnings"] == [warning]
+        assert f"warning: {warning}" in capsys.readouterr().out.splitlines()
 
 
 def test_pm_collection_matches_per_analysis_estimates():
@@ -693,9 +703,8 @@ def test_tau_estimate_collection_validation():
     c = parse_collection(corpus_csv([("solo", [(0.5, 0.4)])]))
     with pytest.raises(ValueError, match="method"):
         tau_estimate_collection(c, "REML")
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match="2 studies"):
-            tau_estimate_collection(c, "DL")
+    with pytest.raises(ValueError, match="2 studies"):
+        tau_estimate_collection(c, "DL")
 
 
 # -- forest rows -----------------------------------------------------------------

@@ -275,10 +275,10 @@ def test_diagnostics_warn_on_infinite_rhat_and_summary_holds_none():
     table = np.abs(rng.normal(0.3, 0.1, (2, 1000, 7)))  # scale, mu[a], mu[b], tau[a], tau[b], ...
     table[0, :, 0], table[1, :, 0] = 0.25, 0.5
     s = PosteriorSamples(family="half-normal", table=table, analysis_ids=ids)
-    rep = diagnostics(s)
-    assert rep["scale"].rhat is None
-    assert "scale: split-Rhat infinite: every half-chain is constant, the halves differ" in rep.warnings
-    assert rep["scale"].ess < 400
+    entries, warns = diagnostics(s)
+    assert entries["scale"]["rhat"] is None
+    assert "scale: split-Rhat infinite: every half-chain is constant, the halves differ" in warns
+    assert entries["scale"]["ess"] < 400
     text = json.dumps(summary_dict(s))
     assert "NaN" not in text and "Infinity" not in text
 
@@ -298,39 +298,37 @@ def test_posterior_samples_columns_are_read_only_views(quick_run):
 
 
 def test_diagnostics_report(quick_run):
-    rep = diagnostics(quick_run)
-    assert [p.name for p in rep.parameters] == quick_run.parameter_names()
-    for p in (rep["scale"], rep["tau_star"], rep["deviance"]):
-        assert p.rhat is not None and p.rhat < 1.05
-        assert p.ess > 50
-    assert rep["scale"].name == "scale"
-    with pytest.raises(KeyError):
-        rep["nope"]
+    entries, _ = diagnostics(quick_run)
+    assert list(entries) == quick_run.parameter_names()
+    for name in ("scale", "tau_star", "deviance"):
+        assert set(entries[name]) == {"rhat", "ess"}
+        assert entries[name]["rhat"] is not None and entries[name]["rhat"] < 1.05
+        assert entries[name]["ess"] > 50
 
 
 def test_diagnostics_single_chain_rhat_from_its_halves():
     s = run_hierarchical(small_corpus(), ModelSpec(),
                          McmcConfig(chains=1, burn_in=100, iterations=300, seed=4))
-    rep = diagnostics(s)
-    assert math.isfinite(rep["scale"].rhat) and rep["scale"].rhat < 1.05
-    assert rep["scale"].ess > 0
+    scale = diagnostics(s)[0]["scale"]
+    assert math.isfinite(scale["rhat"]) and scale["rhat"] < 1.05
+    assert scale["ess"] > 0
 
 
 def test_diagnostics_flag_one_drifting_chain():
     rng = np.random.default_rng(6)
     table = np.abs(rng.normal(0.3, 0.1, (1, 1000, 5)))  # scale, mu[a], tau[a], tau_star, deviance
     table[0, :, 0] = np.linspace(0.2, 0.6, 1000) + rng.normal(0.0, 0.02, 1000)
-    rep = diagnostics(PosteriorSamples(family="half-normal", table=table, analysis_ids=("a",)))
-    assert rep["scale"].rhat > 1.01
-    assert f"scale: split-Rhat {rep['scale'].rhat:.3f} > 1.01" in rep.warnings
+    entries, warns = diagnostics(PosteriorSamples(family="half-normal", table=table, analysis_ids=("a",)))
+    assert entries["scale"]["rhat"] > 1.01
+    assert f"scale: split-Rhat {entries['scale']['rhat']:.3f} > 1.01" in warns
 
 
 def test_diagnostics_warnings_trigger():
     # tiny run: ESS < 400 must be flagged
     s = run_hierarchical(small_corpus(), ModelSpec(),
                          McmcConfig(chains=2, burn_in=50, iterations=60, seed=8))
-    rep = diagnostics(s)
-    assert any(w.startswith("scale: effective sample size") for w in rep.warnings)
+    _, warns = diagnostics(s)
+    assert any(w.startswith("scale: effective sample size") for w in warns)
 
 
 def test_summarize_samples_basics():

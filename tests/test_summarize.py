@@ -19,7 +19,7 @@ from hetprior.dist import (
     half_t_moment_fit,
     scale_mixture_half_t,
 )
-from hetprior.sampler import PosteriorSamples
+from hetprior.sampler import PosteriorSamples, summarize_samples
 from hetprior.summarize import (
     FitError,
     PriorSpec,
@@ -371,6 +371,17 @@ def test_moment_self_fit_half_t_converges():
 TAU_STAR = np.abs(np.random.default_rng(41).normal(0, 0.2, (4, 500)))
 
 
+def predictive_fit(tau_star, family="half-normal"):
+    """A one-analysis fit of a one-hyperparameter family whose predictive
+    draws are the (chains, kept) array ``tau_star``."""
+    zeros = np.zeros_like(tau_star)
+    table = np.stack([np.full_like(tau_star, 0.2), zeros, np.full_like(tau_star, 0.1), tau_star, zeros], axis=-1)
+    return PosteriorSamples(family=family, table=table, analysis_ids=("a",))
+
+
+FIT = predictive_fit(TAU_STAR)
+
+
 def _table_row(rows, label_prefix):
     matches = [r for r in rows if r["label"].startswith(label_prefix)]
     assert matches, f"no row starting with {label_prefix!r}"
@@ -382,7 +393,7 @@ def test_table_half_normal_and_half_t_rows():
         PriorSpec(HalfNormal(0.22), "point_estimate(mean)"),
         PriorSpec(HalfStudentT(8.2, 0.20), "mixture_match"),
     ]
-    rows = approximation_table(specs, TAU_STAR)
+    rows = approximation_table(specs, FIT)
     hn = _table_row(rows, "half-normal")
     assert (round(hn["mean"], 2), round(hn["sd"], 2)) == (0.18, 0.13)
     assert (round(hn["median"], 2), round(hn["q95"], 2), round(hn["q99"], 2)) == (0.15, 0.43, 0.57)
@@ -397,7 +408,7 @@ def test_table_heavy_tail_rows():
         PriorSpec(LogNormal(-2.6, 1.7), "mixture_match"),
         PriorSpec(HalfCauchy(0.10), "point_estimate(mean)"),
     ]
-    rows = approximation_table(specs, TAU_STAR)
+    rows = approximation_table(specs, FIT)
     lo = _table_row(rows, "lomax")
     assert (round(lo["mean"], 2), round(lo["sd"], 2)) == (0.17, 0.19)
     assert (round(lo["median"], 2), round(lo["q95"], 2), round(lo["q99"], 2)) == (0.11, 0.53, 0.89)
@@ -410,20 +421,29 @@ def test_table_heavy_tail_rows():
 
 
 def test_table_empirical_row_comes_first():
-    rows = approximation_table([PriorSpec(HalfNormal(0.2), "point_estimate(mean)")], TAU_STAR)
+    rows = approximation_table([PriorSpec(HalfNormal(0.2), "point_estimate(mean)")], FIT)
     assert rows[0]["label"] == "MCMC"
     assert rows[0]["mean"] == pytest.approx(TAU_STAR.mean())
     assert rows[0]["median"] == pytest.approx(np.quantile(TAU_STAR, 0.5))
     assert len(rows) == 2
 
 
+def test_table_empirical_row_leaves_out_the_moments_the_family_lacks():
+    spec = PriorSpec(HalfCauchy(0.1), "point_estimate(mean)")
+    [hc, _] = approximation_table([spec], predictive_fit(TAU_STAR, "half-cauchy"))
+    [hn, _] = approximation_table([spec], FIT)
+    draws = summarize_samples(TAU_STAR)
+    assert hn == {"label": "MCMC", **draws}
+    assert hc == {**hn, "mean": None, "sd": None}
+
+
 def test_table_requires_specs():
     with pytest.raises(ValueError):
-        approximation_table([], TAU_STAR)
+        approximation_table([], FIT)
 
 
 def test_format_table_marks_undefined_cells():
-    rows = approximation_table([PriorSpec(HalfCauchy(0.1), "point_estimate(mean)")], TAU_STAR)
+    rows = approximation_table([PriorSpec(HalfCauchy(0.1), "point_estimate(mean)")], FIT)
     text = format_approximation_table(rows)
     lines = text.splitlines()
     assert "prior" in lines[0] and "99%" in lines[0]
@@ -435,7 +455,7 @@ def test_format_table_marks_undefined_cells():
 
 def test_table_row_of_half_cauchy_prior_is_a_plain_dict():
     d = HalfCauchy(0.1)
-    [_, row] = approximation_table([PriorSpec(d, "point_estimate(mean)")], TAU_STAR)
+    [_, row] = approximation_table([PriorSpec(d, "point_estimate(mean)")], FIT)
     assert row == {
         "label": "half-cauchy(0.1)",
         "mean": None,
