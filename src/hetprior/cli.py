@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -538,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="check a corpus CSV and report its shape")
     _add_corpus_flags(sp)
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("fit", help="fit the hierarchical heterogeneity model")
     _add_corpus_flags(sp)
@@ -550,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_mcmc_flags(sp)
     _add_output_flags(sp, svg=True)
-    sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("compare", help="DIC comparison across heterogeneity families")
     _add_corpus_flags(sp)
@@ -561,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_mcmc_flags(sp)
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("approx", help="condense fitted samples into parametric priors")
     sp.add_argument("samples", help="samples.csv from a fit run (or its output directory)")
@@ -582,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="families for the ml/moments direct fits (comma list)",
     )
     _add_output_flags(sp, svg=True)
-    sp.set_defaults(func=cmd_approx)
 
     sp = sub.add_parser("analyze", help="Bayesian meta-analysis of one dataset under a prior")
     sp.add_argument("path", help="CSV with the studies of one meta-analysis")
@@ -596,21 +593,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--analysis", default=None, help="analysis id if the file holds several")
     _add_output_flags(sp, svg=True)
-    sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("tau-estimates", help="DL/PM heterogeneity estimates per analysis")
     _add_corpus_flags(sp)
     sp.add_argument("--method", default="DL", help="DL or PM (default DL)")
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_tau_estimates)
 
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first :func:`main` call
+    rather than at import, where it would add to every command's start-up."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound ``cmd_*`` is the one that runs
+    func = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return func(args)
     except (GridError, FitError, InitializationError, InfeasibleError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

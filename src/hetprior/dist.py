@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special as sc
-from scipy import optimize
 
 __all__ = [
     "Distribution",
@@ -620,6 +619,8 @@ def _solve_decreasing_cv(cv_func, cv: float, label: str) -> float:
             stacklevel=3,
         )
         return NU_MAX
+    from scipy import optimize  # here, not at import: it adds ~0.4 s to every command's start-up
+
     return float(optimize.brentq(lambda v: cv_func(v) - cv, 2.0 + 1e-9, NU_MAX, xtol=1e-12))
 
 

@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 from .data import MetaAnalysisCollection, _estimate_problem, _std_err_problem
 from .dist import Distribution, Normal, format_distribution
@@ -163,7 +163,10 @@ class GridDensity:
             raise ValueError("grid and density must be matching 1-d arrays")
 
     def _cdf_table(self) -> np.ndarray:
-        cdf = integrate.cumulative_trapezoid(self.density, self.grid, initial=0.0)
+        # scipy.integrate.cumulative_trapezoid(initial=0.0), bit for bit,
+        # without its import cost
+        d = self.density
+        cdf = np.concatenate(([0.0], np.cumsum(np.diff(self.grid) * (d[1:] + d[:-1]) / 2.0)))
         return cdf / cdf[-1]
 
     def quantile(self, p) -> np.ndarray | float:
@@ -532,6 +535,8 @@ def pm_estimate(sm: SingleMeta) -> float:
                 f"PM estimate undefined: the generalized Q statistic stays above k - 1 = "
                 f"{sm.k - 1} at every finite tau"
             )
+    from scipy import optimize  # here, not at import: it adds ~0.4 s to every command's start-up
+
     return float(optimize.brentq(f, 0.0, hi, xtol=1e-12 * hi))
 
 

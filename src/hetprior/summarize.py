@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .dist import (
     _FAMILIES,
@@ -228,6 +227,8 @@ def fit_predictive_ml(draws, family: str, source: str = "") -> PriorSpec:
         ll = d.log_density(x)
         total = float(np.sum(ll))
         return math.inf if math.isnan(total) else -total
+
+    from scipy import optimize  # here, not at import: it adds ~0.4 s to every command's start-up
 
     start = _pack(_moment_start(x, family))
     res = optimize.minimize(

@@ -4,7 +4,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -982,3 +986,63 @@ def test_svg_labels_from_input_are_escaped(tmp_path):
     texts = _svg_texts(an / "forest.svg")
     assert texts[0] == "meta-analysis X<1>"
     assert {"A&B", 's "2" > 1', "s3"} <= set(texts)
+
+
+# -- start-up cost ---------------------------------------------------------------------
+
+
+def test_main_builds_one_parser_and_runs_the_command_bound_at_call_time(single_csv, tmp_path, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    argv = ["analyze", str(single_csv), "--prior", "exp(0.3)", "--out"]
+    assert main(argv + [str(tmp_path / "first")]) == 0
+    # a benchmark tracer rebinds the command functions between calls
+    ran = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: ran.append(args.path) or 0)
+    assert main(argv + [str(tmp_path / "second")]) == 0
+    assert built == [1]
+    assert ran == [str(single_csv)]
+    assert not (tmp_path / "second").exists()
+
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from hetprior import cli
+
+corpus, single, spread, out = sys.argv[1:]
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg")
+mcmc = ["--seed", "1", "--chains", "2", "--iters", "40", "--burnin", "10"]
+runs = {
+    "import": None,
+    "validate": ["validate", corpus],
+    "tau-estimates": ["tau-estimates", corpus],
+    "fit": ["fit", corpus, *mcmc],
+    "compare": ["compare", corpus, "--families", "half-normal,exp", *mcmc],
+    "analyze": ["analyze", single, "--prior", "half-t(4,0.3)", "--mu-prior", "normal(0,2)"],
+    "tau-estimates PM": ["tau-estimates", spread, "--method", "PM"],
+}
+loaded = {}
+for name, argv in runs.items():
+    if argv is not None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--out", f"{out}/{name}"]) == 0, name
+    loaded[name] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_scipy_optimize_only_when_they_run_it(corpus_csv, single_csv, tmp_path):
+    # scipy.optimize and scipy.integrate add about 0.4 s to a command's
+    # start-up; only the commands that call them may load them
+    src = str(Path(cli.__file__).parents[1])
+    spread = tmp_path / "spread.csv"  # Q far above k - 1: PM runs its root search
+    spread.write_text("analysis_id,study_id,estimate,std_err\na,s0,0.0,0.1\na,s1,1.0,0.1\na,s2,2.0,0.1\n")
+    argv = [sys.executable, "-c", _FOOTPRINT, *map(str, (corpus_csv, single_csv, spread, tmp_path))]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout)
+    assert "scipy.optimize" in loaded.pop("tau-estimates PM")
+    assert loaded == dict.fromkeys(loaded, [])

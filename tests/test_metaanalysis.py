@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize, special
+from scipy import integrate, optimize, special
 
 from hetprior import cli, metaanalysis
 from hetprior.data import parse_collection
@@ -23,6 +23,7 @@ from hetprior.dist import (
 )
 from hetprior.metaanalysis import (
     DlResult,
+    GridDensity,
     GridError,
     LabeledInterval,
     SingleMeta,
@@ -180,6 +181,17 @@ def test_tau_marginal_rejects_nondecaying_posterior():
     sm = SingleMeta(y=(0.1,), sigma=(0.5,))
     with pytest.raises(GridError, match="decay"):
         tau_marginal(sm, ImproperFlat(0.2))
+
+
+def test_cdf_table_is_scipys_cumulative_trapezoid_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 17, 2001, 40001):
+        for scale in (1e-300, 1e-8, 1.0, 1e5):
+            grid = np.cumsum(rng.exponential(1.0, n))
+            density = scale * rng.exponential(1.0, n)
+            cdf = integrate.cumulative_trapezoid(density, grid, initial=0.0)
+            table = GridDensity(grid=grid, density=density)._cdf_table()
+            assert table.tobytes() == (cdf / cdf[-1]).tobytes()
 
 
 # -- Bayesian meta-analysis -------------------------------------------------------

@@ -286,9 +286,7 @@ def test_ml_nonconvergence_raises_fit_error(monkeypatch):
     fake = types.SimpleNamespace(
         success=False, message="budget exhausted", nfev=10_000, x=np.array([0.0]), fun=1.0
     )
-    monkeypatch.setattr(
-        "hetprior.summarize.optimize.minimize", lambda *a, **k: fake
-    )
+    monkeypatch.setattr("scipy.optimize.minimize", lambda *a, **k: fake)
     with pytest.raises(FitError, match="did not converge"):
         fit_predictive_ml(np.full(2000, 0.2), "exp")
 
