@@ -53,6 +53,8 @@ from .sampler import (  # noqa: F401
     split_rhat,
     effective_sample_size,
     diagnostics,
+    samples_to_npy,
+    samples_from_npy,
     samples_to_csv,
     samples_from_csv,
     summary_dict,

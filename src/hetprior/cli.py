@@ -40,8 +40,8 @@ from .sampler import (
     McmcConfig,
     ModelSpec,
     run_hierarchical,
-    samples_from_csv,
-    samples_to_csv,
+    samples_from_npy,
+    samples_to_npy,
     summary_dict,
 )
 from .summarize import (
@@ -57,7 +57,7 @@ from .summarize import (
 )
 from .svg import density_svg, forest_svg, histogram_svg
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -103,15 +103,22 @@ def _npy(d) -> bytes:
     return buf.getvalue()
 
 
+def _input(path: Path, data: bytes) -> dict:
+    """The manifest entry of an input file: its path and the sha256 of
+    ``data``, the bytes that were read from it once and parsed."""
+    return {"path": str(path), "sha256": _sha256(data)}
+
+
 def _emit(
-    args, command: str, inputs: list[Path], options: dict, seed, files: dict, text: str
+    args, command: str, inputs: list[dict], options: dict, seed, files: dict, text: str
 ) -> None:
     """The one output path of every subcommand.
 
     Writes ``files`` (name -> text, bytes, or a dict written as JSON with
-    ``schema_version`` added) and a manifest of the run into ``--out``, then
-    prints the first file (the command's JSON document) under ``--json``
-    and ``text`` otherwise.
+    ``schema_version`` added) and a manifest of the run, listing the
+    :func:`_input` entries ``inputs``, into ``--out``, then prints the first
+    file (the command's JSON document) under ``--json`` and ``text``
+    otherwise.
     """
     out = Path(args.out)
     written = {
@@ -130,7 +137,7 @@ def _emit(
         "tool_version": __version__,
         "backend": BACKEND,
         "subcommand": command,
-        "inputs": [{"path": str(p), "sha256": _sha256(p.read_bytes())} for p in inputs],
+        "inputs": inputs,
         "options": options,
         "seed": seed,
         "outputs": sorted([*written, "manifest.json"]),
@@ -142,12 +149,20 @@ def _emit(
         print(text)
 
 
+def _read_corpus(path: Path):
+    """The corpus in ``path`` and its :func:`_input` entry, from one read.
+    The bytes are decoded as ``Path.read_text`` decodes them: the locale's
+    encoding and universal newlines, so a CRLF file parses as an LF one."""
+    data = path.read_bytes()
+    text = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+    return parse_collection(text), _input(path, data)
+
+
 def _load_corpus(args):
-    path = Path(args.path)
-    c = parse_collection(path.read_text())
+    c, entry = _read_corpus(Path(args.path))
     if args.subset_recent is not None:
         c = subset_recent(c, args.subset_recent)
-    return c, path
+    return c, entry
 
 
 def _resolve_seed(args) -> int:
@@ -196,12 +211,12 @@ def _forest_csv(rows: list[dict]) -> str:
 
 
 def cmd_validate(args) -> int:
-    c, path = _load_corpus(args)
+    c, entry = _load_corpus(args)
     doc = validate_collection(c)
     lines = [f"{doc['analyses']} analyses, {doc['studies']} studies"]
     lines += [f"warning: {w}" for w in doc["warnings"]]
     _emit(
-        args, "validate", [path], {"subset_recent": args.subset_recent}, None,
+        args, "validate", [entry], {"subset_recent": args.subset_recent}, None,
         {"summary.json": doc}, "\n".join(lines),
     )
     return 0
@@ -228,14 +243,15 @@ def _fit_table(s, doc: dict) -> str:
 
 
 def cmd_fit(args) -> int:
-    c, path = _load_corpus(args)
+    c, entry = _load_corpus(args)
     seed = _resolve_seed(args)
     m = ModelSpec(het_family=args.family)
     cfg = _mcmc_config(args, seed)
     s = run_hierarchical(c, m, cfg)
-    samples = samples_to_csv(s)
+    samples = samples_to_npy(s)
     doc = summary_dict(s)
-    doc["samples_sha256"] = _sha256(samples.encode())
+    doc["columns"] = s.parameter_names()
+    doc["samples_sha256"] = _sha256(samples)
     doc["seed"] = seed
     doc["config"] = {
         "family": args.family,
@@ -245,7 +261,7 @@ def cmd_fit(args) -> int:
         "thin": cfg.thin,
         "seed": seed,
     }
-    files = {"summary.json": doc, "samples.csv": samples}
+    files = {"summary.json": doc, "samples.npy": samples}
     if args.svg:
         files["tau_star.svg"] = histogram_svg(
             s.predictive.ravel(),
@@ -259,12 +275,12 @@ def cmd_fit(args) -> int:
         "burn_in": cfg.burn_in,
         "subset_recent": args.subset_recent,
     }
-    _emit(args, "fit", [path], options, seed, files, _fit_table(s, doc))
+    _emit(args, "fit", [entry], options, seed, files, _fit_table(s, doc))
     return 0
 
 
 def cmd_compare(args) -> int:
-    c, path = _load_corpus(args)
+    c, entry = _load_corpus(args)
     families = _family_list(args.families, HET_FAMILIES, "family")
     seed = _resolve_seed(args)
     cfg = _mcmc_config(args, seed)
@@ -280,7 +296,7 @@ def cmd_compare(args) -> int:
         "burn_in": cfg.burn_in,
         "subset_recent": args.subset_recent,
     }
-    _emit(args, "compare", [path], options, seed, {"dic.json": doc}, format_comparison_table(rows))
+    _emit(args, "compare", [entry], options, seed, {"dic.json": doc}, format_comparison_table(rows))
     if all(r.error is not None for r in rows):
         print("numerical failure: every family failed to fit", file=sys.stderr)
         return 3
@@ -304,38 +320,71 @@ def _make_prior(method: str, fit_family: str | None, s, source: str):
     )
 
 
-def cmd_approx(args) -> int:
-    src = Path(args.samples)
-    csv_path = src / "samples.csv" if src.is_dir() else src
-    text = csv_path.read_text()
-    sibling = csv_path.parent / "summary.json"
-    fit_summary = json.loads(sibling.read_text()) if sibling.exists() else {}
+def _read_draws(src: Path, family: str | None):
+    """The draws of the fit run at ``src`` (its ``--out`` directory or its
+    ``samples.npy``) and their :func:`_input` entry; ``family``, if given,
+    must be the one that run records.
+
+    The file is read once; its bytes are checked against the
+    ``samples_sha256`` that ``fit`` recorded in the ``summary.json`` beside
+    it, and then loaded with the ``columns`` recorded there. A missing
+    summary, a text draw file of schema 4 or older, and any damage exit 2
+    naming the file and the cause.
+    """
+    path = src / "samples.npy" if src.is_dir() else src
+    if path.suffix == ".csv" or (not path.exists() and path.with_suffix(".csv").exists()):
+        raise ValueError(
+            f"{path.with_suffix('.csv')} is a text draw file of schema 4 or older; approx reads "
+            f"the samples.npy of schema {SCHEMA_VERSION}: re-run `hetprior fit` to write it"
+        )
+    data = path.read_bytes()
+    entry = _input(path, data)
+    sibling = path.parent / "summary.json"
+    if not sibling.exists():
+        raise ValueError(
+            f"{path}: no {sibling.name} beside it; approx takes the draw columns and the "
+            "family from the summary that `hetprior fit` writes there"
+        )
+    try:
+        fit_summary = json.loads(sibling.read_text())
+    except ValueError as e:
+        raise ValueError(f"{sibling}: {e}") from None
     if not isinstance(fit_summary, dict):
         raise ValueError(f"{sibling} is not a JSON object")
     for key in ("family", "samples_sha256"):
         value = fit_summary.get(key)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{sibling}: {key!r} must be a string, got {json.dumps(value)}")
+    columns = fit_summary.get("columns")
+    if not (isinstance(columns, list) and all(isinstance(name, str) for name in columns)):
+        raise ValueError(f"{sibling}: 'columns' must be a list of strings, got {json.dumps(columns)}")
     recorded = fit_summary.get("samples_sha256")
-    if recorded is not None and (digest := _sha256(text.encode())) != recorded:
+    if recorded is not None and entry["sha256"] != recorded:
         raise ValueError(
-            f"{csv_path} does not match the fit that wrote it: its sha256 is {digest}, "
+            f"{path} does not match the fit that wrote it: its sha256 is {entry['sha256']}, "
             f"{sibling} records {recorded}"
         )
     fit_family = fit_summary.get("family")
-    family = args.family if args.family is not None else fit_family
+    family = family or fit_family
     if family is None:
-        raise ValueError("family not given and no summary.json next to the samples file")
+        raise ValueError(f"family not given and {sibling} records none")
     if fit_family not in (None, family):
         raise ValueError(f"--family {family} contradicts {sibling}, which records the {fit_family} family")
-    s = samples_from_csv(text, family)
+    try:
+        return samples_from_npy(data, family, columns), entry
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def cmd_approx(args) -> int:
+    s, entry = _read_draws(Path(args.samples), args.family)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValueError("--methods names no method")
     fit_families = _family_list(args.fit_families, FIT_FAMILIES, "fit family")
     if not fit_families:
         raise ValueError("--fit-families names no family")
-    source = str(csv_path)
+    source = entry["path"]
 
     specs = []
     failures = []
@@ -359,13 +408,13 @@ def cmd_approx(args) -> int:
 
     rows = approximation_table(specs, s)
     doc = {
-        "family": family,
+        "family": s.family,
         "source": source,
         "table": rows,
         "failures": failures,
     }
     priors_doc = {
-        "family": family,
+        "family": s.family,
         "source": source,
         "priors": [prior_to_dict(spec) for spec in specs],
         "failures": failures,
@@ -382,14 +431,13 @@ def cmd_approx(args) -> int:
             x_label="predictive heterogeneity",
             title="predictive draws and matched priors",
         )
-    options = {"family": family, "methods": args.methods, "fit_families": list(fit_families)}
-    _emit(args, "approx", [csv_path], options, None, files, format_approximation_table(rows))
+    options = {"family": s.family, "methods": args.methods, "fit_families": list(fit_families)}
+    _emit(args, "approx", [entry], options, None, files, format_approximation_table(rows))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    path = Path(args.path)
-    c = parse_collection(path.read_text())
+    c, entry = _read_corpus(Path(args.path))
     aid = c.resolve_id(args.analysis)
     sm = single_meta(c, aid)
     labels = [r.study_id for r in c.analysis(aid)]
@@ -463,12 +511,12 @@ def cmd_analyze(args) -> int:
     ]
     lines += [f"warning: {w}" for w in res.warnings]
     options = {"analysis": aid, "prior": args.prior, "mu_prior": args.mu_prior}
-    _emit(args, "analyze", [path], options, None, files, "\n".join(lines))
+    _emit(args, "analyze", [entry], options, None, files, "\n".join(lines))
     return 0
 
 
 def cmd_tau_estimates(args) -> int:
-    c, path = _load_corpus(args)
+    c, entry = _load_corpus(args)
     est = tau_estimate_collection(c, args.method)
     summary = est.summary()
     warns = []
@@ -492,7 +540,7 @@ def cmd_tau_estimates(args) -> int:
     )
     lines += [f"warning: {w}" for w in warns]
     options = {"method": est.method, "subset_recent": args.subset_recent}
-    _emit(args, "tau-estimates", [path], options, None, {"summary.json": doc}, "\n".join(lines))
+    _emit(args, "tau-estimates", [entry], options, None, {"summary.json": doc}, "\n".join(lines))
     return 0
 
 
@@ -562,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
 
     sp = sub.add_parser("approx", help="condense fitted samples into parametric priors")
-    sp.add_argument("samples", help="samples.csv from a fit run (or its output directory)")
+    sp.add_argument("samples", help="samples.npy from a fit run (or its output directory)")
     sp.add_argument(
         "--family",
         default=None,

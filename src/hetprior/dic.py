@@ -75,8 +75,9 @@ def deviance(c: MetaAnalysisCollection, mu, tau) -> float:
 
 
 def compute_dic(s: PosteriorSamples, c: MetaAnalysisCollection) -> DicResult:
-    """DIC from posterior draws of the analyses in ``c``; a draw file is
-    read with :func:`~hetprior.sampler.samples_from_csv` first."""
+    """DIC from posterior draws of the analyses in ``c``; ``fit``'s
+    ``samples.npy`` is read with :func:`~hetprior.sampler.samples_from_npy`
+    first."""
     mean_deviance = float(np.mean(s.deviance))
     plug_in = deviance(c, s.mu.mean(axis=(0, 1)), s.tau.mean(axis=(0, 1)))
     p_d = mean_deviance - plug_in

@@ -78,6 +78,8 @@ __all__ = [
     "split_rhat",
     "effective_sample_size",
     "summarize_samples",
+    "samples_to_npy",
+    "samples_from_npy",
     "samples_to_csv",
     "samples_from_csv",
     "summary_dict",
@@ -276,7 +278,7 @@ def _parameter_names(family: str, analysis_ids) -> list[str]:
 @dataclass(frozen=True, eq=False)
 class PosteriorSamples:
     """Posterior draws as one read-only (chains, kept, P) table whose P
-    columns are :meth:`parameter_names`, the row layout of ``samples.csv``.
+    columns are :meth:`parameter_names`, the layout of ``samples.npy``.
 
     ``hyper`` (name -> (chains, kept)), ``mu`` and ``tau`` ((chains, kept,
     N)), ``predictive`` and ``deviance`` are views of its columns.
@@ -734,8 +736,61 @@ def diagnostics(s: PosteriorSamples) -> tuple[dict[str, dict], list[str]]:
 # -- serialization -------------------------------------------------------------
 
 
+def samples_to_npy(s: PosteriorSamples) -> bytes:
+    """The draw table of ``s`` as ``.npy`` bytes: one C-ordered (chains,
+    kept, P) float64 array, bit for bit, whose P columns are
+    :meth:`PosteriorSamples.parameter_names`. The names are not in it (a
+    ``.npy`` holds strings only by pickle); ``np.save`` writes the same bytes
+    for the same table."""
+    buf = io.BytesIO()
+    np.save(buf, s.table, allow_pickle=False)
+    return buf.getvalue()
+
+
+def samples_from_npy(data: bytes, family: str, columns: list[str]) -> PosteriorSamples:
+    """Rebuild a :class:`PosteriorSamples` from the bytes of
+    :func:`samples_to_npy` and the names of its columns.
+
+    ``data`` must hold exactly one ``.npy`` array, loaded without pickle: a
+    float64 (chains, kept, P) array with at least one draw, P the number of
+    ``columns``, and every value finite. ``columns`` must be the family's
+    layout for the analysis ids of its ``mu[...]`` names. Anything else
+    fails here, naming the cause.
+    """
+    ModelSpec(het_family=family)  # raises ConfigError for an unknown family
+    if not data.startswith(np.lib.format.MAGIC_PREFIX):
+        raise ValueError("not a .npy file: it does not start with the .npy magic string")
+    buf = io.BytesIO(data)
+    # a damaged header can claim a shape larger than memory
+    try:
+        table = np.load(buf, allow_pickle=False)
+    except (ValueError, MemoryError) as e:
+        raise ValueError(f"does not load as a .npy array without pickle ({e})") from None
+    if buf.tell() != len(data):
+        raise ValueError(f"{len(data) - buf.tell()} bytes follow the .npy array")
+    if table.dtype != np.float64:
+        raise ValueError(f"dtype {table.dtype}, expected float64")
+    if table.ndim != 3:
+        raise ValueError(f"array of shape {table.shape}, expected 3 axes (chains, kept, columns)")
+    if table.shape[-1] != len(columns):
+        raise ValueError(f"{table.shape[-1]} columns in the array, but {len(columns)} column names")
+    ids = [name[3:-1] for name in columns if name.startswith("mu[") and name.endswith("]")]
+    if not ids:
+        raise ValueError("the column names hold no mu[...] column")
+    expected = _parameter_names(family, ids)
+    if columns != expected:
+        raise ValueError(f"columns for the {family} family: {_header_problem(columns, expected)}")
+    if not table.size:
+        raise ValueError(f"array of shape {table.shape} holds no draws")
+    if not np.isfinite(table).all():
+        c, i, j = np.argwhere(~np.isfinite(table))[0]
+        raise ValueError(f"chain {c}, draw {i}: {columns[j]} is {table[c, i, j]}")
+    return PosteriorSamples(family=family, table=table, analysis_ids=tuple(ids))
+
+
 def samples_to_csv(s: PosteriorSamples) -> str:
-    """CSV of all draws, one row per draw: header ``chain,iter`` plus
+    """CSV of all draws, for export to tools without a ``.npy`` reader (the
+    command line writes :func:`samples_to_npy`): header ``chain,iter`` plus
     :meth:`PosteriorSamples.parameter_names`, then one row per (chain,
     iter) in chain-major order.
 
@@ -806,7 +861,8 @@ def _parse_block(rows: list[list[str]], header: list[str], first_line: int) -> n
 
 def samples_from_csv(text: str, family: str) -> PosteriorSamples:
     """Rebuild a :class:`PosteriorSamples` from the draw CSV of
-    :func:`samples_to_csv`.
+    :func:`samples_to_csv`: the library's CSV import (the command line
+    reads :func:`samples_from_npy`).
 
     The family determines the hyperparameter names; the analysis ids are
     read from the ``mu[...]`` columns. The header must list exactly the

@@ -292,7 +292,7 @@ def test_acceptance_8_reproducibility(tmp_path):
     out1, out2 = tmp_path / "f1", tmp_path / "f2"
     ok = ok and main(fit_args + ["--out", str(out1)]) == 0
     ok = ok and main(fit_args + ["--out", str(out2)]) == 0
-    for name in ("manifest.json", "summary.json", "samples.csv"):
+    for name in ("manifest.json", "summary.json", "samples.npy"):
         ok = ok and (out1 / name).read_bytes() == (out2 / name).read_bytes()
     ok = ok and json.loads((out1 / "manifest.json").read_text()) == json.loads(
         (out2 / "manifest.json").read_text()

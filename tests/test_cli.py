@@ -1,3 +1,4 @@
+import builtins
 import csv
 import dataclasses
 import hashlib
@@ -28,7 +29,9 @@ from hetprior.sampler import (
     diagnostics,
     run_hierarchical,
     samples_from_csv,
+    samples_from_npy,
     samples_to_csv,
+    samples_to_npy,
 )
 
 CORPUS = """analysis_id,study_id,estimate,std_err,seq
@@ -128,11 +131,70 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+# -- inputs: read once, hashed as parsed -------------------------------------------
+
+
+def test_each_input_is_read_once_and_the_manifest_hashes_those_bytes(
+    corpus_csv, single_csv, fit_dir, tmp_path, monkeypatch
+):
+    reads = []
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not any(c in mode for c in "wax+"):
+            reads.append(Path(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    mcmc = ["--seed", "2", "--chains", "2", "--iters", "40", "--burnin", "10"]
+    runs = {
+        "validate": ["validate", str(corpus_csv)],
+        "tau-estimates": ["tau-estimates", str(corpus_csv), "--method", "PM"],
+        "fit": ["fit", str(corpus_csv), *mcmc],
+        "compare": ["compare", str(corpus_csv), "--families", "half-normal,exp", *mcmc],
+        "approx": ["approx", str(fit_dir), "--methods", "point:mean"],
+        "analyze": ["analyze", str(single_csv), "--prior", "exp(0.3)"],
+    }
+    for name, argv in runs.items():
+        reads.clear()
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0, name
+        counted = list(reads)
+        (entry,) = json.loads((out / "manifest.json").read_text())["inputs"]
+        path = Path(entry["path"])
+        assert counted.count(path) == 1, (name, counted)
+        assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_crlf_and_cr_inputs_parse_as_the_lf_one(tmp_path):
+    # decoded with universal newlines, as ``Path.read_text`` decodes
+    runs = [
+        (CORPUS, ["validate"], ["summary.json"]),
+        (CORPUS, ["tau-estimates"], ["summary.json"]),
+        (CORPUS, ["fit", "--seed", "4", "--chains", "2", "--iters", "40", "--burnin", "10"],
+         ["summary.json", "samples.npy"]),
+        (SINGLE, ["analyze", "--prior", "exp(0.3)"], ["summary.json", "forest.csv", "mu_density.npy"]),
+    ]
+    for text, (command, *flags), names in runs:
+        outs = {}
+        for ending in ("\n", "\r\n", "\r"):
+            p = tmp_path / f"{command}-{ending.encode().hex()}.csv"
+            p.write_bytes(text.replace("\n", ending).encode())
+            outs[ending] = tmp_path / f"{command}-{ending.encode().hex()}"
+            assert main([command, str(p), *flags, "--out", str(outs[ending])]) == 0, (command, ending)
+            (entry,) = json.loads((outs[ending] / "manifest.json").read_text())["inputs"]
+            assert entry["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+        for ending in ("\r\n", "\r"):
+            for name in names:
+                assert (outs["\n"] / name).read_bytes() == (outs[ending] / name).read_bytes(), (command, name)
+
+
 # -- fit ---------------------------------------------------------------------------
 
 
 def test_fit_outputs_and_manifest(fit_dir):
-    for name in ("samples.csv", "summary.json", "manifest.json"):
+    for name in ("samples.npy", "summary.json", "manifest.json"):
         assert (fit_dir / name).exists()
     doc = json.loads((fit_dir / "summary.json").read_text())
     assert doc["family"] == "half-normal"
@@ -140,16 +202,30 @@ def test_fit_outputs_and_manifest(fit_dir):
     assert doc["config"]["chains"] == 2
     assert "scale" in doc["parameters"]
     assert "tau_star" in doc["parameters"]
-    assert doc["samples_sha256"] == hashlib.sha256((fit_dir / "samples.csv").read_bytes()).hexdigest()
+    assert doc["samples_sha256"] == hashlib.sha256((fit_dir / "samples.npy").read_bytes()).hexdigest()
+    assert doc["columns"] == ["scale", *[f"{v}[{a}]" for v in ("mu", "tau") for a in ("a0", "a1", "a2", "solo")],
+                              "tau_star", "deviance"]
     man = json.loads((fit_dir / "manifest.json").read_text())
     assert man["subcommand"] == "fit"
     assert man["seed"] == 11
-    assert man["schema_version"] == 4
+    assert man["schema_version"] == 5
     assert man["tool_version"]
     src = man["inputs"][0]
     digest = hashlib.sha256(open(src["path"], "rb").read()).hexdigest()
     assert src["sha256"] == digest
-    assert "samples.csv" in man["outputs"] and "manifest.json" in man["outputs"]
+    assert man["outputs"] == ["manifest.json", "samples.npy", "summary.json"]
+
+
+def test_fit_draw_file_is_the_sampler_table_bit_for_bit(fit_dir):
+    s = run_hierarchical(
+        parse_collection(CORPUS), ModelSpec(), McmcConfig(chains=2, burn_in=200, iterations=800, seed=11)
+    )
+    table = np.load(fit_dir / "samples.npy", allow_pickle=False)
+    assert table.dtype == np.float64 and table.flags.c_contiguous
+    assert table.shape == (2, 800, len(s.parameter_names()))
+    assert table.tobytes() == s.table.tobytes()
+    assert (fit_dir / "samples.npy").read_bytes() == samples_to_npy(s)
+    assert json.loads((fit_dir / "summary.json").read_text())["columns"] == s.parameter_names()
 
 
 def test_fit_same_seed_reproduces_bytes(corpus_csv, tmp_path):
@@ -157,7 +233,7 @@ def test_fit_same_seed_reproduces_bytes(corpus_csv, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
-    assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+    assert (out1 / "samples.npy").read_bytes() == (out2 / "samples.npy").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
@@ -262,12 +338,12 @@ def test_approx_svg_overlays(fit_dir, tmp_path):
     assert doc.startswith("<svg") and "<polyline" in doc
 
 
-def test_approx_explicit_family_on_bare_csv(fit_dir, tmp_path):
+def test_approx_explicit_family_on_the_draw_file_path(fit_dir, tmp_path):
     out = tmp_path / "bare"
     code = main(
         [
             "approx",
-            str(fit_dir / "samples.csv"),
+            str(fit_dir / "samples.npy"),
             "--family",
             "half-normal",
             "--methods",
@@ -290,10 +366,16 @@ def test_approx_family_contradicting_the_fit_exits_2(fit_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--family exp contradicts" in err and "records the half-normal family" in err
     assert not out.exists()
-    # a bare draw file carries no family to check against
-    lone = tmp_path / "samples.csv"
-    lone.write_text((fit_dir / "samples.csv").read_text())
-    assert main(["approx", str(lone), "--family", "exp", "--out", str(tmp_path / "bare")]) == 0
+    # a summary without a family has none to check against, and the exp
+    # family's draw columns are the half-normal's
+    run = _copy_run(fit_dir, tmp_path / "run")
+    doc = json.loads((run / "summary.json").read_text())
+    del doc["family"]
+    (run / "summary.json").write_text(json.dumps(doc))
+    assert main(["approx", str(run), "--family", "exp", "--out", str(tmp_path / "nofamily")]) == 0
+    assert main(["approx", str(run), "--family", "log-normal", "--out", str(out)]) == 2
+    assert "columns for the log-normal family: missing column 'theta'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_approx_unknown_method_exits_2(fit_dir, tmp_path, capsys):
@@ -302,64 +384,131 @@ def test_approx_unknown_method_exits_2(fit_dir, tmp_path, capsys):
 
 
 def test_approx_without_family_or_summary_exits_2(fit_dir, tmp_path, capsys):
-    lone = tmp_path / "samples.csv"
-    lone.write_text((fit_dir / "samples.csv").read_text())
-    assert main(["approx", str(lone), "--out", str(tmp_path / "o")]) == 2
-    assert "family" in capsys.readouterr().err
-
-
-def _low_cv_samples_csv(path):
-    rng = np.random.default_rng(0)
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["chain", "iter", "scale", "mu[a]", "tau[a]", "tau_star", "deviance"])
-    for i in range(400):
-        tau = float(rng.uniform(0.15, 0.25))
-        scale = float(rng.uniform(0.19, 0.21))
-        w.writerow([0, i, repr(scale), "0.0", repr(tau), repr(tau), repr(float(rng.normal(20, 2)))])
-    path.write_text(out.getvalue())
-
-
-@pytest.mark.parametrize(
-    "damage, message",
-    [
-        (lambda lines: lines[:-1], "line 1600: chain 1 ends after 799 of 800 iterations"),
-        (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "\n"], "line 1601: expected 13 fields, got 12"),
-    ],
-    ids=["cut-at-line", "ragged-row"],
-)
-def test_approx_damaged_draw_file_exits_2(fit_dir, tmp_path, capsys, damage, message):
-    lines = (fit_dir / "samples.csv").read_text().splitlines(keepends=True)
-    p = tmp_path / "samples.csv"
-    p.write_text("".join(damage(lines)))
+    # the draw columns live in the summary, so a bare draw file is refused
+    lone = tmp_path / "samples.npy"
+    lone.write_bytes((fit_dir / "samples.npy").read_bytes())
     out = tmp_path / "o"
-    assert main(["approx", str(p), "--family", "half-normal", "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    for family in ([], ["--family", "half-normal"]):
+        assert main(["approx", str(lone), *family, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{lone}: no summary.json beside it" in err and "family" in err
+    assert not out.exists()
+
+
+def _copy_run(fit_dir, run):
+    """A copy of a fit run's draw file and summary in the new directory ``run``."""
+    run.mkdir()
+    for name in ("samples.npy", "summary.json"):
+        (run / name).write_bytes((fit_dir / name).read_bytes())
+    return run
+
+
+def _npy_bytes(array, allow_pickle=False):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _low_cv_run(run):
+    """A fit-run directory with 400 draws of one analysis whose predictive
+    has a low cv."""
+    rng = np.random.default_rng(0)
+    tau = rng.uniform(0.15, 0.25, 400)
+    scale = rng.uniform(0.19, 0.21, 400)
+    table = np.stack([scale, np.zeros(400), tau, tau, rng.normal(20, 2, 400)], axis=-1)[None]
+    run.mkdir()
+    (run / "samples.npy").write_bytes(_npy_bytes(table))
+    doc = {"family": "half-normal", "columns": ["scale", "mu[a]", "tau[a]", "tau_star", "deviance"]}
+    (run / "summary.json").write_text(json.dumps(doc))
+    return run
+
+
+def _with_nan(table):
+    table = table.copy()
+    table[1, 5, 2] = np.nan
+    return table
+
+
+# each case: (table -> file bytes, summary edits, message)
+_DAMAGE = {
+    "truncated": (lambda t: _npy_bytes(t)[:-8], {}, "EOF: reading array data"),
+    "trailing-bytes": (lambda t: _npy_bytes(t) + b"\0" * 3, {}, "3 bytes follow the .npy array"),
+    "not-npy": (lambda t: b"scale,tau_star\n0.1,0.2\n", {}, "not a .npy file"),
+    "object-dtype": (lambda t: _npy_bytes(t.astype(object), allow_pickle=True), {},
+                     "Object arrays cannot be loaded when allow_pickle=False"),
+    "dtype": (lambda t: _npy_bytes(t.astype(np.float32)), {}, "dtype float32, expected float64"),
+    "not-3d": (lambda t: _npy_bytes(t.reshape(-1, t.shape[-1])), {},
+               "array of shape (1600, 11), expected 3 axes"),
+    "width": (lambda t: _npy_bytes(t[..., :-1]), {}, "10 columns in the array, but 11 column names"),
+    "no-draws": (lambda t: _npy_bytes(t[:, :0]), {}, "array of shape (2, 0, 11) holds no draws"),
+    "columns-order": (_npy_bytes, {"columns": lambda c: c[:-2] + c[-1:] + c[-2:-1]},
+                      "columns for the half-normal family: column 10 is 'deviance', expected 'tau_star'"),
+    "columns-family": (_npy_bytes, {"family": lambda f: "log-normal"},
+                       "columns for the log-normal family: missing column 'theta'"),
+    "columns-not-list": (_npy_bytes, {"columns": lambda c: ",".join(c)},
+                         "'columns' must be a list of strings"),
+    "no-mu-columns": (lambda t: _npy_bytes(t[..., [0, -2, -1]]), {"columns": lambda c: [c[0], *c[-2:]]},
+                      "the column names hold no mu[...] column"),
+    "non-finite": (lambda t: _npy_bytes(_with_nan(t)), {}, "chain 1, draw 5: mu[a1] is nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(_DAMAGE))
+def test_approx_damaged_draw_file_exits_2(fit_dir, tmp_path, capsys, case):
+    damage, edits, message = _DAMAGE[case]
+    run = tmp_path / "run"
+    run.mkdir()
+    data = damage(np.load(fit_dir / "samples.npy"))
+    (run / "samples.npy").write_bytes(data)
+    doc = json.loads((fit_dir / "summary.json").read_text())
+    doc.update({key: edit(doc[key]) for key, edit in edits.items()})
+    # the summary records the damaged file, so the reader, not the digest, must catch it
+    doc["samples_sha256"] = hashlib.sha256(data).hexdigest()
+    (run / "summary.json").write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["approx", str(run), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert str(run / ("summary.json" if case == "columns-not-list" else "samples.npy")) in err
+    assert not out.exists()
+
+
+def test_approx_rejects_text_draw_file_with_rerun_hint(fit_dir, tmp_path, capsys):
+    s = samples_from_npy((fit_dir / "samples.npy").read_bytes(), "half-normal",
+                         json.loads((fit_dir / "summary.json").read_text())["columns"])
+    run = tmp_path / "schema4"
+    run.mkdir()
+    (run / "samples.csv").write_text(samples_to_csv(s))
+    (run / "summary.json").write_text((fit_dir / "summary.json").read_text())
+    out = tmp_path / "o"
+    for target in (run, run / "samples.csv"):
+        assert main(["approx", str(target), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{run / 'samples.csv'} is a text draw file of schema 4 or older" in err
+        assert "re-run `hetprior fit`" in err
     assert not out.exists()
 
 
 def test_approx_rejects_draw_file_cut_at_chain_boundary(fit_dir, tmp_path, capsys):
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / "summary.json").write_text((fit_dir / "summary.json").read_text())
-    lines = (fit_dir / "samples.csv").read_text().splitlines(keepends=True)
-    chain0 = [line for line in lines if not line.startswith("1,")]
-    assert len(chain0) == 1 + 800
-    (run / "samples.csv").write_text("".join(chain0))
+    run = _copy_run(fit_dir, tmp_path / "run")
+    table = np.load(run / "samples.npy")
+    (run / "samples.npy").write_bytes(_npy_bytes(table[:1]))
     recorded = json.loads((run / "summary.json").read_text())["samples_sha256"]
-    actual = hashlib.sha256((run / "samples.csv").read_bytes()).hexdigest()
+    actual = hashlib.sha256((run / "samples.npy").read_bytes()).hexdigest()
     assert main(["approx", str(run), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "does not match the fit" in err and recorded in err and actual in err
-    # without the fit's summary only the reader checks the file, and one
+    assert str(run / "samples.npy") in err
+    # without the recorded digest only the reader checks the file, and one
     # whole chain is a well-formed draw file
-    (run / "summary.json").unlink()
-    assert main(["approx", str(run / "samples.csv"), "--family", "half-normal",
-                 "--out", str(tmp_path / "bare")]) == 0
+    doc = json.loads((run / "summary.json").read_text())
+    del doc["samples_sha256"]
+    (run / "summary.json").write_text(json.dumps(doc))
+    assert main(["approx", str(run), "--out", str(tmp_path / "nodigest")]) == 0
 
 
 def test_approx_rejects_sibling_summary_that_is_not_an_object(fit_dir, tmp_path, capsys):
-    (tmp_path / "samples.csv").write_text((fit_dir / "samples.csv").read_text())
+    (tmp_path / "samples.npy").write_bytes((fit_dir / "samples.npy").read_bytes())
     (tmp_path / "summary.json").write_text("[]\n")
     args = ["approx", str(tmp_path), "--family", "half-normal", "--out", str(tmp_path / "o")]
     assert main(args) == 2
@@ -367,8 +516,7 @@ def test_approx_rejects_sibling_summary_that_is_not_an_object(fit_dir, tmp_path,
 
 
 def test_approx_all_methods_failing_exits_3(tmp_path, capsys):
-    p = tmp_path / "samples.csv"
-    _low_cv_samples_csv(p)
+    p = _low_cv_run(tmp_path / "run")
     code = main(
         ["approx", str(p), "--family", "half-normal", "--methods", "moments",
          "--fit-families", "lomax", "--out", str(tmp_path / "o")]
@@ -379,8 +527,7 @@ def test_approx_all_methods_failing_exits_3(tmp_path, capsys):
 
 
 def test_approx_partial_failure_keeps_rest(tmp_path):
-    p = tmp_path / "samples.csv"
-    _low_cv_samples_csv(p)
+    p = _low_cv_run(tmp_path / "run")
     out = tmp_path / "o"
     code = main(
         ["approx", str(p), "--family", "half-normal", "--methods", "point:mean,moments",
@@ -426,8 +573,7 @@ def test_approx_half_cauchy_fit_keeps_point_prior(half_cauchy_fit_dir, tmp_path,
 
 
 def test_approx_direct_fit_fails_per_family_and_keeps_the_rest(tmp_path, capsys):
-    p = tmp_path / "samples.csv"
-    _low_cv_samples_csv(p)  # 400 draws, below the 1000 an ML fit needs
+    p = _low_cv_run(tmp_path / "run")  # 400 draws, below the 1000 an ML fit needs
     out = tmp_path / "o"
     argv = ["approx", str(p), "--family", "half-normal", "--methods", "point:mean,ml,moments",
             "--fit-families", "half-normal,lomax", "--out", str(out)]
@@ -869,7 +1015,7 @@ def test_json_mode_matches_file(argv, doc, corpus_csv, single_csv, fit_dir, tmp_
     assert main([a.format(**paths) for a in argv] + ["--json", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert printed == (out / doc).read_text()
-    assert json.loads(printed)["schema_version"] == 4
+    assert json.loads(printed)["schema_version"] == 5
 
 
 # -- the library functions return the documents their commands write ------------------
@@ -886,7 +1032,7 @@ def test_library_results_are_the_written_documents(corpus_csv, fit_dir, tmp_path
     assert _without_schema_version(written) == validate_collection(c)
 
     fit = json.loads((fit_dir / "summary.json").read_text())
-    s = samples_from_csv((fit_dir / "samples.csv").read_text(), "half-normal")
+    s = samples_from_npy((fit_dir / "samples.npy").read_bytes(), "half-normal", fit["columns"])
     assert fit["diagnostics"] == diagnostics(s)[0]
 
     argv = ["--seed", "2", "--chains", "2", "--iters", "300", "--burnin", "80"]
@@ -946,7 +1092,7 @@ def test_programming_error_propagates_instead_of_reading_as_input_error(corpus_c
      ("samples_sha256", 123), ("samples_sha256", ["abc"])],
 )
 def test_approx_sibling_summary_values_must_be_strings(fit_dir, tmp_path, capsys, key, value):
-    (tmp_path / "samples.csv").write_text((fit_dir / "samples.csv").read_text())
+    (tmp_path / "samples.npy").write_bytes((fit_dir / "samples.npy").read_bytes())
     doc = json.loads((fit_dir / "summary.json").read_text())
     (tmp_path / "summary.json").write_text(json.dumps({**doc, key: value}))
     assert main(["approx", str(tmp_path), "--out", str(tmp_path / "o")]) == 2

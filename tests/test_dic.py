@@ -19,7 +19,9 @@ from hetprior.sampler import (
     PosteriorSamples,
     run_hierarchical,
     samples_from_csv,
+    samples_from_npy,
     samples_to_csv,
+    samples_to_npy,
 )
 
 
@@ -137,6 +139,12 @@ def test_compute_dic_from_csv_mapping_matches(quick_fit):
     direct = compute_dic(s, c)
     via_csv = compute_dic(samples_from_csv(samples_to_csv(s), "half-normal"), c)
     assert via_csv == direct
+
+
+def test_compute_dic_from_the_draw_file_matches(quick_fit):
+    s, c = quick_fit
+    back = samples_from_npy(samples_to_npy(s), "half-normal", s.parameter_names())
+    assert compute_dic(back, c) == compute_dic(s, c)
 
 
 def test_compute_dic_missing_deviance_is_input_error(quick_fit):

@@ -79,10 +79,21 @@ def test_traced_commands_run_and_feed_every_hook(tracer, tmp_path, capsys):
 
     (ma,) = attrs("metaanalysis.bayes_ma")
     assert ma["tau_grid_points"] > 0 and ma["mu_grid_points"] > 0
-    (write,) = attrs("sampler.samples_to_csv")
-    assert write["bytes"] == (tmp_path / "fit" / "samples.csv").stat().st_size
-    assert all(a["bytes"] > 0 for a in attrs("sampler.samples_from_csv"))
     runs = attrs("sampler.run_hierarchical")
     assert len(runs) == 3 and all(a["chain_iters"] == 2 * 50 for a in runs)
-    assert tracer.last_samples is not None
+    s = tracer.last_samples
+    assert s is not None
+
+    # the benchmark's round-trip check sends the last draws through the CSV
+    # export and import, which the commands no longer call
+    sampler = sys.modules["hetprior.sampler"]
+    text = sampler.samples_to_csv(s)
+    back = sampler.samples_from_csv(text, s.family)
+    assert (back.family, back.analysis_ids) == (s.family, s.analysis_ids)
+    assert back.table.tobytes() == s.table.tobytes()
+    (write,) = attrs("sampler.samples_to_csv")
+    assert write["bytes"] == len(text.encode())
+    assert write["values"] == s.table.size and write["kept_iters"] == 2 * 40
+    (read,) = attrs("sampler.samples_from_csv")
+    assert read["bytes"] == len(text.encode())
 
