@@ -47,7 +47,6 @@ from .sampler import (  # noqa: F401
     McmcConfig,
     PosteriorSamples,
     ConfigError,
-    InitializationError,
     run_hierarchical,
     summarize_samples,
     split_rhat,

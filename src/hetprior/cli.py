@@ -36,7 +36,6 @@ from .metaanalysis import (
 from .sampler import (
     BACKEND,
     HET_FAMILIES,
-    InitializationError,
     McmcConfig,
     ModelSpec,
     run_hierarchical,
@@ -57,7 +56,7 @@ from .summarize import (
 )
 from .svg import density_svg, forest_svg, histogram_svg
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -572,7 +571,7 @@ def _add_mcmc_flags(sp) -> None:
         "--iters", type=int, default=20000, help="kept iterations per chain (default 20000)"
     )
     sp.add_argument(
-        "--burnin", type=int, default=5000, help="burn-in iterations per chain (default 5000)"
+        "--burnin", type=int, default=5000, help="recorded; no effect, the draws are independent"
     )
 
 
@@ -663,7 +662,7 @@ def main(argv=None) -> int:
     func = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return func(args)
-    except (GridError, FitError, InitializationError, InfeasibleError, FloatingPointError) as e:
+    except (GridError, FitError, InfeasibleError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     # FormatError, RecordError, ConfigError and UndefinedEstimatorError are

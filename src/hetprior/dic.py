@@ -27,15 +27,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import MetaAnalysisCollection
+from .metaanalysis import GridError
 from .sampler import (
     _SUMMARY_HEADING,
-    InitializationError,
     McmcConfig,
     ModelSpec,
     PosteriorSamples,
     _deviance,
     _flatten,
     _predictive_summary,
+    _shared_likelihoods,
     _summary_cells,
     run_hierarchical,
 )
@@ -98,7 +99,7 @@ def compare_models(
     """Fit each family on the same data and rank by DIC (lowest first).
 
     A family whose model fails (a ``ValueError`` such as a bad
-    configuration, or an ``InitializationError``) contributes an error row
+    configuration, or a ``GridError``) contributes an error row
     at the end instead of aborting the whole comparison; any other
     exception is a bug and propagates. A predictive mean or sd the family
     does not have (the half-Cauchy has neither) is reported as undefined,
@@ -107,12 +108,14 @@ def compare_models(
     if len(families) < 2:
         raise ValueError(f"need at least 2 families to compare, got {len(families)}")
     rows = []
-    for fam in families:
-        try:
-            s = run_hierarchical(c, ModelSpec(het_family=fam), cfg)
-            rows.append(ComparisonRow(family=fam, dic=compute_dic(s, c), predictive=_predictive_summary(s)))
-        except (ValueError, InitializationError) as exc:
-            rows.append(ComparisonRow(family=fam, dic=None, predictive=None, error=str(exc)))
+    with _shared_likelihoods():
+        for fam in families:
+            try:
+                s = run_hierarchical(c, ModelSpec(het_family=fam), cfg)
+                dic = compute_dic(s, c)
+                rows.append(ComparisonRow(family=fam, dic=dic, predictive=_predictive_summary(s)))
+            except (ValueError, GridError) as exc:
+                rows.append(ComparisonRow(family=fam, dic=None, predictive=None, error=str(exc)))
     ok = sorted((r for r in rows if r.error is None), key=lambda r: r.dic.dic)
     failed = [r for r in rows if r.error is not None]
     return ok + failed

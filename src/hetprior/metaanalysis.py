@@ -145,10 +145,12 @@ class SingleMeta:
 def single_meta(c: MetaAnalysisCollection, analysis_id: str | None = None) -> SingleMeta:
     """Pull one analysis out of a collection (the only one, by default; see
     :meth:`~hetprior.data.MetaAnalysisCollection.resolve_id`)."""
-    records = c.analysis(c.resolve_id(analysis_id))
-    return SingleMeta(
-        y=tuple(r.estimate for r in records), sigma=tuple(r.std_err for r in records)
-    )
+    return _from_records(c.analysis(c.resolve_id(analysis_id)))
+
+
+def _from_records(records) -> SingleMeta:
+    """The estimates and standard errors of one analysis' study records."""
+    return SingleMeta(y=tuple(r.estimate for r in records), sigma=tuple(r.std_err for r in records))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +224,7 @@ def _pool(y: np.ndarray, var: np.ndarray, mu_prior: Normal | None = None) -> tup
     Returns w, sum(w) (the pooled mean's variance is its inverse), the
     pooled mean mu_hat and Cochran's Q = sum(w (y - mu_hat)^2)."""
     if mu_prior is not None:
-        y = np.append(y, mu_prior.mean)
+        y = np.concatenate([y, np.full((*np.shape(y)[:-1], 1), mu_prior.mean)], axis=-1)
         prior_var = np.full((*var.shape[:-1], 1), mu_prior.sd**2)
         var = np.concatenate([var, prior_var], axis=-1)
     w = 1.0 / var
@@ -239,11 +241,12 @@ def _pool_at(sm: SingleMeta, tau, mu_prior: Normal | None = None) -> tuple:
     return _pool(np.asarray(sm.y, dtype=float), var, mu_prior)
 
 
-def _integrated_loglik(sm: SingleMeta, mu_prior: Normal | None, tau: np.ndarray) -> tuple:
-    """log L(tau) at each point of a tau grid, with the sum(w) and mu_hat
-    that the effect conditionals reuse."""
-    w, total_w, mu_hat, q = _pool_at(sm, tau[:, None], mu_prior)
-    return 0.5 * np.log(w).sum(axis=1) - 0.5 * np.log(total_w) - 0.5 * q, total_w, mu_hat
+def _integrated_loglik(y: np.ndarray, var: np.ndarray, mu_prior: Normal | None) -> tuple:
+    """log L(tau), the effect integrated out, from estimates ``y`` and total
+    variances ``var`` laid out as :func:`_pool`'s, with the sum(w) and mu_hat
+    the effect conditionals reuse; ``analyze`` and the sampler both use it."""
+    w, total_w, mu_hat, q = _pool(y, var, mu_prior)
+    return 0.5 * np.log(w).sum(axis=-1) - 0.5 * np.log(total_w) - 0.5 * q, total_w, mu_hat
 
 
 def _tau_grid(prior: Distribution, extensions: int) -> np.ndarray:
@@ -288,9 +291,11 @@ def _tau_posterior(
         ):
             if problem is not None:
                 raise ValueError(f"effect prior {format_distribution(mu_prior)}: {what} {problem}")
+    y = np.asarray(sm.y, dtype=float)
+    sigma2 = np.asarray(sm.sigma, dtype=float) ** 2
     for extensions in range(_MAX_EXTENSIONS + 1):
         grid = _tau_grid(prior, extensions)
-        loglik, total_w, mu_hat = _integrated_loglik(sm, mu_prior, grid)
+        loglik, total_w, mu_hat = _integrated_loglik(y, sigma2 + grid[:, None] ** 2, mu_prior)
         log_post = prior.log_density(grid) + loglik
         finite = log_post[np.isfinite(log_post)]
         if finite.size == 0:
@@ -596,8 +601,8 @@ def tau_estimate_collection(c: MetaAnalysisCollection, method: str = "DL") -> Ta
         raise ValueError(f"method must be DL or PM, got {method!r}")
     estimates = []
     skipped = []
-    for aid in c.analysis_ids:
-        sm = single_meta(c, aid)
+    for aid, records in c.analyses:
+        sm = _from_records(records)
         if sm.k < 2:
             skipped.append(aid)
             continue

@@ -1,40 +1,36 @@
-"""MCMC for the hierarchical heterogeneity model.
+"""Exact posterior draws for the hierarchical heterogeneity model.
 
 The model: study estimates y_ij are normal around analysis effects mu_j
 with variance sigma_ij^2 + tau_j^2; each analysis has its own
-heterogeneity tau_j drawn from a shared parametric family (half-normal,
-exponential, half-Cauchy or log-normal) whose hyperparameters get
-hyperpriors; mu_j have a common normal prior. Each iteration draws every
-mu_j from its exact conjugate normal full conditional, slice-samples every
-tau_j and the hyperparameter(s), then draws one predictive heterogeneity
-value tau* from the family at the current hyperparameters and records the
-deviance.
+heterogeneity tau_j drawn from a shared family (half-normal, exponential,
+half-Cauchy or log-normal) whose hyperparameters theta get hyperpriors;
+mu_j have a common normal prior. Each family is one record in
+:data:`HET_FAMILIES`, which the hyperpriors, the sampler, the draw file,
+``summarize`` and ``dic`` read.
 
-Each family is one record in :data:`HET_FAMILIES` (see :class:`_Family`).
-The hyperpriors, the sampler, the draw container and file, the point and
-mixture priors of ``summarize`` and the DIC table of ``dic`` read it there.
+The draws need no Markov chain: this is ``bayesmeta``'s grid (Roever 2020,
+JSS 93(6)) one level up. mu_j integrates out, leaving the collapsed
+likelihood L_j(tau) of ``metaanalysis._integrated_loglik``, and given theta
+the tau_j are independent, so p(theta | y) ~ p(theta) prod_j m_j(theta),
+m_j(theta) = int L_j(tau) f(tau | theta) dtau. Each kept draw is
+independent: theta from its grid posterior, uniform within a cell picked by
+inverse cdf; each tau_j from L_j f(. | theta), a tau cell picked at the
+theta cell's centre and the family's quantile within it; mu_j from its
+conjugate normal; tau* from f(. | theta). ``McmcConfig.burn_in`` and
+``thin`` are recorded but change no draw.
 
-The sampler runs in lock step: all chains and all analyses advance
-together as (chains, analyses) numpy arrays. Given mu and the
-hyperparameters the tau_j full conditionals are independent, and chains
-are independent, so one stepping-out/shrinkage slice update (Neal 2003,
-"Slice sampling", Ann. Stat. 31:705) moves the whole tau block at once,
-with per-element masks marking which elements are still stepping out or
-still shrinking; the same routine updates each hyperparameter, held as
-a (chains, 1) array, within its hyperprior support. The mu_j draws sum their studies
-with ``np.add.reduceat`` over the CSR ``offsets``.
+The tau grid is ``_tau_grid``'s for a half-normal of the data's widest
+spread, max |y_ij - ybar_j| + sigma_ij, extended like ``_tau_posterior``
+until no tau_j has posterior mass ``_TAIL_MASS`` in its top 5%. L_j is
+averaged over each cell's ends; a cell's prior mass comes from the family's
+cdf, exact even where f(. | theta) is narrower than the cell. The theta
+cells follow the hyperpriors' supports, are weighed at their centres and
+refined by mass (see :func:`_quadrature`); m_j is computed ``_ROW_BLOCK``
+theta cells at a time, so no (theta cells x tau cells) table is held whole.
 
-Slice rules: initial width x0 + 0.1, at most 50 step-outs per side, at
-most 1000 shrinks; an update that hits the shrink cap keeps x0. Per chain
-and per block (tau, each hyperparameter) the sampler counts updates,
-log-posterior evaluations, step-out cap hits and shrink cap hits;
-:func:`summary_dict` reports them and warns on any cap hit.
-
-Stream contract: every chain has its own ``Generator(Philox)`` spawned
-from the master seed, and a chain draws only for its own still-active
-elements, in element order. A chain's draws therefore depend on its own
-stream and state alone: results are reproducible bit for bit, and adding
-chains never perturbs existing ones.
+Every chain has its own ``Generator(Philox)`` spawned from the seed; the
+rest is computed element by element from the tables, so results are
+reproducible bit for bit and adding chains never perturbs existing ones.
 """
 
 from __future__ import annotations
@@ -43,6 +39,7 @@ import csv
 import io
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -64,7 +61,13 @@ from .dist import (
     lognormal_from_theta,
     scale_mixture_half_t,
 )
-from .metaanalysis import _dl_fit
+from .metaanalysis import (
+    _MAX_EXTENSIONS,
+    _TAIL_MASS,
+    GridError,
+    _integrated_loglik,
+    _tau_grid,
+)
 
 __all__ = [
     "BACKEND",
@@ -72,7 +75,6 @@ __all__ = [
     "McmcConfig",
     "PosteriorSamples",
     "ConfigError",
-    "InitializationError",
     "run_hierarchical",
     "diagnostics",
     "split_rhat",
@@ -84,19 +86,31 @@ __all__ = [
     "samples_from_csv",
     "summary_dict",
     "HET_FAMILIES",
-    "SLICE_COUNTERS",
 ]
 
 #: the one sampler implementation, recorded in summaries and manifests
 BACKEND = "numpy"
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_MAX_STEPOUT = 50
-_MAX_SHRINK = 1000
-#: step directions of a slice interval's (lower, upper) end
-_DOWN_UP = np.array([-1.0, 1.0]).reshape(2, 1, 1)
-#: per-chain slice counters, in the column order of the count arrays
-SLICE_COUNTERS = ("updates", "log_posterior_evals", "stepout_cap_hits", "shrink_cap_hits")
+#: coarse theta cells: edges in ratio _COARSE_RATIO down to _THETA_FLOOR
+#: times the top; refinement: each coarse cell with more than _SETTLE of the
+#: mass is cut until no band of an axis holds more than 1 / _BANDS[axes] of
+#: that marginal, then each cell with more than 1 / _THETA_CELLS, in at most
+#: _REFINEMENTS passes
+_COARSE_RATIO, _THETA_FLOOR = 2.0, 2e-4
+_SETTLE, _BANDS, _THETA_CELLS, _REFINEMENTS = 1e-4, {1: 256, 2: 16}, 256, 4
+#: theta cells per block of the (theta cells x tau cells) prior masses, tau
+#: cells per block of the two-step pick of a tau cell, drawn theta cells
+#: whose tables are built at a time, and values per block of the other
+#: temporary arrays
+_ROW_BLOCK, _TAU_BLOCK, _CELL_BATCH, _BLOCK = 8, 64, 4, 1 << 14
+#: the cell likelihoods are float32: their rounding, a relative 6e-8, is far
+#: below the quadrature's error, at half the memory
+_LIKELIHOOD = np.float32
+#: inside :func:`_shared_likelihoods`, the base tau grids' cell likelihoods
+#: by corpus and effect prior; None outside, so no table outlives a block
+_shared_tables: dict | None = None
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 #: A hyperparameter piles up at the upper bound of a finite hyperprior
 #: support when its draws put more than _PILEUP_RATIO times the prior's mass
 #: into the top _PILEUP_FRACTION of that support: the data push it against
@@ -110,8 +124,8 @@ _READ_BLOCK = 4096
 
 class _Family(NamedTuple):
     """A heterogeneity family: its hyperparameter names, in sampler and
-    draw-file order; ``log_density(x, *hyper)`` and ``quantile(p, *hyper)``,
-    vectorized over values and over scalar or (chains, 1) hyperparameters;
+    draw-file order; ``cdf(x, *hyper)`` and ``quantile(p, *hyper)``,
+    vectorized over values and over scalar or (rows, 1) hyperparameters;
     ``distribution(*hyper)``, the family as a ``Distribution``; and
     ``mixture(*hyper_draws)``, the analytic match of the family mixed over
     flat hyperparameter draws, as a (``Distribution``, note or ``None``)
@@ -123,16 +137,10 @@ class _Family(NamedTuple):
     """
 
     hyper_names: tuple[str, ...]
-    log_density: Callable
+    cdf: Callable
     quantile: Callable
     distribution: Callable[..., Distribution]
     mixture: Callable[..., tuple[Distribution, str | None]] | None
-
-
-def _log_normal_log_density(x, theta, sigma):
-    logx = np.log(x)
-    z = (logx - np.log(theta)) / sigma
-    return -logx - np.log(sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
 
 
 def _scale_mixture(mixed, degenerate):
@@ -162,28 +170,28 @@ def _log_normal_mixture(theta, sigma):
 HET_FAMILIES = {
     "half-normal": _Family(
         ("scale",),
-        lambda x, s: 0.5 * math.log(2.0 / math.pi) - np.log(s) - 0.5 * np.square(x / s),
+        lambda x, s: special.erf(x / (s * math.sqrt(2.0))),
         lambda p, s: s * math.sqrt(2.0) * special.erfinv(p),
         HalfNormal,
         _scale_mixture(scale_mixture_half_t, lambda mean: scale_mixture_half_t(mean, 0.0)),
     ),
     "exp": _Family(
         ("scale",),
-        lambda x, s: -np.log(s) - x / s,
+        lambda x, s: -np.expm1(-x / s),
         lambda p, s: -s * np.log1p(-p),
         Exponential,
         _scale_mixture(exp_mixture_lomax, Exponential),
     ),
     "half-cauchy": _Family(
         ("scale",),
-        lambda x, s: math.log(2.0 / math.pi) - np.log(s) - np.log1p(np.square(x / s)),
+        lambda x, s: (2.0 / math.pi) * np.arctan(x / s),
         lambda p, s: s * np.tan(0.5 * math.pi * p),
         HalfCauchy,
         None,
     ),
     "log-normal": _Family(
         ("theta", "sigma"),
-        _log_normal_log_density,
+        lambda x, theta, sigma: special.ndtr((np.log(x) - np.log(theta)) / sigma),
         lambda p, theta, sigma: theta * np.exp(sigma * special.ndtri(p)),
         lognormal_from_theta,
         _log_normal_mixture,
@@ -195,10 +203,6 @@ _HYPERPRIORS = (Uniform, HalfNormal, Exponential, HalfCauchy, LogNormal, HalfStu
 
 class ConfigError(ValueError):
     """Model or hyperprior configuration outside the supported space."""
-
-
-class InitializationError(RuntimeError):
-    """The log-posterior is not finite at the initial state."""
 
 
 def _hyper_support(prior: Distribution) -> tuple[float, float]:
@@ -253,6 +257,12 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class McmcConfig:
+    """Chains and kept draws per chain, and the seed of their streams.
+
+    ``burn_in`` and ``thin`` are validated and recorded, but the draws are
+    independent, so neither changes any draw.
+    """
+
     chains: int = 4
     burn_in: int = 5000
     iterations: int = 20000
@@ -282,10 +292,9 @@ class PosteriorSamples:
 
     ``hyper`` (name -> (chains, kept)), ``mu`` and ``tau`` ((chains, kept,
     N)), ``predictive`` and ``deviance`` are views of its columns.
-    ``slice_counts`` maps each slice block (``tau`` and each hyperparameter)
-    to a (chains, 4) integer array of the counters named in
-    ``SLICE_COUNTERS``, over all iterations including burn-in; it is
-    ``None`` for draws read back from a file.
+    ``quadrature`` describes the grids a fresh run drew from (the
+    ``quadrature`` block of :func:`summary_dict`); it is ``None`` for draws
+    read back from a file.
     """
 
     family: str
@@ -293,7 +302,7 @@ class PosteriorSamples:
     analysis_ids: tuple[str, ...]
     model: ModelSpec | None = None
     config: McmcConfig | None = None
-    slice_counts: dict[str, np.ndarray] | None = field(default=None, repr=False)
+    quadrature: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         width = len(self.parameter_names())
@@ -380,210 +389,365 @@ def _flatten(c: MetaAnalysisCollection):
     return y, se2, offsets
 
 
-def _neg2_loglik(se2, resid2, tau, sizes, starts):
-    """Per-analysis -2 log likelihood, less its log(2 pi) terms, at taus of
-    shape (..., N) and squared residuals (y_ij - mu_j)^2 of shape
-    (..., studies); ``sizes`` and ``starts`` lay the studies out by analysis."""
-    v = se2 + np.repeat(np.square(tau), sizes, axis=-1)
-    return np.add.reduceat(np.log(v) + resid2 / v, starts, axis=-1)
-
-
 def _deviance(y, se2, offsets, mu, tau):
     """-2 log likelihood of all studies at per-analysis effects and taus of
     shape (..., N); the result has their leading shape."""
     sizes = np.diff(offsets)
+    v = se2 + np.repeat(np.square(tau), sizes, axis=-1)
     resid2 = np.square(y - np.repeat(mu, sizes, axis=-1))
-    terms = _neg2_loglik(se2, resid2, tau, sizes, offsets[:-1])
+    terms = np.add.reduceat(np.log(v) + resid2 / v, offsets[:-1], axis=-1)
     return terms.sum(axis=-1) + y.size * _LOG_2PI
 
 
-def _initial_state(y, se2, offsets, m: ModelSpec):
-    """Fixed-effect means, DL tau (floored at 0.01; 0.01 where DL is
-    undefined), hyperprior medians."""
-    n = offsets.size - 1
-    mu0 = np.empty(n)
-    tau0 = np.empty(n)
-    for j in range(n):
-        sl = slice(offsets[j], offsets[j + 1])
-        mu0[j], _, tau2 = _dl_fit(y[sl], se2[sl])
-        tau0[j] = 0.01 if tau2 is None else max(0.01, math.sqrt(tau2))
-    th0 = [float(prior.quantile(0.5)) for prior in m.hyperpriors.values()]
-    return mu0, tau0, th0
+# -- quadrature ----------------------------------------------------------------
 
 
-def _check_initial_log_posterior(y, se2, offsets, mu0, tau0, th0, m: ModelSpec):
-    lp = sum(prior.log_density(th) for prior, th in zip(m.hyperpriors.values(), th0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lp += float(np.sum(HET_FAMILIES[m.het_family].log_density(tau0, *th0)))
-    lp += -0.5 * float(_deviance(y, se2, offsets, mu0, tau0))
-    lp += float(np.sum(Normal(m.effect_prior_mean, m.effect_prior_sd).log_density(mu0)))
-    if not math.isfinite(lp):
-        raise InitializationError(
-            f"log-posterior is {lp} at the initial state "
-            f"(family {m.het_family!r}, hyperparameters {dict(zip(m.hyperpriors, th0))})"
-        )
+@contextmanager
+def _shared_likelihoods():
+    """Within the block, fits of one corpus share its base tau grid's cell
+    likelihoods, which depend on the data alone (``compare`` fits every
+    family to one corpus)."""
+    global _shared_tables
+    _shared_tables = {}
+    try:
+        yield
+    finally:
+        _shared_tables = None
 
 
-def _chain_draws(rngs, method: str, shape, mask: np.ndarray | None = None) -> np.ndarray:
-    """Variates from ``Generator.<method>`` in a (chains, m) array, at the
-    True elements of ``mask`` (at every element if it is None) and zero
-    elsewhere: each chain draws from its own generator, for its own
-    elements, in element order."""
-    if mask is None:
-        out = np.empty(shape)
-        for row, r in zip(out, rngs):
-            getattr(r, method)(out=row)
-        return out
-    out = np.zeros(shape)
-    for row, m, r in zip(out, mask, rngs):
-        n = np.count_nonzero(m)
-        if n:
-            row[m] = getattr(r, method)(n)
+def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scale=None):
+    """(blocks, _TAU_BLOCK, N) table of L_j / exp(scale_j) averaged over the
+    ends of each cell of ``nodes``, after the node values ``first`` if given,
+    padded with empty cells; the last node's values; and the scale, by
+    default each analysis' largest log L_j. The analyses of one size are
+    pooled at once, ``_BLOCK`` values at a time, with the studies on the
+    slowest axis, so their sums are array adds."""
+    sizes = np.diff(offsets)
+    rows = 0 if first is None else len(first)
+    n_cells = rows + nodes.size - 1
+    table = np.empty((-(-n_cells // _TAU_BLOCK) * _TAU_BLOCK + 1, sizes.size), dtype=_LIKELIHOOD)
+    table[:rows] = first
+    scale = np.full(sizes.size, np.nan) if scale is None else scale
+    for k in np.unique(sizes):
+        analyses = np.flatnonzero(sizes == k)
+        step = max(1, _BLOCK // (max(1, nodes.size) * (k + 1)))
+        for batch in np.split(analyses, range(step, analyses.size, step)):
+            studies = offsets[batch, None] + np.arange(k)
+            var = np.empty((k + 1, batch.size, nodes.size))
+            np.add(se2[studies].T[:, :, None], np.square(nodes), out=var[:k])
+            var[k] = mu_prior.sd**2  # the effect prior joins as one more study
+            est = np.concatenate([y[studies], np.full((batch.size, 1), mu_prior.mean)], axis=1)
+            loglik = _integrated_loglik(est[:, None, :], np.moveaxis(var, 0, -1), None)[0].T
+            scale[batch] = np.where(np.isnan(scale[batch]), loglik.max(axis=0, initial=-np.inf), scale[batch])
+            table[rows : n_cells + 1, batch] = np.exp(loglik - scale[batch])
+    last = table[n_cells : n_cells + 1].copy()
+    step = max(1, _BLOCK // sizes.size)  # a block reads the next one's first row before it changes
+    for start in range(0, n_cells, step):
+        block = slice(start, min(start + step, n_cells))
+        table[block] += table[block.start + 1 : block.stop + 1]
+        table[block] *= 0.5
+    table[n_cells:] = 0.0
+    return table[:-1].reshape(-1, _TAU_BLOCK, sizes.size), last, scale
+
+
+def _cells(nodes, blocks) -> np.ndarray:
+    """The (cells, N) rows of a padded block table of the cells of ``nodes``."""
+    return blocks.reshape(-1, blocks.shape[-1])[: nodes.size - 1]
+
+
+def _marginals(fam: _Family, centre, parts, log_sum=False) -> np.ndarray:
+    """(theta rows, N) table of m_j = sum_g M_g Lbar_jg over the cells of the
+    grid ``parts``, (nodes, (cells, N) table) pairs, M_g the family's mass
+    at each row of ``centre``, or with ``log_sum`` each row's sum_j log m_j;
+    ``_ROW_BLOCK`` rows at a time."""
+    out = np.empty(len(centre) if log_sum else (len(centre), parts[0][1].shape[1]))
+    for start in range(0, len(centre), _ROW_BLOCK):
+        hyper = [centre[start : start + _ROW_BLOCK, h : h + 1] for h in range(centre.shape[1])]
+        m = sum(np.diff(fam.cdf(nodes, *hyper), axis=1).astype(cells.dtype) @ cells for nodes, cells in parts)
+        out[start : start + len(hyper[0])] = np.log(m.astype(float)).sum(axis=1) if log_sum else m
     return out
 
 
-def _slice(x0, log_post, lo, hi, rngs, counts):
-    """One stepping-out/shrinkage slice update of every element of the
-    (chains, m) array ``x0``.
+def _log_weights(priors, lo, hi, log_m) -> np.ndarray:
+    """Log posterior masses of theta cells up to a constant: log prior mass
+    (from the hyperprior cdfs) plus sum_j log m_j, ``log_m``."""
+    for h, prior in enumerate(priors):
+        log_m = log_m + np.log(prior.cdf(hi[:, h]) - prior.cdf(lo[:, h]))
+    return log_m
 
-    ``log_post`` maps a (chains, m) array, or a (2, chains, m) stack of
-    two, to the elementwise log full conditional; it is evaluated at every
-    element, and the values of elements that are no longer active are
-    ignored. Each element moves within [lo, hi] with initial width
-    x0 + 0.1, at most ``_MAX_STEPOUT`` step-outs per side and at most
-    ``_MAX_SHRINK`` shrinks, and keeps x0 on a shrink cap hit. ``counts``
-    is a (chains, 4) integer array to which the per-chain counts named in
-    ``SLICE_COUNTERS`` are added.
+
+def _scaled(log_w: np.ndarray) -> np.ndarray:
+    top = log_w.max()
+    if not np.isfinite(top):
+        raise GridError("hyperparameter posterior vanished on the whole theta grid")
+    return np.exp(log_w - top)
+
+
+def _centre(lo, hi) -> np.ndarray:
+    """Where a theta cell is weighed: its geometric centre, or its middle if it starts at 0."""
+    return np.where(lo > 0.0, np.sqrt(lo * hi), 0.5 * hi)
+
+
+def _tail_share(fam, centre, nodes, blocks, marg, w) -> float:
+    """The largest posterior share of a tau_j in the top 5% of a grid that
+    ends with ``nodes`` (``blocks`` holds their cells)."""
+    top = int(np.searchsorted(nodes, 0.95 * nodes[-1]))
+    tail = _marginals(fam, centre, [(nodes[top:], _cells(nodes, blocks)[top:])])
+    return float(np.max(w @ np.where(w[:, None] > 0.0, tail / marg, 0.0)) / w.sum())
+
+
+def _refine(lo, hi, parts):
+    """Cut cell i into parts[i, h] parts along each axis h (1 keeps it, 0
+    drops it) of equal ratio hi/lo, or halving toward 0 in a cell that
+    starts there; returns the new edges and each new cell's parent."""
+    count = parts.prod(axis=1)
+    parent = np.repeat(np.arange(count.size), count)
+    local = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    new_lo, new_hi = np.empty((parent.size, lo.shape[1])), np.empty((parent.size, lo.shape[1]))
+    for h in range(lo.shape[1]):
+        k, a, b = parts[parent, h], lo[parent, h], hi[parent, h]
+        i, local = local % k, local // k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            edge = [np.where(a > 0.0, a * (b / a) ** (j / k), b * 0.5 ** (k - j)) for j in (i, i + 1)]
+        new_lo[:, h] = np.where(i == 0, a, edge[0])
+        new_hi[:, h] = np.where(i + 1 == k, b, edge[1])
+    return new_lo, new_hi, parent
+
+
+def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
+    """The tau grid as two (nodes, (blocks, _TAU_BLOCK, N) cell likelihoods)
+    parts, the base and its extensions, and the theta cells' (cells, H)
+    edges and posterior masses, the largest 1.
+
+    Each hyperparameter's coarse cells are geometric by ``_COARSE_RATIO``
+    from ``_THETA_FLOOR`` times its prior median up to the top of its
+    support, or the prior's 1 - ``_TAIL_MASS`` quantile, where a top cell
+    that still holds ``_TAIL_MASS`` of the posterior is a ``GridError``; a
+    support down to 0 adds a cell [0, bottom]. Refinement: each coarse cell
+    with more than ``_SETTLE`` of the mass is cut along each axis until no
+    band holds more than 1 / ``_BANDS[H]`` of that marginal, then every
+    cell with more than 1 / ``_THETA_CELLS`` of the mass by its share.
     """
-    w = x0 + 0.1
-    logy = log_post(x0) - _chain_draws(rngs, "standard_exponential", x0.shape)
-    ends = np.empty((2, *x0.shape))
-    left, right = ends
-    np.subtract(x0, w * _chain_draws(rngs, "random", x0.shape), out=left)
-    np.minimum(left + w, hi, out=right)
-    np.maximum(left, lo, out=left)
+    fam = HET_FAMILIES[m.het_family]
+    priors = list(m.hyperpriors.values())
+    mu_prior = Normal(m.effect_prior_mean, m.effect_prior_sd)
+    y, se2, offsets = _flatten(c)
+    sizes = np.diff(offsets)
+    spread = np.abs(y - np.repeat(np.add.reduceat(y, offsets[:-1]) / sizes, sizes)) + np.sqrt(se2)
+    reference = HalfNormal(float(spread.max()))
+    axes = []
+    for prior in priors:
+        lo, hi = _hyper_support(prior)
+        hi = hi if math.isfinite(hi) else float(prior.quantile(1.0 - _TAIL_MASS))
+        bottom = lo if lo > 0.0 else float(prior.quantile(0.5)) * _THETA_FLOOR
+        n_cells = max(1, math.ceil(math.log(hi / bottom) / math.log(_COARSE_RATIO)))
+        edges = np.geomspace(bottom, hi, n_cells + 1)
+        axes.append(edges if lo > 0.0 else np.concatenate(([0.0], edges)))
+    band = np.meshgrid(*[np.arange(e.size - 1) for e in axes], indexing="ij")
+    band = np.stack([i.ravel() for i in band], axis=1)
+    lo = np.stack([e[band[:, h]] for h, e in enumerate(axes)], axis=1)
+    hi = np.stack([e[band[:, h] + 1] for h, e in enumerate(axes)], axis=1)
+    centre = _centre(lo, hi)
+    base = _tau_grid(reference, 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        shared = {} if _shared_tables is None else _shared_tables
+        if (c, mu_prior) not in shared:
+            shared[c, mu_prior] = _cell_likelihoods(y, se2, offsets, mu_prior, base)
+        base_lbar, last, scale = shared[c, mu_prior]
+        base_m = _marginals(fam, centre, [(base, _cells(base, base_lbar))])
+        extensions = 0
+        while True:  # the extensions add cells above the base
+            ext = _tau_grid(reference, extensions)[base.size - 1 :]
+            ext_lbar = _cell_likelihoods(y, se2, offsets, mu_prior, ext[1:], last, scale)[0]
+            marg = base_m + _marginals(fam, centre, [(ext, _cells(ext, ext_lbar))])
+            dead = [c.analysis_ids[j] for j in np.flatnonzero(~np.any(marg > 0.0, axis=0))]
+            if dead:
+                raise GridError(
+                    f"analyses {dead} have no likelihood where the {m.het_family} family puts "
+                    "heterogeneity under its hyperpriors: their heterogeneity is far beyond them"
+                )
+            w = _scaled(log_w := _log_weights(priors, lo, hi, np.log(marg).sum(axis=1)))
+            top = (base, base_lbar) if extensions == 0 else (ext, ext_lbar)
+            if _tail_share(fam, centre, *top, marg, w) < _TAIL_MASS:
+                break
+            # on to the first longer grid whose top 5%, tabulated alone,
+            # passes against this posterior, whose marginals it only raises
+            for extensions in range(extensions + 1, _MAX_EXTENSIONS + 1):
+                window = _tau_grid(reference, extensions)
+                window = window[int(np.searchsorted(window, 0.95 * window[-1])) :]
+                blocks = _cell_likelihoods(y, se2, offsets, mu_prior, window, scale=scale)[0]
+                if _tail_share(fam, centre, window, blocks, marg, w) < _TAIL_MASS:
+                    break
+            else:
+                raise GridError(
+                    f"tau posterior mass does not decay: grid extended {_MAX_EXTENSIONS} "
+                    f"times without reaching tail mass < {_TAIL_MASS:g}"
+                )
+        for h, prior in enumerate(priors):
+            top_mass = w[band[:, h] == axes[h].size - 2].sum()
+            if not math.isfinite(_hyper_support(prior)[1]) and top_mass >= _TAIL_MASS * w.sum():
+                raise GridError(
+                    f"hyperparameter posterior mass does not decay: the top cell below the "
+                    f"hyperprior's {1.0 - _TAIL_MASS:g} quantile holds {_TAIL_MASS:g} of it"
+                )
+        # the grid in two parts, the base (which ``compare``'s fits share)
+        # and the extensions, so neither table is copied
+        grid = [(base, base_lbar), (ext, ext_lbar)]
+        cells = [(nodes, _cells(nodes, blocks)) for nodes, blocks in grid]
+        n_axes = lo.shape[1]
+        share = w / w.sum()
+        parts = np.stack([np.bincount(band[:, h], share)[band[:, h]] for h in range(n_axes)], 1)
+        parts = np.ceil(parts * _BANDS[n_axes]).astype(np.int64)
+        parts = np.where((share > _SETTLE)[:, None], np.maximum(parts, 1), (w > 0.0)[:, None])
+        for _ in range(_REFINEMENTS):
+            cut = parts.prod(axis=1) > 1
+            if not cut.any():
+                break
+            lo, hi, parent = _refine(lo, hi, parts)
+            new, log_w = cut[parent], log_w[parent]
+            log_m = _marginals(fam, _centre(lo[new], hi[new]), cells, True)
+            log_w[new] = _log_weights(priors, lo[new], hi[new], log_m)
+            w = _scaled(log_w)
+            share = w / w.sum()
+            parts = np.ceil((share * _THETA_CELLS) ** (1.0 / n_axes)).astype(np.int64)
+            parts = np.where(share > 1.0 / _THETA_CELLS, np.maximum(parts, 2), w > 0.0)
+            parts = np.repeat(parts[:, None], n_axes, axis=1)
+    return grid, lo, hi, w
 
-    # step both ends out together, the lower one down and the upper one up,
-    # each until it leaves the slice or reaches its bound; ``evals`` counts
-    # each element's log-posterior evaluations after the one at x0
-    step = w * _DOWN_UP
-    out = np.empty(ends.shape, dtype=bool)
-    np.greater(left, lo, out=out[0])
-    np.less(right, hi, out=out[1])
-    evals = np.zeros(x0.shape, dtype=np.int64)
-    for _ in range(_MAX_STEPOUT):
-        if not np.count_nonzero(out):
-            break
-        evals += out[0]
-        evals += out[1]
-        out &= log_post(ends) > logy
-        np.add(ends, step, out=ends, where=out)
-        out[0] &= left > lo
-        out[1] &= right < hi
-    np.maximum(left, lo, out=left)
-    np.minimum(right, hi, out=right)
 
-    x = x0.copy()
-    active = np.ones(x0.shape, dtype=bool)
-    for _ in range(_MAX_SHRINK):
-        evals += active
-        x1 = left + _chain_draws(rngs, "random", x0.shape, active) * (right - left)
-        accept = log_post(x1) > logy
-        accept &= active
-        np.copyto(x, x1, where=accept)
-        active ^= accept
-        if not np.count_nonzero(active):
-            break
-        # shrink toward x0; the bounds of finished elements no longer matter
-        below = x1 < x0
-        left, right = np.where(below, x1, left), np.where(below, right, x1)
-    counts[:, 0] += x0.shape[1]
-    counts[:, 1] += x0.shape[1] + evals.sum(axis=1)
-    counts[:, 2] += out.sum(axis=(0, 2))
-    counts[:, 3] += active.sum(axis=1)
-    return x
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray):
+    """Inverse cdf over cells of cumulative weights ``cum`` (last axis; one
+    table for all ``u`` if 1-d, else broadcast against ``u``): the cell g
+    whose share [cum[g - 1], cum[g]) holds u cum[-1], and the point's place
+    in that share, in [0, 1). A cell of zero weight is never picked."""
+    x = u * cum[..., -1]
+    if cum.ndim == 1:
+        g, at = np.searchsorted(cum, x, side="right"), cum.__getitem__
+    else:
+        g = np.count_nonzero(cum <= x[..., None], axis=-1)
+
+        def at(i):
+            return np.take_along_axis(cum, i[..., None], axis=-1)[..., 0]
+
+    g = np.minimum(g, cum.shape[-1] - 1)
+    lower = np.where(g > 0, at(g - 1), 0.0)
+    share = at(g) - lower
+    pos = np.divide(x - lower, share, out=np.zeros(x.shape), where=share > 0.0)
+    return g, np.clip(pos, 0.0, _BELOW_ONE)
+
+
+def _tau_draws(fam: _Family, grid, centre, cell, u, tau) -> None:
+    """Write into ``tau`` the tau_j draws for the uniforms ``u`` (draws, N)
+    of draws in the theta cells ``cell``: a tau cell in proportion to M_g
+    Lbar_jg at the cell's ``centre``, picked among the blocks of the
+    ``grid`` parts and then within one, and the family's quantile inside
+    it. The tables of ``_CELL_BATCH`` drawn cells are built at a time, each
+    cell's arithmetic its own, so a draw does not depend on which other
+    cells were drawn."""
+    n = u.shape[1]
+    nodes = np.concatenate([grid[0][0], *(part[1:] for part, _ in grid[1:])])
+    # each part's first block, and the cell of nodes its first cell is
+    block_at = np.cumsum([0] + [blocks.shape[0] for _, blocks in grid])
+    cell_at = np.cumsum([0] + [part.size - 1 for part, _ in grid])
+    cols = np.arange(n)
+    chunk = max(1, 4 * _BLOCK // (n * max(block_at[-1], _TAU_BLOCK)))  # float32 rows
+    order = np.argsort(cell, kind="stable")
+    drawn, first = np.unique(cell[order], return_index=True)
+    first = np.append(first, order.size)
+    for start in range(0, drawn.size, _CELL_BATCH):
+        batch = drawn[start : start + _CELL_BATCH]
+        hyper = [centre[batch, h : h + 1] for h in range(centre.shape[1])]
+        cdf = fam.cdf(nodes, *hyper)
+        mass = np.zeros((batch.size, block_at[-1], 1, _TAU_BLOCK))
+        sums = []
+        for (part, blocks), b0, c0 in zip(grid, block_at, cell_at):
+            part_mass = mass[:, b0 : b0 + blocks.shape[0]].reshape(batch.size, -1)
+            part_mass[:, : part.size - 1] = np.diff(cdf[:, c0 : c0 + part.size], axis=1)
+            # one (1, _TAU_BLOCK) x (_TAU_BLOCK, N) product per cell and block
+            part_mass = mass[:, b0 : b0 + blocks.shape[0]].astype(blocks.dtype)
+            sums.append(np.matmul(part_mass, blocks)[:, :, 0])
+        block_cum = np.cumsum(np.concatenate(sums, axis=1), axis=1).transpose(0, 2, 1)
+        mass = mass[:, :, 0].astype(_LIKELIHOOD)
+        draws = order[first[start] : first[start + batch.size]]
+        for some in np.array_split(draws, 1 + draws.size // chunk):
+            row = np.searchsorted(batch, cell[some])
+            block, pos = _inverse_cdf(block_cum[row], u[some])
+            which = np.searchsorted(block_at, block, side="right") - 1
+            weight = np.empty((*block.shape, _TAU_BLOCK), dtype=_LIKELIHOOD)
+            for p, (_, blocks) in enumerate(grid):
+                at = np.nonzero(which == p)
+                weight[at] = blocks[block[at] - block_at[p], :, cols[at[1]]]
+            weight *= mass[row[:, None], block]
+            within, pos = _inverse_cdf(np.cumsum(weight, axis=-1), pos)
+            g = cell_at[which] + (block - block_at[which]) * _TAU_BLOCK + within
+            below, above = cdf[row[:, None], g], cdf[row[:, None], g + 1]
+            t = fam.quantile(below + pos * (above - below), *(h[row] for h in hyper))
+            tau[some] = np.clip(t, nodes[g], nodes[g + 1])
 
 
 def run_hierarchical(
     c: MetaAnalysisCollection, m: ModelSpec | None = None, cfg: McmcConfig | None = None
 ) -> PosteriorSamples:
-    """Sample the joint posterior for a collection of meta-analyses.
+    """Draw the joint posterior of a collection of meta-analyses.
 
-    Returns draws of the hyperparameter(s), every (mu_j, tau_j), the
-    predictive heterogeneity tau*, and the per-iteration deviance.
-    Deterministic given (collection, model, config including seed).
+    Returns independent draws of the hyperparameter(s), every (mu_j,
+    tau_j), the predictive heterogeneity tau*, and each draw's deviance.
+    Deterministic given (collection, model, config including seed); a
+    posterior the quadrature cannot cover raises ``GridError``.
     """
-    if m is None:
-        m = ModelSpec()
-    if cfg is None:
-        cfg = McmcConfig()
-    y, se2, offsets = _flatten(c)
-    mu0, tau0, th0 = _initial_state(y, se2, offsets, m)
-    _check_initial_log_posterior(y, se2, offsets, mu0, tau0, th0, m)
-
+    m = ModelSpec() if m is None else m
+    cfg = McmcConfig() if cfg is None else cfg
     fam = HET_FAMILIES[m.het_family]
-    hyper_blocks = [
-        (i, name, prior, *_hyper_support(prior))
-        for i, (name, prior) in enumerate(m.hyperpriors.items())
-    ]
-    sizes = np.diff(offsets)
-    starts = offsets[:-1]
-    prior_prec = 1.0 / m.effect_prior_sd**2
-    prior_wmean = m.effect_prior_mean * prior_prec
+    grid, lo, hi, weight = _quadrature(c, m)
+    y, se2, offsets = _flatten(c)
+    n, n_hyper, chains, kept = c.n_analyses, len(fam.hyper_names), cfg.chains, cfg.iterations
 
-    chains, kept = cfg.chains, cfg.iterations
-    # one row per kept draw, in the column order of parameter_names()
-    table = np.empty((chains, kept, len(_parameter_names(m.het_family, c.analysis_ids))))
-    counts = {
-        name: np.zeros((chains, len(SLICE_COUNTERS)), dtype=np.int64)
-        for name in ("tau", *fam.hyper_names)
-    }
-
+    # each chain's stream gives each draw a row of uniforms (the theta cell,
+    # the further hyperparameters' places, tau_j, tau*), then the normals
+    # of the mu_j
     seeds = np.random.SeedSequence(cfg.seed).spawn(chains)
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
-    tau = np.tile(tau0, (chains, 1))
-    th = np.tile(th0, (chains, 1))
-    hyper = [th[:, i : i + 1] for i in range(len(th0))]  # (chains, 1) views of th
-    total = cfg.burn_in + (kept - 1) * cfg.thin + 1
+    u = np.stack([r.random((kept, n_hyper + n + 1)) for r in rngs])
+    z = np.stack([r.standard_normal((kept, n)) for r in rngs])
+
+    # one row per kept draw, in the column order of parameter_names()
+    table = np.empty((chains, kept, n_hyper + 2 * n + 2))
+    theta, mu, tau = table[..., :n_hyper], table[..., n_hyper : n_hyper + n], table[..., -2 - n : -2]
+    # theta: a cell by inverse cdf, then uniform within it
+    cell, pos = _inverse_cdf(np.cumsum(weight), u[..., 0].ravel())
+    places = np.column_stack([pos, u[..., 1:n_hyper].reshape(chains * kept, -1)])
+    theta[:] = np.clip(lo[cell] + places * (hi - lo)[cell], lo[cell], hi[cell]).reshape(chains, kept, -1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(total):
-            # mu_j | tau_j: exact conjugate normal draws
-            wgt = 1.0 / (se2 + np.repeat(np.square(tau), sizes, axis=1))
-            prec = prior_prec + np.add.reduceat(wgt, starts, axis=1)
-            mean = (prior_wmean + np.add.reduceat(wgt * y, starts, axis=1)) / prec
-            mu = mean + _chain_draws(rngs, "standard_normal", tau.shape) / np.sqrt(prec)
-            resid2 = np.square(y - np.repeat(mu, sizes, axis=1))
+        u_tau = u[..., n_hyper:-1].reshape(-1, n)
+        _tau_draws(fam, grid, _centre(lo, hi), cell, u_tau, table.reshape(chains * kept, -1)[:, -2 - n : -2])
+        table[..., -2] = fam.quantile(u[..., -1], *np.moveaxis(theta, -1, 0))
+    nodes = grid[0][0].size + grid[1][0].size - 1
+    del u, grid  # the largest tables, which the rest does not read
 
-            def tau_log_post(x):
-                return fam.log_density(x, *hyper) - 0.5 * _neg2_loglik(
-                    se2, resid2, x, sizes, starts
-                )
+    # mu_j | tau_j: exact conjugate normal draws; then each draw's deviance
+    sizes, starts = np.diff(offsets), offsets[:-1]
+    prior_prec = 1.0 / m.effect_prior_sd**2
+    step = max(1, _BLOCK // (chains * y.size))
+    for k0 in range(0, kept, step):
+        rows = slice(k0, k0 + step)
+        wgt = 1.0 / (se2 + np.repeat(np.square(tau[:, rows]), sizes, axis=-1))
+        prec = prior_prec + np.add.reduceat(wgt, starts, axis=-1)
+        mean = (m.effect_prior_mean * prior_prec + np.add.reduceat(wgt * y, starts, axis=-1)) / prec
+        mu[:, rows] = mean + z[:, rows] / np.sqrt(prec)
+        table[:, rows, -1] = _deviance(y, se2, offsets, mu[:, rows], tau[:, rows])
 
-            tau = _slice(tau, tau_log_post, 0.0, math.inf, rngs, counts["tau"])
-
-            for i, name, prior, lo, hi in hyper_blocks:
-
-                def hyper_log_post(x):
-                    params = list(hyper)
-                    params[i] = x
-                    lp = fam.log_density(tau, *params).sum(axis=-1, keepdims=True)
-                    return prior.log_density(x) + lp
-
-                hyper[i][:] = _slice(hyper[i], hyper_log_post, lo, hi, rngs, counts[name])
-
-            pred = fam.quantile(_chain_draws(rngs, "random", (chains, 1)), *hyper)[:, 0]
-            if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                dev = _deviance(y, se2, offsets, mu, tau)
-                row = table[:, (it - cfg.burn_in) // cfg.thin]
-                np.concatenate([th, mu, tau, pred[:, None], dev[:, None]], axis=1, out=row)
-
+    names = fam.hyper_names
     return PosteriorSamples(
         family=m.het_family,
         table=table,
         analysis_ids=tuple(c.analysis_ids),
         model=m,
         config=cfg,
-        slice_counts=counts,
+        quadrature={
+            "tau_nodes": nodes,
+            "theta_cells": {name: int(np.unique(lo[:, h]).size) for h, name in enumerate(names)},
+            "theta_range": {n: [float(lo[:, h].min()), float(hi[:, h].max())] for h, n in enumerate(names)},
+        },
     )
 
 
@@ -924,25 +1088,6 @@ def samples_from_csv(text: str, family: str) -> PosteriorSamples:
     )
 
 
-def _slice_warnings(counts: dict[str, np.ndarray]) -> list[str]:
-    """One warning per slice block and cap that was hit."""
-    warns = []
-    for block, per_chain in counts.items():
-        stepout = int(per_chain[:, SLICE_COUNTERS.index("stepout_cap_hits")].sum())
-        shrink = int(per_chain[:, SLICE_COUNTERS.index("shrink_cap_hits")].sum())
-        if stepout:
-            warns.append(
-                f"{block}: {stepout} slice step-outs stopped at the {_MAX_STEPOUT}-step cap; "
-                "those slice intervals were truncated"
-            )
-        if shrink:
-            warns.append(
-                f"{block}: {shrink} slice updates hit the {_MAX_SHRINK}-shrink cap "
-                "and kept the current value"
-            )
-    return warns
-
-
 def _bound_warnings(s: PosteriorSamples) -> list[str]:
     """Warnings for hyperparameters whose draws pile up at the upper bound
     of a finite hyperprior support (the ``_PILEUP_*`` rule)."""
@@ -965,8 +1110,8 @@ def _bound_warnings(s: PosteriorSamples) -> list[str]:
 
 def summary_dict(s: PosteriorSamples) -> dict:
     """JSON-ready summary: per-parameter statistics, diagnostics, the
-    slice-sampler counters of a fresh run, and one list of warnings
-    (diagnostics, slice cap hits, hyperparameters piled up at a bound)."""
+    quadrature grids of a fresh run, and one list of warnings (diagnostics,
+    hyperparameters piled up at a bound)."""
     params = {name: summarize_samples(x) for name, x in s.columns()}
     doc = {
         "family": s.family,
@@ -977,12 +1122,8 @@ def summary_dict(s: PosteriorSamples) -> dict:
         "parameters": params,
     }
     doc["diagnostics"], warns = diagnostics(s)
-    if s.slice_counts is not None:
-        doc["slice_sampler"] = {
-            block: {name: per_chain[:, i].tolist() for i, name in enumerate(SLICE_COUNTERS)}
-            for block, per_chain in s.slice_counts.items()
-        }
-        warns += _slice_warnings(s.slice_counts)
+    if s.quadrature is not None:
+        doc["quadrature"] = s.quadrature
     if s.model is not None:
         warns += _bound_warnings(s)
     doc["warnings"] = warns

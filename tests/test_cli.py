@@ -208,7 +208,7 @@ def test_fit_outputs_and_manifest(fit_dir):
     man = json.loads((fit_dir / "manifest.json").read_text())
     assert man["subcommand"] == "fit"
     assert man["seed"] == 11
-    assert man["schema_version"] == 5
+    assert man["schema_version"] == 6
     assert man["tool_version"]
     src = man["inputs"][0]
     digest = hashlib.sha256(open(src["path"], "rb").read()).hexdigest()
@@ -235,6 +235,16 @@ def test_fit_same_seed_reproduces_bytes(corpus_csv, tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "samples.npy").read_bytes() == (out2 / "samples.npy").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def test_fit_burnin_is_recorded_but_moves_no_draw(corpus_csv, tmp_path):
+    # the draws are independent, so a burn-in changes nothing but the record
+    args = ["fit", str(corpus_csv), "--seed", "7", "--chains", "2", "--iters", "300"]
+    out1, out2 = tmp_path / "b1", tmp_path / "b2"
+    assert main(args + ["--burnin", "80", "--out", str(out1)]) == 0
+    assert main(args + ["--burnin", "5000", "--out", str(out2)]) == 0
+    assert (out1 / "samples.npy").read_bytes() == (out2 / "samples.npy").read_bytes()
+    assert json.loads((out2 / "manifest.json").read_text())["options"]["burn_in"] == 5000
 
 
 def test_fit_text_table(corpus_csv, tmp_path, capsys):
@@ -1015,7 +1025,7 @@ def test_json_mode_matches_file(argv, doc, corpus_csv, single_csv, fit_dir, tmp_
     assert main([a.format(**paths) for a in argv] + ["--json", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert printed == (out / doc).read_text()
-    assert json.loads(printed)["schema_version"] == 5
+    assert json.loads(printed)["schema_version"] == 6
 
 
 # -- the library functions return the documents their commands write ------------------
@@ -1080,7 +1090,7 @@ def test_programming_error_propagates_instead_of_reading_as_input_error(corpus_c
     def broken(*args):
         raise TypeError("bug in the exp density")
 
-    monkeypatch.setitem(HET_FAMILIES, "exp", HET_FAMILIES["exp"]._replace(log_density=broken))
+    monkeypatch.setitem(HET_FAMILIES, "exp", HET_FAMILIES["exp"]._replace(cdf=broken))
     argv = ["compare", str(corpus_csv), "--families", "half-normal,exp", "--seed", "2", *_MCMC]
     with pytest.raises(TypeError, match="bug in the exp density"):
         main(argv + ["--out", str(tmp_path / "cmp")])

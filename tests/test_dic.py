@@ -218,7 +218,7 @@ def test_compare_models_lets_programming_errors_propagate(quick_fit, monkeypatch
     def broken(*args):
         raise TypeError("bug in the exp density")
 
-    monkeypatch.setitem(HET_FAMILIES, "exp", HET_FAMILIES["exp"]._replace(log_density=broken))
+    monkeypatch.setitem(HET_FAMILIES, "exp", HET_FAMILIES["exp"]._replace(cdf=broken))
     cfg = McmcConfig(chains=2, burn_in=10, iterations=20, seed=5)
     with pytest.raises(TypeError, match="bug in the exp density"):
         compare_models(c, ["half-normal", "exp"], cfg=cfg)

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from hetprior.data import MetaAnalysisCollection, StudyRecord
 from hetprior.dist import HalfNormal, Normal, Uniform
+from hetprior.metaanalysis import GridError
 from hetprior.sampler import (
     BACKEND,
     HET_FAMILIES,
-    SLICE_COUNTERS,
     ConfigError,
     McmcConfig,
     ModelSpec,
@@ -24,12 +25,11 @@ from hetprior.sampler import (
     summarize_samples,
     summary_dict,
 )
-from hetprior.sampler import _slice
 
 #: sha256 of scale, mu, tau, tau* and deviance draws of ``quick_run``, taken
-#: with numpy 2.4.6 and scipy 1.17.1 (Python 3.11.7) on an x86-64 CPU whose
-#: numpy dispatches to AVX512 (SPR) kernels
-GOLDEN_DIGEST = "d494a4cf772574e2804a8882042ec3e0678dcb91a58444410a341ef770da7bc0"
+#: with numpy 2.4.6 and scipy 1.17.1 (Python 3.11.7) and numpy's bundled
+#: OpenBLAS on an x86-64 CPU whose numpy dispatches to AVX512 (SPR) kernels
+GOLDEN_DIGEST = "45df7d6e12def5e02a322336f06c32b1f69364e1edb8bbf4a40316acd65037d7"
 
 
 def synthetic_corpus(n_analyses, k, sigma, true_scale, seed):
@@ -166,24 +166,24 @@ _RECORD_HYPER = (0.7, 0.9)
 
 @pytest.mark.parametrize("token", sorted(HET_FAMILIES))
 def test_family_record_matches_its_distribution(token):
-    """The sampler's vectorized log density and quantile restate the
-    scalar ones of ``dist``; both must describe the same family."""
+    """The sampler's vectorized cdf and quantile restate the scalar ones
+    of ``dist``; both must describe the same family."""
     fam = HET_FAMILIES[token]
     hyper = _RECORD_HYPER[: len(fam.hyper_names)]
     x = np.linspace(0.0, 20.0, 401)[1:]
     p = np.linspace(0.0, 1.0, 201)[1:-1]
     d = fam.distribution(*hyper)
     assert d.token == token
-    np.testing.assert_allclose(fam.log_density(x, *hyper), d.log_density(x), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fam.cdf(x, *hyper), d.cdf(x), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(fam.quantile(p, *hyper), d.quantile(p), rtol=1e-12, atol=1e-12)
     # per-chain (chains, 1) hyperparameters broadcast against the values
     per_chain = [np.array([[0.5 * h], [h], [2.0 * h]]) for h in hyper]
-    dens = fam.log_density(x, *per_chain)
+    cdf = fam.cdf(x, *per_chain)
     quant = fam.quantile(p, *per_chain)
-    assert dens.shape == (3, x.size) and quant.shape == (3, p.size)
+    assert cdf.shape == (3, x.size) and quant.shape == (3, p.size)
     for c in range(3):
         dc = fam.distribution(*(float(h[c, 0]) for h in per_chain))
-        np.testing.assert_allclose(dens[c], dc.log_density(x), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(cdf[c], dc.cdf(x), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(quant[c], dc.quantile(p), rtol=1e-12, atol=1e-12)
 
 
@@ -439,30 +439,16 @@ def test_samples_from_csv_rejects_long_layout_with_rerun_hint():
         samples_from_csv(text, "half-normal")
 
 
-def test_initial_state_floors_undefined_dl_start():
-    from hetprior.sampler import _flatten, _initial_state
-
-    c = MetaAnalysisCollection(
-        (
-            ("tight", (StudyRecord("tight", "a", 0.1, 1e-10, 0), StudyRecord("tight", "b", 0.3, 1.0, 1))),
-            ("solo", (StudyRecord("solo", "a", 0.2, 0.4, 2),)),
-        )
-    )
-    _, tau0, _ = _initial_state(*_flatten(c), ModelSpec())
-    assert tau0.tolist() == [0.01, 0.01]
-
-
 def test_summary_dict_structure(quick_run):
     doc = summary_dict(quick_run)
     assert doc["family"] == "half-normal"
     assert doc["backend"] == BACKEND
     assert set(doc["parameters"]["scale"]) == {"mean", "sd", "median", "q95", "q99"}
     assert "scale" in doc["diagnostics"]
-    assert set(doc["slice_sampler"]) == {"tau", "scale"}
-    tau_counts = doc["slice_sampler"]["tau"]
-    assert set(tau_counts) == set(SLICE_COUNTERS)
-    assert tau_counts["updates"] == [700 * 6, 700 * 6]
-    assert all(e >= 2 * u for e, u in zip(tau_counts["log_posterior_evals"], tau_counts["updates"]))
+    quadrature = doc["quadrature"]
+    assert set(quadrature) == {"tau_nodes", "theta_cells", "theta_range"}
+    assert quadrature["tau_nodes"] >= 2000 and set(quadrature["theta_cells"]) == {"scale"}
+    assert quadrature["theta_range"] == {"scale": [0.0, 10.0]}
     assert isinstance(doc["warnings"], list)
 
 
@@ -514,83 +500,6 @@ def test_flatten_squares_standard_errors_with_numpy():
     np.testing.assert_array_equal(se2, np.asarray(sigma) ** 2)
 
 
-def _rngs(n, seed=0):
-    return [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
-def test_slice_block_samples_its_target():
-    # the tau block and a hyperparameter take the same routine, as a
-    # (chains, analyses) and a (chains, 1) array; run both on known targets
-    rngs = _rngs(2)
-    counts = np.zeros((2, len(SLICE_COUNTERS)), dtype=np.int64)
-    target = HalfNormal(0.7)
-    x = np.full((2, 50), 0.5)
-    draws = []
-    for _ in range(300):
-        x = _slice(x, target.log_density, 0.0, math.inf, rngs, counts)
-        draws.append(x)
-    draws = np.concatenate(draws[50:]).ravel()
-    for p in (0.25, 0.5, 0.9):
-        assert np.quantile(draws, p) == pytest.approx(target.quantile(p), rel=0.03)
-    assert counts[:, 0].tolist() == [300 * 50, 300 * 50]
-    assert np.all(counts[:, 1] > 2 * counts[:, 0])
-
-    bounded = Uniform(0.5, 2.0)
-    v = np.full((2, 1), 1.0)
-    vals = []
-    for _ in range(4000):
-        v = _slice(v, bounded.log_density, 0.5, 2.0, rngs, counts)
-        vals.append(v)
-    vals = np.array(vals)
-    assert vals.min() >= 0.5 and vals.max() <= 2.0
-    assert vals.mean() == pytest.approx(1.25, abs=0.03)
-
-
-def test_slice_caps_are_counted():
-    rngs = _rngs(2, seed=1)
-    flat = np.zeros((2, len(SLICE_COUNTERS)), dtype=np.int64)
-    x0 = np.full((2, 3), 1.0)
-    # a flat target on [0, inf): the right end never leaves the slice
-    _slice(x0, np.zeros_like, 0.0, math.inf, rngs, flat)
-    caps = dict(zip(SLICE_COUNTERS, flat.T.tolist()))
-    assert caps["stepout_cap_hits"] == [3, 3]
-    assert caps["shrink_cap_hits"] == [0, 0]
-
-    point = np.zeros((2, len(SLICE_COUNTERS)), dtype=np.int64)
-    calls = []
-
-    def only_x0(x):
-        # a target that rejects every point after x0 itself, x0 included:
-        # shrinking never ends before the cap
-        calls.append(x)
-        return np.zeros_like(x) if len(calls) == 1 else np.full_like(x, -np.inf)
-
-    x = _slice(x0, only_x0, 0.0, math.inf, rngs, point)
-    np.testing.assert_array_equal(x, x0)
-    caps = dict(zip(SLICE_COUNTERS, point.T.tolist()))
-    assert caps["shrink_cap_hits"] == [3, 3]
-    # per element: x0, the right end, perhaps the left end, 1000 shrinks
-    assert all(3 * 1002 <= n <= 3 * 1003 for n in caps["log_posterior_evals"])
-
-
-def test_cap_hits_reach_summary_warnings():
-    # log-normal taus pinned at median 1000 and shape 5, with studies too
-    # imprecise to constrain them: the slice is far wider than 50 initial
-    # widths, so stepping out stops at the cap
-    recs = tuple(StudyRecord("A", f"S{i}", 0.0, 1e6, i) for i in range(2))
-    c = MetaAnalysisCollection((("A", recs),))
-    m = ModelSpec(
-        het_family="log-normal",
-        scale_hyperprior=Uniform(1000.0, 1000.0 * (1 + 1e-9)),
-        shape_hyperprior=Uniform(5.0, 5.0 * (1 + 1e-9)),
-    )
-    s = run_hierarchical(c, m, McmcConfig(chains=2, burn_in=10, iterations=40, seed=1))
-    doc = summary_dict(s)
-    hits = doc["slice_sampler"]["tau"]["stepout_cap_hits"]
-    assert sum(hits) > 0
-    assert any(w.startswith(f"tau: {sum(hits)} slice step-outs") for w in doc["warnings"])
-
-
 def _scale_pileup_warnings(c, cfg):
     doc = summary_dict(run_hierarchical(c, ModelSpec(), cfg))
     return [w for w in doc["warnings"] if "piles up" in w]
@@ -610,6 +519,15 @@ def test_scale_piled_up_at_hyperprior_bound_warns():
     assert "[0, 10]" in warns[0]
 
 
+def test_heterogeneity_far_beyond_the_hyperprior_fails_naming_the_analysis():
+    # tau near 3000 against the default Uniform(0, 10) scale: the family puts
+    # no mass where this analysis has any likelihood
+    far = (("far", (StudyRecord("far", "a", 3000.0, 1.0, 0), StudyRecord("far", "b", -3000.0, 1.0, 1))),)
+    near = (("near", (StudyRecord("near", "a", 0.1, 0.2, 2), StudyRecord("near", "b", 0.3, 0.2, 3))),)
+    with pytest.raises(GridError, match=r"analyses \['far'\] have no likelihood"):
+        run_hierarchical(MetaAnalysisCollection(far + near), ModelSpec(), QUICK)
+
+
 def test_scale_pileup_silent_on_ordinary_corpora():
     assert _scale_pileup_warnings(small_corpus(), QUICK) == []
     # the benchmark's paper-sized corpus: 40 analyses of 3-18 studies,
@@ -626,3 +544,144 @@ def test_scale_pileup_silent_on_ordinary_corpora():
         )
     cfg = McmcConfig(chains=4, burn_in=64, iterations=256, seed=5)
     assert _scale_pileup_warnings(MetaAnalysisCollection(tuple(analyses)), cfg) == []
+
+
+# -- the whole hierarchical posterior against an independent oracle --------------
+
+#: three analyses (estimates, standard errors) whose posterior the oracle integrates
+ORACLE_CORPUS = (
+    ((0.1, 0.5, -0.2), (0.2, 0.25, 0.3)),
+    ((0.8, 0.3), (0.3, 0.2)),
+    ((-0.4, 0.2, 0.6, 0.0), (0.25, 0.3, 0.2, 0.35)),
+)
+#: tau = scale e^v for a one-scale family, theta e^(sigma v) for the
+#: log-normal; the integrands are analytic in v and vanish at both ends, so
+#: the trapezoid rule on these grids converges geometrically
+_ORACLE_V = {"scale": np.linspace(-40.0, 40.0, 801), "log-normal": np.linspace(-10.0, 10.0, 201)}
+_UNIT_DENSITY = {
+    "half-normal": lambda t: math.sqrt(2.0 / math.pi) * np.exp(-0.5 * t * t),
+    "exp": lambda t: np.exp(-t),
+    "half-cauchy": lambda t: 2.0 / (math.pi * (1.0 + t * t)),
+}
+#: Simpson weights of the 201-point rules up to a cut
+_SIMPSON = np.where(np.arange(201) % 2 == 1, 4.0, 2.0)
+_SIMPSON[[0, -1]] = 1.0
+
+
+def _oracle_likelihood(tau):
+    """L_j(tau) / L_j(0) of each analysis of ORACLE_CORPUS (first axis) with
+    its Normal(0, 100) effect integrated out, written out afresh."""
+    out = []
+    for y, se in ORACLE_CORPUS:
+        def log_l(t):
+            w = 1.0 / np.concatenate([np.square(se) + t[..., None] ** 2, np.full((*t.shape, 1), 1e4)], axis=-1)
+            yy = np.append(y, 0.0)
+            mean = (w * yy).sum(axis=-1, keepdims=True) / w.sum(axis=-1, keepdims=True)
+            q = (w * (yy - mean) ** 2).sum(axis=-1)
+            return 0.5 * np.log(w).sum(axis=-1) - 0.5 * np.log(w.sum(axis=-1)) - 0.5 * q
+
+        out.append(np.exp(log_l(tau) - log_l(np.zeros(1))))
+    return np.array(out)
+
+
+def _oracle_mixed(family, scale, sigma=None, upper=None):
+    """int L_j(tau) f(tau | hyper) dtau for each analysis (first axis), over
+    tau <= upper if given (Simpson's rule up to the cut), for one scale or
+    one log-normal median and each shape in ``sigma`` (last axis)."""
+    if sigma is None:
+        v = _ORACLE_V["scale"] if upper is None else np.linspace(-40.0, math.log(upper / scale), 201)
+        t = np.exp(v)
+        f = _oracle_likelihood(scale * t) * _UNIT_DENSITY[family](t) * t
+    else:
+        if upper is None:
+            v = np.broadcast_to(_ORACLE_V["log-normal"], (sigma.size, 201))
+        else:
+            cut = (math.log(upper) - math.log(scale)) / sigma
+            v = -10.0 + np.multiply.outer(cut + 10.0, np.linspace(0.0, 1.0, 201))
+        f = _oracle_likelihood(scale * np.exp(sigma[:, None] * v)) * np.exp(-0.5 * v * v) / math.sqrt(2 * math.pi)
+    if upper is None:
+        return np.trapezoid(f, v, axis=-1)
+    return (f * _SIMPSON).sum(axis=-1) * (v[..., -1] - v[..., 0]) / 600.0
+
+
+def _oracle_cdfs(family, checks):
+    """P(quantity <= value | y) under the default ModelSpec (uniform
+    hyperpriors on (0, 10) and, for the shape, (0, 5)) for each check name ->
+    (quantity, value), a quantity being a hyperparameter name, ``"tau_1"`` or
+    ``"tau_star"``. The scale, or the log-normal's median, is integrated over
+    u = log(scale) by scipy's adaptive quad_vec, split at the checked
+    values; the log-normal's shape by Gauss-Legendre rules, split at the
+    checked values; tau by the rules of :func:`_oracle_mixed`."""
+    names = list(ModelSpec(het_family=family).hyperpriors)
+    cdf = HET_FAMILIES[family].cdf
+    t_1 = [v for q, v in checks.values() if q == "tau_1"]
+    t_star = [v for q, v in checks.values() if q == "tau_star"]
+    sigma_cuts = [0.0, *sorted(v for q, v in checks.values() if q == "sigma"), 5.0]
+    x, wx = special.roots_legendre(12)
+    sigma = np.concatenate([a + (b - a) * (x + 1.0) / 2.0 for a, b in zip(sigma_cuts, sigma_cuts[1:])])
+    gauss = np.concatenate([(b - a) / 2.0 * wx for a, b in zip(sigma_cuts, sigma_cuts[1:])])
+    piece = np.repeat(np.arange(len(sigma_cuts) - 1), x.size)
+
+    def integrand(u):
+        # [posterior mass per shape piece, then weighted by each tau* and tau_1 cdf]
+        scale = math.exp(u)
+        if family == "log-normal":
+            m = _oracle_mixed(family, scale, sigma)
+            post = np.prod(m, axis=0) * gauss * scale
+            parts = [np.bincount(piece, post, minlength=len(sigma_cuts) - 1)]
+            parts += [[post @ cdf(t, scale, sigma)] for t in t_star]
+            parts += [[post @ (_oracle_mixed(family, scale, sigma, t)[0] / m[0])] for t in t_1]
+        else:
+            m = _oracle_mixed(family, scale)
+            post = np.prod(m) * scale
+            parts = [[post], *[[post * cdf(t, scale)] for t in t_star]]
+            parts += [[post * _oracle_mixed(family, scale, upper=t)[0] / m[0]] for t in t_1]
+        return np.concatenate(parts)
+
+    scale_cuts = sorted(v for q, v in checks.values() if q == names[0])
+    edges = [-12.0, *(math.log(v) for v in scale_cuts), math.log(10.0)]
+    pieces = [
+        integrate.quad_vec(integrand, a, b, epsrel=1e-3, norm="max", quadrature="gk15")[0]
+        for a, b in zip(edges, edges[1:])
+    ]
+    n_mass = len(sigma_cuts) - 1 if family == "log-normal" else 1
+    total = sum(p[:n_mass].sum() for p in pieces)
+    out = {}
+    for name, (q, v) in checks.items():
+        if q == names[0]:
+            value = sum(p[:n_mass].sum() for p in pieces[: scale_cuts.index(v) + 1])
+        elif q == "sigma":
+            value = sum(p[: sigma_cuts.index(v)].sum() for p in pieces)
+        elif q == "tau_star":
+            value = sum(p[n_mass + t_star.index(v)] for p in pieces)
+        else:
+            value = sum(p[n_mass + len(t_star) + t_1.index(v)] for p in pieces)
+        out[name] = value / total
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(HET_FAMILIES))
+def test_whole_posterior_matches_quadrature_oracle(family):
+    """The 5/50/95% points of every hyperparameter and the medians of tau_1
+    and tau* of 4 x 5000 draws sit, in the oracle's posterior, within
+    Monte Carlo error of their probabilities. The oracle shares no code
+    with the sampler's grid: scipy's adaptive quadrature over the log scale,
+    Gauss-Legendre over the shape, and geometric-convergence trapezoid
+    rules over tau."""
+    c = MetaAnalysisCollection(
+        tuple(
+            (f"A{j}", tuple(StudyRecord(f"A{j}", f"S{i}", yi, si, 10 * j + i) for i, (yi, si) in enumerate(zip(y, se))))
+            for j, (y, se) in enumerate(ORACLE_CORPUS)
+        )
+    )
+    s = run_hierarchical(c, ModelSpec(het_family=family), McmcConfig(chains=4, burn_in=1, iterations=5000, seed=3))
+    checks = {
+        (name, p): (name, float(np.quantile(s.draws(name), p)))
+        for name in s.hyper_names
+        for p in (0.05, 0.5, 0.95)
+    }
+    checks[("tau_1", 0.5)] = ("tau_1", float(np.median(s.draws("tau[A0]"))))
+    checks[("tau_star", 0.5)] = ("tau_star", float(np.median(s.predictive)))
+    n = s.predictive.size
+    for (name, p), prob in _oracle_cdfs(family, checks).items():
+        assert abs(prob - p) < 4.0 * math.sqrt(p * (1.0 - p) / n), (name, p, prob)
