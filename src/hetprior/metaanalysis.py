@@ -87,8 +87,9 @@ __all__ = [
 
 _Z975 = float(special.ndtri(0.975))
 
+#: ``analyze``'s tau grid: base points spaced as the square of an even
+#: grid, and a tenth as many per doubling of an extension
 _GRID_POINTS = 2000
-_EXT_POINTS = 200
 _TAIL_MASS = 1e-6
 _MAX_EXTENSIONS = 60
 #: effect-grid rows per block of the mixture-density evaluation
@@ -249,16 +250,22 @@ def _integrated_loglik(y: np.ndarray, var: np.ndarray, mu_prior: Normal | None) 
     return 0.5 * np.log(w).sum(axis=-1) - 0.5 * np.log(total_w) - 0.5 * q, total_w, mu_hat
 
 
-def _tau_grid(prior: Distribution, extensions: int) -> np.ndarray:
+def _tau_grid(
+    prior: Distribution, extensions: int, points: int = _GRID_POINTS, power: int = 2
+) -> np.ndarray:
+    """``points`` base points hi0 (i / (points - 1))^power from 0 up to hi0,
+    the prior's 0.9999 quantile, then ``extensions`` doublings of it with
+    ``points // 10`` geometric points each. ``analyze`` keeps the defaults;
+    the sampler's quadrature passes its own count and power."""
     hi0 = float(prior.quantile(0.9999))
     if not (math.isfinite(hi0) and hi0 > 0.0):
         raise GridError(
             f"prior {prior!r} has no finite positive 0.9999 quantile; cannot build tau grid"
         )
-    base = hi0 * np.linspace(0.0, 1.0, _GRID_POINTS) ** 2
+    base = hi0 * np.linspace(0.0, 1.0, points) ** power
     if extensions == 0:
         return base
-    ext = np.geomspace(hi0, hi0 * 2.0**extensions, extensions * _EXT_POINTS + 1)[1:]
+    ext = np.geomspace(hi0, hi0 * 2.0**extensions, extensions * (points // 10) + 1)[1:]
     return np.concatenate([base, ext])
 
 

@@ -20,13 +20,15 @@ conjugate normal; tau* from f(. | theta). ``McmcConfig.burn_in`` and
 ``thin`` are recorded but change no draw.
 
 The tau grid is ``_tau_grid``'s for a half-normal of the data's widest
-spread, max |y_ij - ybar_j| + sigma_ij, extended like ``_tau_posterior``
-until no tau_j has posterior mass ``_TAIL_MASS`` in its top 5%. L_j is
-averaged over each cell's ends; a cell's prior mass comes from the family's
-cdf, exact even where f(. | theta) is narrower than the cell. The theta
-cells follow the hyperpriors' supports, are weighed at their centres and
-refined by mass (see :func:`_quadrature`); m_j is computed ``_ROW_BLOCK``
-theta cells at a time, so no (theta cells x tau cells) table is held whole.
+spread, max |y_ij - ybar_j| + sigma_ij, with ``_TAU_NODES`` base nodes
+spaced as cubes, a quarter of ``analyze``'s squares and denser near 0,
+extended like ``_tau_posterior`` until no tau_j has posterior mass
+``_TAIL_MASS`` in its top 5%. L_j is averaged over each cell's ends; a
+cell's prior mass comes from the family's cdf, exact even where
+f(. | theta) is narrower than the cell. The theta cells follow the
+hyperpriors' supports, are weighed at their centres and refined by mass
+(see :func:`_quadrature`); m_j is computed ``_ROW_BLOCK`` theta cells at a
+time, so no (theta cells x tau cells) table is held whole.
 
 Every chain has its own ``Generator(Philox)`` spawned from the seed; the
 rest is computed element by element from the tables, so results are
@@ -99,6 +101,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: _REFINEMENTS passes
 _COARSE_RATIO, _THETA_FLOOR = 2.0, 2e-4
 _SETTLE, _BANDS, _THETA_CELLS, _REFINEMENTS = 1e-4, {1: 256, 2: 16}, 256, 4
+#: the tau grid's base nodes hi0 (i / (_TAU_NODES - 1))^_TAU_POWER, a
+#: quarter of ``analyze``'s count, spaced more finely near 0 than its
+#: squares, where the tau_j of precise analyses sit
+_TAU_NODES, _TAU_POWER = 500, 3
 #: theta cells per block of the (theta cells x tau cells) prior masses, tau
 #: cells per block of the two-step pick of a tau cell, drawn theta cells
 #: whose tables are built at a time, and values per block of the other
@@ -548,7 +554,11 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
     lo = np.stack([e[band[:, h]] for h, e in enumerate(axes)], axis=1)
     hi = np.stack([e[band[:, h] + 1] for h, e in enumerate(axes)], axis=1)
     centre = _centre(lo, hi)
-    base = _tau_grid(reference, 0)
+
+    def tau_grid(extensions):
+        return _tau_grid(reference, extensions, _TAU_NODES, _TAU_POWER)
+
+    base = tau_grid(0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         shared = {} if _shared_tables is None else _shared_tables
         if (c, mu_prior) not in shared:
@@ -557,7 +567,7 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
         base_m = _marginals(fam, centre, [(base, _cells(base, base_lbar))])
         extensions = 0
         while True:  # the extensions add cells above the base
-            ext = _tau_grid(reference, extensions)[base.size - 1 :]
+            ext = tau_grid(extensions)[base.size - 1 :]
             ext_lbar = _cell_likelihoods(y, se2, offsets, mu_prior, ext[1:], last, scale)[0]
             marg = base_m + _marginals(fam, centre, [(ext, _cells(ext, ext_lbar))])
             dead = [c.analysis_ids[j] for j in np.flatnonzero(~np.any(marg > 0.0, axis=0))]
@@ -573,7 +583,7 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
             # on to the first longer grid whose top 5%, tabulated alone,
             # passes against this posterior, whose marginals it only raises
             for extensions in range(extensions + 1, _MAX_EXTENSIONS + 1):
-                window = _tau_grid(reference, extensions)
+                window = tau_grid(extensions)
                 window = window[int(np.searchsorted(window, 0.95 * window[-1])) :]
                 blocks = _cell_likelihoods(y, se2, offsets, mu_prior, window, scale=scale)[0]
                 if _tail_share(fam, centre, window, blocks, marg, w) < _TAIL_MASS:

@@ -227,7 +227,7 @@ def test_acceptance_6_oracle_equivalence():
         ]
         c = parse_collection("\n".join(rows) + "\n")
         m = ModelSpec(het_family="half-normal", scale_hyperprior=_pinned_uniform(scale))
-        cfg = McmcConfig(chains=2, burn_in=1000, iterations=12000, seed=100 + idx)
+        cfg = McmcConfig(chains=2, burn_in=1000, iterations=200000, seed=100 + idx)
         s = run_hierarchical(c, m, cfg)
         mu_mc = float(np.median(s.mu))
         tau_mc = float(np.median(s.tau))

@@ -770,6 +770,34 @@ def test_out_of_range_std_err_exits_2_naming_row_and_value(argv, std_err, tmp_pa
     assert f"row 3: std_err {float(std_err)!r} is out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_estimates_at_the_bound_fail_naming_the_analysis_and_write_no_nan(command, tmp_path, capsys):
+    """Estimates 0, 5e69 and 1e70 (the bound itself) at se 0.1 put analysis
+    a's heterogeneity beyond every family's hyperpriors: ``fit`` exits 3
+    naming it, ``compare`` writes an error row naming it for every family
+    and exits 3, and nothing written holds NaN or Infinity."""
+    p = tmp_path / "edge.csv"
+    p.write_text(
+        "analysis_id,study_id,estimate,std_err\n"
+        "a,s1,0,0.1\na,s2,5e69,0.1\na,s3,1e70,0.1\nb,s1,0.1,0.2\nb,s2,0.3,0.25\nb,s3,-0.2,0.3\n"
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, str(p), "--seed", "1", "--chains", "2", "--iters", "50", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    if command == "fit":
+        assert "analyses ['a'] have no likelihood" in err
+    else:
+        rows = json.loads((out / "dic.json").read_text())["models"]
+        assert [row["model"] for row in rows] == list(HET_FAMILIES)
+        assert all("analyses ['a'] have no likelihood" in row["error"] for row in rows)
+    for path in out.rglob("*"):
+        text = path.read_bytes().decode("latin-1")
+        assert "NaN" not in text and "Infinity" not in text, path.name
+
+
 def test_analyze_reproducible_bytes(single_csv, tmp_path):
     out1, out2 = tmp_path / "a1", tmp_path / "a2"
     args = ["analyze", str(single_csv), "--prior", "exp(0.3)"]
