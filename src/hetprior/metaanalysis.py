@@ -13,34 +13,44 @@ with mu_hat(tau) the w-weighted mean.  The effect posterior is then the
 grid mixture of the conditional normals N(mu_hat(tau), V(tau)),
 V(tau) = 1/sum_i w_i.
 
+The tau grid follows the sampler's node rule: 500 base nodes
+hi0 (i / 499)^3, finest near 0, then geometric extensions of 200 nodes
+per doubling until the top 5% of the grid holds less than 1e-6 of the
+posterior.  hi0 is the smaller of the prior's 0.9999 quantile and that of
+the sampler's reference half-normal, whose scale is the data's widest
+spread max_i |y_i - ybar| + sigma_i.  The prior's quantile alone is far
+too high under a heavy-tailed prior (6366 for a half-Cauchy(1)), leaving
+few nodes where the tau of precise studies sits; the data's alone leaves
+a prior narrower than the data's spread in a few nodes.
+
 Its mean, sd, median and 95% interval come from the full mixture, one
-term per cell of the tau grid (2000 points plus 200 per grid extension).
-The grid is pooled once: the sum_i w_i and mu_hat that L(tau) needs on the
-final grid are the conditionals' too.  The three quantiles are found
-together by safeguarded Newton iteration on (3 x cells) arrays of the
-mixture's cdf and density, started where the effect grid's trapezoid cdf
-crosses each probability and bracketed by the span of mu_hat +- 10 sd; a
-Newton point outside the bracket falls back to bisection.  Each quantile
-stops once its step is at most brentq's tolerance, 1e-12 + 4 eps |x|:
-mostly after 3 passes (3 to 5 over 250 test datasets), and after about 55
-where the effect's scale is near 1e70 and the cdf is too flat for its
-rounding, so that bisection does the work.
+term per node of the tau grid.  The grid is pooled once: the sum_i w_i
+and mu_hat that L(tau) needs on the final grid are the conditionals' too.
+The three quantiles are found together by safeguarded Newton iteration on
+(3 x cells) arrays of the mixture's cdf and density, started where the
+effect grid's trapezoid cdf crosses each probability and bracketed by the
+span of mu_hat +- 10 sd; a Newton point outside the bracket falls back to
+bisection.  Each quantile stops once its step is at most brentq's
+tolerance, 1e-12 + 4 eps |x|: mostly after 3 passes (3 to 5 over 250 test
+datasets), and after about 55 where the effect's scale is near 1e70 and
+the cdf is too flat for its rounding, so that bisection does the work.
 
 The density comes from a reduced mixture of K normals, the DIRECT rule of
 Roever & Friede (2017, JCGS 26:217): walking the tau grid, a new bin
 starts each time the running sum of sqrt(J) passes another sqrt(delta),
 J the symmetrized KL divergence between neighbouring conditionals and
 delta = 1e-3, and each bin becomes one normal with the bin's weight, mean
-and variance.  Over a few hundred test datasets K was 38 to 363 (median
-about 114) against T >= 2000 cells, and the reduced density stayed within
-1e-4 of its peak of the full mixture's (at most 6.4e-5).  It is tabulated
-on an effect grid whose step is half the smaller of the posterior sd and
-the narrowest reduced component, clipped to 1201 to 40001 points.  Tiny
+and variance.  Over 300 test datasets (k = 1 to 30, the paper's priors)
+K was 43 to 368 (median 141) against T >= 500 nodes, and the reduced
+density stayed within 1e-4 of its peak of the full mixture's (at most
+6.4e-5).  It is tabulated on an effect grid whose step is half the
+smaller of the posterior sd and the narrowest reduced component, clipped
+to 1201 to 40001 points.  Tiny
 standard errors alone do not reach the cap, because the reduction merges
 the narrow conditionals near tau = 0 into wider components.  The cap is
 reached where a narrow component sits beside a window that a heavy tau
 tail widens: two studies 1e-4 apart with standard errors 1e-4 under
-Lomax(9.9, 1.5) give K = 363 and 40001 points.  The terms are evaluated in
+Lomax(9.9, 1.5) give K = 451 and 40001 points.  The terms are evaluated in
 blocks of 64 effect points with in-place ufuncs on one 64 x K scratch
 array, reused block after block, in place of grid-sized temporaries.  Each
 point's density is the row sum of its block, which does not depend on the
@@ -64,7 +74,7 @@ import numpy as np
 from scipy import special
 
 from .data import MetaAnalysisCollection, _estimate_problem, _std_err_problem
-from .dist import Distribution, Normal, format_distribution
+from .dist import Distribution, HalfNormal, Normal, format_distribution
 
 __all__ = [
     "SingleMeta",
@@ -87,9 +97,13 @@ __all__ = [
 
 _Z975 = float(special.ndtri(0.975))
 
-#: ``analyze``'s tau grid: base points spaced as the square of an even
-#: grid, and a tenth as many per doubling of an extension
-_GRID_POINTS = 2000
+#: the tau grid's base nodes hi0 (i / (_TAU_NODES - 1))^_TAU_POWER, for
+#: ``analyze`` and the sampler alike: spaced more finely near 0 than squares
+#: would be, where the tau of precise analyses sits
+_TAU_NODES, _TAU_POWER = 500, 3
+#: geometric nodes per doubling of ``analyze``'s grid extensions; the
+#: sampler's tables take a tenth of its base count
+_DOUBLING_NODES = 200
 _TAIL_MASS = 1e-6
 _MAX_EXTENSIONS = 60
 #: effect-grid rows per block of the mixture-density evaluation
@@ -250,22 +264,24 @@ def _integrated_loglik(y: np.ndarray, var: np.ndarray, mu_prior: Normal | None) 
     return 0.5 * np.log(w).sum(axis=-1) - 0.5 * np.log(total_w) - 0.5 * q, total_w, mu_hat
 
 
-def _tau_grid(
-    prior: Distribution, extensions: int, points: int = _GRID_POINTS, power: int = 2
-) -> np.ndarray:
-    """``points`` base points hi0 (i / (points - 1))^power from 0 up to hi0,
-    the prior's 0.9999 quantile, then ``extensions`` doublings of it with
-    ``points // 10`` geometric points each. ``analyze`` keeps the defaults;
-    the sampler's quadrature passes its own count and power."""
-    hi0 = float(prior.quantile(0.9999))
-    if not (math.isfinite(hi0) and hi0 > 0.0):
-        raise GridError(
-            f"prior {prior!r} has no finite positive 0.9999 quantile; cannot build tau grid"
-        )
-    base = hi0 * np.linspace(0.0, 1.0, points) ** power
+def _reference_top(y: np.ndarray, se2: np.ndarray, offsets: np.ndarray) -> float:
+    """The 0.9999 quantile of the tau grids' reference half-normal, whose
+    scale is the data's widest spread max |y_i - ybar_j| + sigma_i over the
+    analyses j that the CSR ``offsets`` bound in estimates ``y`` and squared
+    standard errors ``se2``: the scale of tau the data alone resolve."""
+    sizes = np.diff(offsets)
+    spread = np.abs(y - np.repeat(np.add.reduceat(y, offsets[:-1]) / sizes, sizes)) + np.sqrt(se2)
+    return float(HalfNormal(float(spread.max())).quantile(0.9999))
+
+
+def _tau_grid(hi0: float, extensions: int, nodes: int, per_doubling: int) -> np.ndarray:
+    """``nodes`` base nodes hi0 (i / (nodes - 1))^``_TAU_POWER`` from 0 up to
+    hi0, then ``extensions`` doublings of it with ``per_doubling`` geometric
+    nodes each."""
+    base = hi0 * np.linspace(0.0, 1.0, nodes) ** _TAU_POWER
     if extensions == 0:
         return base
-    ext = np.geomspace(hi0, hi0 * 2.0**extensions, extensions * (points // 10) + 1)[1:]
+    ext = np.geomspace(hi0, hi0 * 2.0**extensions, extensions * per_doubling + 1)[1:]
     return np.concatenate([base, ext])
 
 
@@ -298,10 +314,18 @@ def _tau_posterior(
         ):
             if problem is not None:
                 raise ValueError(f"effect prior {format_distribution(mu_prior)}: {what} {problem}")
+    hi0 = float(prior.quantile(0.9999))
+    if not (math.isfinite(hi0) and hi0 > 0.0):
+        raise GridError(
+            f"prior {prior!r} has no finite positive 0.9999 quantile; cannot build tau grid"
+        )
     y = np.asarray(sm.y, dtype=float)
     sigma2 = np.asarray(sm.sigma, dtype=float) ** 2
+    # anchored where the posterior lives: a heavy-tailed prior's quantile
+    # alone leaves few nodes where precise studies put tau
+    hi0 = min(hi0, _reference_top(y, sigma2, np.array([0, y.size])))
     for extensions in range(_MAX_EXTENSIONS + 1):
-        grid = _tau_grid(prior, extensions)
+        grid = _tau_grid(hi0, extensions, _TAU_NODES, _DOUBLING_NODES)
         loglik, total_w, mu_hat = _integrated_loglik(y, sigma2 + grid[:, None] ** 2, mu_prior)
         log_post = prior.log_density(grid) + loglik
         finite = log_post[np.isfinite(log_post)]

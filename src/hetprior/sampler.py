@@ -19,11 +19,12 @@ theta cell's centre and the family's quantile within it; mu_j from its
 conjugate normal; tau* from f(. | theta). ``McmcConfig.burn_in`` and
 ``thin`` are recorded but change no draw.
 
-The tau grid is ``_tau_grid``'s for a half-normal of the data's widest
-spread, max |y_ij - ybar_j| + sigma_ij, with ``_TAU_NODES`` base nodes
-spaced as cubes, a quarter of ``analyze``'s squares and denser near 0,
-extended like ``_tau_posterior`` until no tau_j has posterior mass
-``_TAIL_MASS`` in its top 5%. L_j is averaged over each cell's ends; a
+The tau grid has ``analyze``'s node rule, ``_tau_grid``: ``_TAU_NODES``
+base nodes spaced as cubes, finest near 0, up to the 0.9999 quantile of a
+half-normal of the data's widest spread, max |y_ij - ybar_j| + sigma_ij
+(``_reference_top``), with a tenth as many nodes per doubling of an
+extension, extended like ``_tau_posterior`` until no tau_j has posterior
+mass ``_TAIL_MASS`` in its top 5%. L_j is averaged over each cell's ends; a
 cell's prior mass comes from the family's cdf, exact even where
 f(. | theta) is narrower than the cell. The theta cells follow the
 hyperpriors' supports, are weighed at their centres and refined by mass
@@ -66,8 +67,10 @@ from .dist import (
 from .metaanalysis import (
     _MAX_EXTENSIONS,
     _TAIL_MASS,
+    _TAU_NODES,
     GridError,
     _integrated_loglik,
+    _reference_top,
     _tau_grid,
 )
 
@@ -101,10 +104,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: _REFINEMENTS passes
 _COARSE_RATIO, _THETA_FLOOR = 2.0, 2e-4
 _SETTLE, _BANDS, _THETA_CELLS, _REFINEMENTS = 1e-4, {1: 256, 2: 16}, 256, 4
-#: the tau grid's base nodes hi0 (i / (_TAU_NODES - 1))^_TAU_POWER, a
-#: quarter of ``analyze``'s count, spaced more finely near 0 than its
-#: squares, where the tau_j of precise analyses sit
-_TAU_NODES, _TAU_POWER = 500, 3
 #: theta cells per block of the (theta cells x tau cells) prior masses, tau
 #: cells per block of the two-step pick of a tau cell, drawn theta cells
 #: whose tables are built at a time, and values per block of the other
@@ -538,9 +537,7 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
     priors = list(m.hyperpriors.values())
     mu_prior = Normal(m.effect_prior_mean, m.effect_prior_sd)
     y, se2, offsets = _flatten(c)
-    sizes = np.diff(offsets)
-    spread = np.abs(y - np.repeat(np.add.reduceat(y, offsets[:-1]) / sizes, sizes)) + np.sqrt(se2)
-    reference = HalfNormal(float(spread.max()))
+    hi0 = _reference_top(y, se2, offsets)
     axes = []
     for prior in priors:
         lo, hi = _hyper_support(prior)
@@ -556,7 +553,7 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
     centre = _centre(lo, hi)
 
     def tau_grid(extensions):
-        return _tau_grid(reference, extensions, _TAU_NODES, _TAU_POWER)
+        return _tau_grid(hi0, extensions, _TAU_NODES, _TAU_NODES // 10)
 
     base = tau_grid(0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):

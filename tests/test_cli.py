@@ -798,6 +798,30 @@ def test_estimates_at_the_bound_fail_naming_the_analysis_and_write_no_nan(comman
         assert "NaN" not in text and "Infinity" not in text, path.name
 
 
+def test_estimates_at_the_bound_stop_analyze_but_not_tau_estimates(tmp_path, capsys):
+    """Analysis a alone, estimates 0, 5e69 and 1e70 at se 0.1: its tau
+    posterior sits far beyond 60 doublings of the grid, so ``analyze`` exits
+    3 saying so and writes nothing, while DL and PM both estimate tau 5e69
+    and write finite JSON; no RuntimeWarning escapes either command."""
+    p = tmp_path / "edge.csv"
+    p.write_text(
+        "analysis_id,study_id,estimate,std_err\na,s1,0,0.1\na,s2,5e69,0.1\na,s3,1e70,0.1\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = tmp_path / "analyze"
+        assert main(["analyze", str(p), "--prior", "half-normal(0.5)", "--out", str(out)]) == 3
+        assert "tau posterior mass does not decay" in capsys.readouterr().err
+        assert not out.exists()
+        for method in ("DL", "PM"):
+            out = tmp_path / method
+            assert main(["tau-estimates", str(p), "--method", method, "--out", str(out)]) == 0
+            text = (out / "summary.json").read_text()
+            assert "NaN" not in text and "Infinity" not in text
+            [row] = json.loads(text)["estimates"]
+            assert row == {"analysis": "a", "tau": pytest.approx(5e69, rel=1e-12)}
+
+
 def test_analyze_reproducible_bytes(single_csv, tmp_path):
     out1, out2 = tmp_path / "a1", tmp_path / "a2"
     args = ["analyze", str(single_csv), "--prior", "exp(0.3)"]

@@ -8,8 +8,8 @@ from scipy import integrate, special
 
 from hetprior import sampler
 from hetprior.data import MetaAnalysisCollection, StudyRecord
-from hetprior.dist import HalfNormal, Normal, Uniform
-from hetprior.metaanalysis import GridError
+from hetprior.dist import HalfCauchy, HalfNormal, Normal, Uniform
+from hetprior.metaanalysis import GridError, SingleMeta, tau_marginal
 from hetprior.sampler import (
     BACKEND,
     HET_FAMILIES,
@@ -761,3 +761,15 @@ def test_tau_grid_agrees_with_one_four_times_finer(family, monkeypatch):
             fine = _grid_checked(run_hierarchical(c, m, cfg))
         for name, value in coarse.items():
             assert value == pytest.approx(fine[name], rel=5e-3), (c.n_analyses, name)
+
+
+def test_analyze_and_the_sampler_share_the_base_tau_nodes():
+    """On one analysis under a prior whose 0.9999 quantile lies above the
+    reference half-normal's, ``analyze``'s tau posterior starts from the
+    sampler's base tau nodes, bit for bit."""
+    y, se = (0.1, 0.5, -0.2, 0.3), (0.2, 0.25, 0.3, 0.22)
+    prior = HalfCauchy(1.0)
+    base = sampler._quadrature(_collection([(y, se)]), ModelSpec())[0][0][0]
+    assert prior.quantile(0.9999) > base[-1]
+    td = tau_marginal(SingleMeta(y=y, sigma=se), prior)
+    assert np.array_equal(td.grid[: base.size], base)
