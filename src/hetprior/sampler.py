@@ -31,9 +31,20 @@ hyperpriors' supports, are weighed at their centres and refined by mass
 (see :func:`_quadrature`); m_j is computed ``_ROW_BLOCK`` theta cells at a
 time, so no (theta cells x tau cells) table is held whole.
 
+Each tau_j's cell is picked down a three-level tree of partial sums of
+M_g Lbar_jg (Devroye 1986, *Non-Uniform Random Variate Generation*, ch.
+III): a block of ``_TAU_BLOCK`` cells, one of its sub-blocks of
+``_SUB_BLOCK`` cells, then a cell, reading about ten, eight and eight values
+(:func:`_tau_draws`). One batched float32 product per batch of drawn theta
+cells gives every sub-block sum. A batch holds about 4 ``_BLOCK`` sums and a
+chunk of picks about ``_BLOCK`` / 4, so the working set stays near a MiB
+whatever the draw count.
+
 Every chain has its own ``Generator(Philox)`` spawned from the seed; the
 rest is computed element by element from the tables, so results are
-reproducible bit for bit and adding chains never perturbs existing ones.
+reproducible bit for bit, no draw depends on which other theta cells were
+drawn or how they were batched, and adding chains never perturbs existing
+ones.
 """
 
 from __future__ import annotations
@@ -104,11 +115,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: _REFINEMENTS passes
 _COARSE_RATIO, _THETA_FLOOR = 2.0, 2e-4
 _SETTLE, _BANDS, _THETA_CELLS, _REFINEMENTS = 1e-4, {1: 256, 2: 16}, 256, 4
-#: theta cells per block of the (theta cells x tau cells) prior masses, tau
-#: cells per block of the two-step pick of a tau cell, drawn theta cells
-#: whose tables are built at a time, and values per block of the other
-#: temporary arrays
-_ROW_BLOCK, _TAU_BLOCK, _CELL_BATCH, _BLOCK = 8, 64, 4, 1 << 14
+#: theta cells per block of the (theta cells x tau cells) prior masses; tau
+#: cells per block and per sub-block of the tree of partial sums that picks
+#: a tau cell; values per block of the temporary arrays
+_ROW_BLOCK, _TAU_BLOCK, _SUB_BLOCK, _BLOCK = 8, 64, 8, 1 << 14
 #: the cell likelihoods are float32: their rounding, a relative 6e-8, is far
 #: below the quadrature's error, at half the memory
 _LIKELIHOOD = np.float32
@@ -623,73 +633,107 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray):
-    """Inverse cdf over cells of cumulative weights ``cum`` (last axis; one
-    table for all ``u`` if 1-d, else broadcast against ``u``): the cell g
-    whose share [cum[g - 1], cum[g]) holds u cum[-1], and the point's place
-    in that share, in [0, 1). A cell of zero weight is never picked."""
-    x = u * cum[..., -1]
-    if cum.ndim == 1:
-        g, at = np.searchsorted(cum, x, side="right"), cum.__getitem__
-    else:
-        g = np.count_nonzero(cum <= x[..., None], axis=-1)
-
-        def at(i):
-            return np.take_along_axis(cum, i[..., None], axis=-1)[..., 0]
-
-    g = np.minimum(g, cum.shape[-1] - 1)
-    lower = np.where(g > 0, at(g - 1), 0.0)
-    share = at(g) - lower
+    """Inverse cdf over cells of cumulative weights ``cum``: the cell g whose
+    share [cum[g - 1], cum[g]) holds u cum[-1] for each ``u``, and the
+    point's place in that share, in [0, 1). A cell of zero weight is never
+    picked."""
+    x = u * cum[-1]
+    g = np.minimum(np.searchsorted(cum, x, side="right"), cum.size - 1)
+    lower = np.where(g > 0, cum[g - 1], 0.0)
+    share = cum[g] - lower
     pos = np.divide(x - lower, share, out=np.zeros(x.shape), where=share > 0.0)
     return g, np.clip(pos, 0.0, _BELOW_ONE)
+
+
+def _cumulate(a: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the first axis, in place, by whole-slice adds:
+    numpy's ``cumsum`` steps through a short axis one element at a time."""
+    for i in range(1, len(a)):
+        a[i] += a[i - 1]
+    return a
+
+
+def _descend(cum: np.ndarray, pos: np.ndarray):
+    """One step down a tree of partial sums: for each column of ``cum``
+    (children, picks), the cumulative weights of a node's children, the
+    child k whose share [cum[k - 1], cum[k]) holds pos cum[-1], and the
+    place there, in [0, 1). Every column's total must be positive; a child
+    of zero weight is never picked."""
+    x = pos * cum[-1]
+    k = np.count_nonzero(cum <= x, axis=0)
+    picks = np.arange(k.size)
+    lower = np.where(k > 0, cum[k - 1, picks], 0.0)
+    return k, np.clip((x - lower) / (cum[k, picks] - lower), 0.0, _BELOW_ONE)
 
 
 def _tau_draws(fam: _Family, grid, centre, cell, u, tau) -> None:
     """Write into ``tau`` the tau_j draws for the uniforms ``u`` (draws, N)
     of draws in the theta cells ``cell``: a tau cell in proportion to M_g
-    Lbar_jg at the cell's ``centre``, picked among the blocks of the
-    ``grid`` parts and then within one, and the family's quantile inside
-    it. The tables of ``_CELL_BATCH`` drawn cells are built at a time, each
-    cell's arithmetic its own, so a draw does not depend on which other
-    cells were drawn."""
+    Lbar_jg at the cell's ``centre``, and the family's quantile inside it.
+
+    The cell is picked down a three-level tree of partial sums (Devroye
+    1986, *Non-Uniform Random Variate Generation*, ch. III): a block of
+    ``_TAU_BLOCK`` cells of the ``grid`` parts by the block sums, one of its
+    sub-blocks of ``_SUB_BLOCK`` cells by their sums, then a cell by its
+    M_g Lbar_jg, so each pick reads about ten, eight and eight values. For a
+    batch of drawn theta cells one batched float32 product, (sub-blocks,
+    cells, 8) @ (sub-blocks, 8, N), gives every sub-block sum, and the block
+    sums are their totals. A batch holds about 4 ``_BLOCK`` sub-block sums
+    and a chunk about ``_BLOCK`` / 4 picks (a draw of one analysis each), so
+    the working set stays near a MiB. Each drawn cell's arithmetic is its
+    own, so a draw does not depend on which other cells were drawn."""
     n = u.shape[1]
     nodes = np.concatenate([grid[0][0], *(part[1:] for part, _ in grid[1:])])
     # each part's first block, and the cell of nodes its first cell is
     block_at = np.cumsum([0] + [blocks.shape[0] for _, blocks in grid])
     cell_at = np.cumsum([0] + [part.size - 1 for part, _ in grid])
-    cols = np.arange(n)
-    chunk = max(1, 4 * _BLOCK // (n * max(block_at[-1], _TAU_BLOCK)))  # float32 rows
+    subs, within = _TAU_BLOCK // _SUB_BLOCK, np.arange(_SUB_BLOCK)[:, None]
+    # each part's table as (sub-blocks, _SUB_BLOCK, N)
+    tables = [blocks.reshape(-1, _SUB_BLOCK, n) for _, blocks in grid]
+    per_batch = max(1, 4 * _BLOCK // (block_at[-1] * subs * n))
+    per_chunk = max(1, _BLOCK // (4 * n))
     order = np.argsort(cell, kind="stable")
     drawn, first = np.unique(cell[order], return_index=True)
     first = np.append(first, order.size)
-    for start in range(0, drawn.size, _CELL_BATCH):
-        batch = drawn[start : start + _CELL_BATCH]
-        hyper = [centre[batch, h : h + 1] for h in range(centre.shape[1])]
-        cdf = fam.cdf(nodes, *hyper)
-        mass = np.zeros((batch.size, block_at[-1], 1, _TAU_BLOCK))
-        sums = []
-        for (part, blocks), b0, c0 in zip(grid, block_at, cell_at):
-            part_mass = mass[:, b0 : b0 + blocks.shape[0]].reshape(batch.size, -1)
-            part_mass[:, : part.size - 1] = np.diff(cdf[:, c0 : c0 + part.size], axis=1)
-            # one (1, _TAU_BLOCK) x (_TAU_BLOCK, N) product per cell and block
-            part_mass = mass[:, b0 : b0 + blocks.shape[0]].astype(blocks.dtype)
-            sums.append(np.matmul(part_mass, blocks)[:, :, 0])
-        block_cum = np.cumsum(np.concatenate(sums, axis=1), axis=1).transpose(0, 2, 1)
-        mass = mass[:, :, 0].astype(_LIKELIHOOD)
+    for start in range(0, drawn.size, per_batch):
+        batch = drawn[start : start + per_batch]
+        hyper = centre[batch].T
+        cdf = fam.cdf(nodes, *hyper[..., None])
+        mass = np.zeros((batch.size, block_at[-1] * _TAU_BLOCK), dtype=_LIKELIHOOD)
+        for (part, _), b0, c0 in zip(grid, block_at, cell_at):
+            first_cell = b0 * _TAU_BLOCK
+            mass[:, first_cell : first_cell + part.size - 1] = np.diff(cdf[:, c0 : c0 + part.size], axis=1)
+        mass = mass.reshape(batch.size, -1, _SUB_BLOCK)
+        sums = np.concatenate([
+            np.matmul(mass[:, b0 * subs : b1 * subs].transpose(1, 0, 2), table)
+            for table, b0, b1 in zip(tables, block_at, block_at[1:])
+        ])
+        # (blocks, sub-blocks, cells x N) cumulative sub-block sums, and the
+        # (blocks, cells x N) cumulative block sums, their totals
+        sub_cum = sums.reshape(block_at[-1], subs, -1)
+        _cumulate(np.moveaxis(sub_cum, 1, 0))
+        block_cum = _cumulate(sub_cum[:, -1].copy())
         draws = order[first[start] : first[start + batch.size]]
-        for some in np.array_split(draws, 1 + draws.size // chunk):
-            row = np.searchsorted(batch, cell[some])
-            block, pos = _inverse_cdf(block_cum[row], u[some])
+        for some in np.array_split(draws, 1 + draws.size // per_chunk):
+            # one pick per draw and analysis: its theta cell's row in the
+            # batch, its analysis, and their place on the (cells x N) axis
+            row = np.repeat(np.searchsorted(batch, cell[some]), n)
+            col = np.tile(np.arange(n), some.size)
+            table_col = row * n + col
+            block, pos = _descend(block_cum[:, table_col], u[some].ravel())
+            sub, pos = _descend(sub_cum[block, :, table_col].T, pos)
+            sub += block * subs
             which = np.searchsorted(block_at, block, side="right") - 1
-            weight = np.empty((*block.shape, _TAU_BLOCK), dtype=_LIKELIHOOD)
-            for p, (_, blocks) in enumerate(grid):
-                at = np.nonzero(which == p)
-                weight[at] = blocks[block[at] - block_at[p], :, cols[at[1]]]
-            weight *= mass[row[:, None], block]
-            within, pos = _inverse_cdf(np.cumsum(weight, axis=-1), pos)
-            g = cell_at[which] + (block - block_at[which]) * _TAU_BLOCK + within
-            below, above = cdf[row[:, None], g], cdf[row[:, None], g + 1]
-            t = fam.quantile(below + pos * (above - below), *(h[row] for h in hyper))
-            tau[some] = np.clip(t, nodes[g], nodes[g + 1])
+            weight = np.empty((_SUB_BLOCK, row.size), dtype=_LIKELIHOOD)
+            for p, table in enumerate(tables):
+                at = np.flatnonzero(which == p)
+                weight[:, at] = table[sub[at] - block_at[p] * subs, within, col[at]]
+            weight *= mass[row, sub, within]
+            g, pos = _descend(_cumulate(weight), pos)
+            g += cell_at[which] + (sub - block_at[which] * subs) * _SUB_BLOCK
+            below, above = cdf[row, g], cdf[row, g + 1]
+            t = fam.quantile(below + pos * (above - below), *hyper[:, row])
+            tau[some] = np.clip(t, nodes[g], nodes[g + 1]).reshape(some.size, n)
 
 
 def run_hierarchical(
@@ -767,16 +811,17 @@ def summarize_samples(draws) -> dict[str, float]:
     Quantiles use linear (type-7) interpolation; sd is the sample standard
     deviation. Requires at least two values.
     """
-    x = np.asarray(draws, dtype=float).ravel()
-    if x.size < 2:
-        raise ValueError(f"need at least 2 draws, got {x.size}")
-    return {
-        "mean": float(np.mean(x)),
-        "sd": float(np.std(x, ddof=1)),
-        "median": float(np.quantile(x, 0.5)),
-        "q95": float(np.quantile(x, 0.95)),
-        "q99": float(np.quantile(x, 0.99)),
-    }
+    return _summaries(np.asarray(draws, dtype=float).reshape(1, -1))[0]
+
+
+def _summaries(x: np.ndarray) -> list[dict[str, float]]:
+    """:func:`summarize_samples` of each row of ``x`` (columns, draws), in
+    one pass over all rows; a contiguous row gives the same bits as the
+    column alone."""
+    if x.shape[1] < 2:
+        raise ValueError(f"need at least 2 draws, got {x.shape[1]}")
+    stats = np.mean(x, axis=1), np.std(x, axis=1, ddof=1), *np.quantile(x, [0.5, 0.95, 0.99], axis=1)
+    return [dict(zip(_SUMMARY_COLUMNS, map(float, row))) for row in zip(*stats)]
 
 
 def _predictive_summary(s: PosteriorSamples) -> dict[str, float | None]:
@@ -1119,7 +1164,8 @@ def summary_dict(s: PosteriorSamples) -> dict:
     """JSON-ready summary: per-parameter statistics, diagnostics, the
     quadrature grids of a fresh run, and one list of warnings (diagnostics,
     hyperparameters piled up at a bound)."""
-    params = {name: summarize_samples(x) for name, x in s.columns()}
+    draws = np.ascontiguousarray(s.table.reshape(-1, s.table.shape[-1]).T)
+    params = dict(zip(s.parameter_names(), _summaries(draws)))
     doc = {
         "family": s.family,
         "n_analyses": s.n_analyses,

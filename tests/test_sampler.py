@@ -30,7 +30,7 @@ from hetprior.sampler import (
 #: sha256 of scale, mu, tau, tau* and deviance draws of ``quick_run``, taken
 #: with numpy 2.4.6 and scipy 1.17.1 (Python 3.11.7) and numpy's bundled
 #: OpenBLAS on an x86-64 CPU whose numpy dispatches to AVX512 (SPR) kernels
-GOLDEN_DIGEST = "badbfacb03da26586372a3ac51f50e7ba095c38d75008434567aea34a0535010"
+GOLDEN_DIGEST = "d21993ca461f21ba6028ab0949823e4a57a7507496fb5a51eab8f20cce93be40"
 
 
 def synthetic_corpus(n_analyses, k, sigma, true_scale, seed):
@@ -773,3 +773,91 @@ def test_analyze_and_the_sampler_share_the_base_tau_nodes():
     assert prior.quantile(0.9999) > base[-1]
     td = tau_marginal(SingleMeta(y=y, sigma=se), prior)
     assert np.array_equal(td.grid[: base.size], base)
+
+
+# -- the tau-cell pick against a one-level reference -----------------------------
+
+#: the tree's float32 partial sums may move a cell boundary by this share of
+#: an analysis' total M_g Lbar_jg: 42 float32 roundings (2^-24 each), the
+#: mass cast, the product, the sum of 8, and the cumulative sums of 8, 8 and
+#: up to 16 of the three levels; the cases below move one by at most 6.2e-8
+_PICK_SLIVER = 42 * 2.0**-24
+
+
+def _sparse_shaped(n_analyses=120, seed=12):
+    """Analyses of 2, 3 or 4 studies, standard errors 0.1-0.6, a third with tau_j = 0."""
+    rng = np.random.default_rng(seed)
+    taus = np.abs(rng.normal(0.0, 0.2, n_analyses))
+    taus[: n_analyses // 3] = 0.0
+    return _drawn_analyses(rng, [2, 3, 4] * (n_analyses // 3), taus, 0.1, 0.6)
+
+
+@pytest.mark.parametrize(
+    "family, corpus",
+    [(family, "oracle") for family in sorted(HET_FAMILIES)] + [("half-cauchy", "paper")],
+)
+def test_tau_pick_matches_one_level_reference(family, corpus):
+    """Given the same uniforms, the tree picks the tau cell that a float64
+    searchsorted over the cumulative M_g Lbar_jg of the drawn theta cell
+    picks, except within ``_PICK_SLIVER`` of that analysis' total from a
+    cell boundary, and then an adjacent cell."""
+    c = _collection(ORACLE_CORPUS if corpus == "oracle" else _paper_shaped())
+    fam = HET_FAMILIES[family]
+    grid, lo, hi, w = sampler._quadrature(c, ModelSpec(het_family=family))
+    assert grid[1][1].shape[0] > 0  # the grid has an extension part
+    rng = np.random.default_rng(8)
+    cell = rng.choice(w.size, 4000, p=w / w.sum())
+    u = rng.random((cell.size, c.n_analyses))
+    tau = np.empty_like(u)
+    centre = sampler._centre(lo, hi)
+    with np.errstate(divide="ignore"):  # log(0) at tau = 0, as in run_hierarchical
+        sampler._tau_draws(fam, grid, centre, cell, u, tau)
+    nodes = np.concatenate([grid[0][0], grid[1][0][1:]])
+    lbar = np.concatenate([sampler._cells(part, blocks) for part, blocks in grid]).astype(float)
+    picked = np.searchsorted(nodes, tau, side="right") - 1
+    for k in np.unique(cell):
+        rows = np.flatnonzero(cell == k)
+        with np.errstate(divide="ignore"):
+            cum = np.cumsum(np.diff(fam.cdf(nodes, *centre[k]))[:, None] * lbar, axis=0)
+        for j in range(c.n_analyses):
+            x = u[rows, j] * cum[-1, j]
+            ref = np.searchsorted(cum[:, j], x, side="right")
+            off = picked[rows, j] != ref
+            assert np.all(np.abs(picked[rows, j] - ref) <= 1), (k, j)
+            boundary = cum[np.minimum(picked[rows, j], ref)[off], j]
+            assert np.all(np.abs(x[off] - boundary) <= _PICK_SLIVER * cum[-1, j]), (k, j)
+
+
+def test_draws_do_not_depend_on_the_batching(quick_run, monkeypatch):
+    """With one drawn theta cell per batch and one draw per chunk, every
+    draw is the default run's, bit for bit."""
+    monkeypatch.setattr(sampler, "_BLOCK", 1)
+    np.testing.assert_array_equal(run_hierarchical(small_corpus(), ModelSpec(), QUICK).table, quick_run.table)
+
+
+def test_sampling_memory_stays_within_budget():
+    """tracemalloc's peak over one compare_sparse-shaped fit (120 analyses
+    of 2-4 studies, 4 x 40 draws, log-normal) stays under 4 MiB; the tree's
+    batches hold about 1 MiB, where tables built for every drawn theta cell
+    at once peaked near 10 MiB."""
+    import tracemalloc
+
+    c = _collection(_sparse_shaped())
+    m, cfg = ModelSpec(het_family="log-normal"), McmcConfig(chains=4, iterations=40, seed=2)
+    tracemalloc.start()
+    try:
+        run_hierarchical(c, m, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("chains", [2, 1])
+def test_summary_parameters_equal_summarize_samples_of_each_column(quick_run, chains):
+    s = quick_run if chains == 2 else run_hierarchical(small_corpus(), ModelSpec(), McmcConfig(chains=1, iterations=333, seed=6))
+    expected = {name: summarize_samples(x) for name, x in s.columns()}
+    assert json.dumps(summary_dict(s)["parameters"]) == json.dumps(expected)
+    x = s.draws("tau[A0]").ravel()
+    plain = [np.mean(x), np.std(x, ddof=1), *(np.quantile(x, q) for q in (0.5, 0.95, 0.99))]
+    assert list(expected["tau[A0]"].values()) == [float(v) for v in plain]
