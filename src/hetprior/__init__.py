@@ -50,7 +50,6 @@ from .sampler import (  # noqa: F401
     run_hierarchical,
     summarize_samples,
     split_rhat,
-    effective_sample_size,
     diagnostics,
     samples_to_npy,
     samples_from_npy,

@@ -56,7 +56,7 @@ from .summarize import (
 )
 from .svg import density_svg, forest_svg, histogram_svg
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -222,20 +222,23 @@ def cmd_validate(args) -> int:
 
 
 def _fit_table(s, doc: dict) -> str:
+    """Each hyperparameter's, tau*'s and the deviance's statistics, split-R-hat
+    and Monte Carlo standard error, sd / sqrt(chains x kept) for independent
+    draws."""
     names = list(s.hyper_names) + ["tau_star", "deviance"]
+    root_n = (doc["chains"] * doc["kept_iterations"]) ** 0.5
     lines = [
         f"{'parameter':<12} {'mean':>9} {'sd':>9} {'50%':>9} {'95%':>9} {'99%':>9}"
-        f" {'rhat':>7} {'ess':>9}"
+        f" {'rhat':>7} {'mcse':>9}"
     ]
     for name in names:
         p = doc["parameters"][name]
-        d = doc["diagnostics"][name]
-        rhat = d["rhat"]
+        rhat = doc["diagnostics"][name]["rhat"]
         lines.append(
             f"{name:<12} {p['mean']:>9.4f} {p['sd']:>9.4f} {p['median']:>9.4f}"
             f" {p['q95']:>9.4f} {p['q99']:>9.4f}"
             f" {('-' if rhat is None else f'{rhat:.3f}'):>7}"
-            f" {d['ess']:>9.0f}"
+            f" {p['sd'] / root_n:>9.3g}"
         )
     lines += [f"warning: {w}" for w in doc["warnings"]]
     return "\n".join(lines)
@@ -388,6 +391,7 @@ def cmd_approx(args) -> int:
     specs = []
     failures = []
     errors = []
+    warns = []
     for method in methods:
         # a direct fit is one unit per fit family, so one family's failure keeps the others
         for fit_family in fit_families if method in ("ml", "moments") else (None,):
@@ -401,7 +405,8 @@ def cmd_approx(args) -> int:
                     where = f" for {fit_family}"
                 failures.append(failure)
                 errors.append(f"{method}{where}: {e}")
-                print(f"warning: {method} failed{where}: {e}", file=sys.stderr)
+                warns.append(f"{method} failed{where}: {e}")
+                print(f"warning: {warns[-1]}", file=sys.stderr)
     if not specs:
         raise FitError("no prior could be produced: " + "; ".join(errors))
 
@@ -411,6 +416,7 @@ def cmd_approx(args) -> int:
         "source": source,
         "table": rows,
         "failures": failures,
+        "warnings": warns,
     }
     priors_doc = {
         "family": s.family,
@@ -471,9 +477,8 @@ def cmd_analyze(args) -> int:
             {"label": ci.label, "estimate": ci.estimate, "lo": ci.lo, "hi": ci.hi}
             for ci in res.comparators
         ],
+        "warnings": list(res.warnings),
     }
-    if res.warnings:
-        doc["warnings"] = list(res.warnings)
     files = {
         "summary.json": doc,
         "forest.csv": _forest_csv(rows),

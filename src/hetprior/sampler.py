@@ -94,7 +94,6 @@ __all__ = [
     "run_hierarchical",
     "diagnostics",
     "split_rhat",
-    "effective_sample_size",
     "summarize_samples",
     "samples_to_npy",
     "samples_from_npy",
@@ -865,73 +864,41 @@ def _summary_cells(summary: dict) -> str:
     )
 
 
-def _split_chains(x: np.ndarray):
-    """Each chain of (chains, n) draws cut into a first and a last half of
-    n // 2 draws: the halves, their means, the mean within-half variance W
-    and var+ = (n_half - 1) / n_half W + B / n_half, B the between-half
-    variance."""
-    n = x.shape[1]
-    half = n // 2
-    h = np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
-    means = h.mean(axis=1)
-    w = float(h.var(axis=1, ddof=1).mean())
-    b = half * float(means.var(ddof=1))
-    return h, means, w, (half - 1) / half * w + b / half
-
-
 def split_rhat(x: np.ndarray) -> float:
     """Split-chain potential scale reduction factor for (chains, n) draws:
-    NaN below 4 draws per chain, infinite when every half-chain is constant
-    but the halves differ."""
+    each chain cut into a first and a last half of n // 2 draws, W their
+    mean within-half variance, B the between-half variance and
+    var+ = (n_half - 1) / n_half W + B / n_half. NaN below 4 draws per
+    chain, infinite when every half-chain is constant but the halves
+    differ."""
     x = np.asarray(x, dtype=float)
-    if x.shape[1] // 2 < 2:
+    n = x.shape[1]
+    half = n // 2
+    if half < 2:
         return math.nan
-    _, _, w, var_plus = _split_chains(x)
+    h = np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
+    w = float(h.var(axis=1, ddof=1).mean())
+    b = half * float(h.mean(axis=1).var(ddof=1))
+    var_plus = (half - 1) / half * w + b / half
     if w == 0.0:
         return 1.0 if var_plus == 0.0 else math.inf
     return math.sqrt(var_plus / w)
 
 
-def effective_sample_size(x: np.ndarray) -> float:
-    """Effective sample size from split chains, with the combined
-    autocorrelation estimate truncated by the initial-monotone-positive
-    pair-sum rule; the draw count below 8 draws per chain or when every
-    draw is equal."""
-    x = np.asarray(x, dtype=float)
-    total = x.size
-    n_sub = x.shape[1] // 2
-    if n_sub < 4 or x.min() == x.max():
-        return float(total)
-    h, means, w, var_plus = _split_chains(x)
-    centered = h - means[:, None]
-    size = 1 << (2 * n_sub - 1).bit_length()
-    f = np.fft.rfft(centered, n=size, axis=1)
-    acov = np.fft.irfft(f * np.conj(f), n=size, axis=1)[:, :n_sub] / n_sub
-    rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
-    # Geyer: sum monotone nonincreasing positive pairs rho[2k] + rho[2k+1]
-    pair_sum = 0.0
-    prev = math.inf
-    for k in range(n_sub // 2):
-        p = rho[2 * k] + rho[2 * k + 1]
-        if p <= 0.0:
-            break
-        p = min(p, prev)
-        pair_sum += p
-        prev = p
-    tau_int = max(2.0 * pair_sum - 1.0, 1.0 / total)
-    return float(min(total / tau_int, total))
-
-
 def diagnostics(s: PosteriorSamples) -> tuple[dict[str, dict], list[str]]:
-    """Split-R-hat and effective sample size per parameter, as
-    ``({name: {"rhat", "ess"}}, warnings)``.
+    """Split-R-hat per parameter, as ``({name: {"rhat"}}, warnings)``.
 
-    A single chain gets the R-hat of its two halves. An R-hat that is not
-    finite is reported as ``None``, with a warning that says why. Warnings
-    flag R-hat > 1.01 and ESS < 400.
+    The draws are independent, so a parameter's Monte Carlo standard error
+    is its sd / sqrt(chains x kept), and one run-level warning flags fewer
+    than 400 draws in all. A single chain gets the R-hat of its two halves.
+    An R-hat that is not finite is reported as ``None``, with a warning
+    that says why; R-hat > 1.01 is flagged.
     """
     entries = {}
     warns = []
+    n_draws = s.n_chains * s.n_kept
+    if n_draws < 400:
+        warns.append(f"{n_draws} draws ({s.n_chains} chains x {s.n_kept} kept) < 400")
     for name, x in s.columns():
         rhat = split_rhat(x)
         if math.isnan(rhat):
@@ -942,10 +909,7 @@ def diagnostics(s: PosteriorSamples) -> tuple[dict[str, dict], list[str]]:
             rhat = None
         elif rhat > 1.01:
             warns.append(f"{name}: split-Rhat {rhat:.3f} > 1.01")
-        ess = effective_sample_size(x)
-        entries[name] = {"rhat": rhat, "ess": ess}
-        if ess < 400.0:
-            warns.append(f"{name}: effective sample size {ess:.0f} < 400")
+        entries[name] = {"rhat": rhat}
     return entries, warns
 
 

@@ -50,6 +50,7 @@ from .sampler import (
     _distribution_summary,
     _predictive_summary,
     _summary_cells,
+    summarize_samples,
 )
 
 __all__ = [
@@ -129,14 +130,9 @@ def prior_to_dict(prior: PriorSpec | Distribution) -> dict:
 
 
 def _statistic(draws: np.ndarray, statistic: str) -> float:
-    x = np.asarray(draws, dtype=float).ravel()
-    if statistic == "mean":
-        return float(np.mean(x))
-    if statistic == "median":
-        return float(np.quantile(x, 0.5))
-    if statistic == "q95":
-        return float(np.quantile(x, 0.95))
-    raise ValueError(f"unknown statistic {statistic!r}; choose mean, median or q95")
+    if statistic not in ("mean", "median", "q95"):
+        raise ValueError(f"unknown statistic {statistic!r}; choose mean, median or q95")
+    return summarize_samples(draws)[statistic]
 
 
 def point_estimate_prior(s: PosteriorSamples, statistic: str = "mean", source: str = "") -> PriorSpec:

@@ -208,10 +208,10 @@ def test_fit_outputs_and_manifest(fit_dir):
     man = json.loads((fit_dir / "manifest.json").read_text())
     assert man["subcommand"] == "fit"
     assert man["seed"] == 11
-    assert man["schema_version"] == 6
+    assert man["schema_version"] == 7
     assert man["tool_version"]
     src = man["inputs"][0]
-    digest = hashlib.sha256(open(src["path"], "rb").read()).hexdigest()
+    digest = hashlib.sha256(Path(src["path"]).read_bytes()).hexdigest()
     assert src["sha256"] == digest
     assert man["outputs"] == ["manifest.json", "samples.npy", "summary.json"]
 
@@ -599,6 +599,13 @@ def test_approx_direct_fit_fails_per_family_and_keeps_the_rest(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "warning: ml failed for half-normal: need at least 1000 draws" in err
     assert "warning: moments failed for lomax: sample cv" in err
+    # summary.json holds the lines printed to stderr, in order
+    warns = json.loads((out / "summary.json").read_text())["warnings"]
+    assert [w.split(":")[0] for w in warns] == ["ml failed for half-normal", "ml failed for lomax",
+                                                "moments failed for lomax"]
+    assert [line for line in err.splitlines() if line.startswith("warning: ")] == [
+        f"warning: {w}" for w in warns
+    ]
 
 
 @pytest.mark.parametrize(
@@ -647,7 +654,7 @@ def test_analyze_summary_json_and_text(single_csv, tmp_path, capsys):
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
     textout = capsys.readouterr().out
     assert "effect" in textout and "heterogeneity" in textout
-    assert "warnings" not in doc and "warning" not in textout
+    assert doc["warnings"] == [] and "warning" not in textout
 
 
 def test_analyze_undefined_dl_drops_comparators_with_warning(tmp_path, capsys):
@@ -768,6 +775,48 @@ def test_out_of_range_std_err_exits_2_naming_row_and_value(argv, std_err, tmp_pa
         code = main([argv[0], str(p), *argv[1:], "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"row 3: std_err {float(std_err)!r} is out of range" in capsys.readouterr().err
+
+
+_SWEEP_COMMANDS = {
+    "validate": [],
+    "tau-estimates": [],
+    "fit": ["--seed", "1", "--chains", "2", "--iters", "50"],
+    "compare": ["--seed", "1", "--chains", "2", "--iters", "50", "--families", "half-normal,exp"],
+    "analyze": ["--analysis", "a", "--prior", "half-normal(0.5)"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SWEEP_COMMANDS))
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("estimate", "nan"), ("estimate", "inf"), ("estimate", "-inf"),
+        ("std_err", "0"), ("std_err", "-0.1"), ("std_err", "nan"),
+        ("std_err", ""), ("estimate", "abc"),
+    ],
+    ids=["nan-estimate", "inf-estimate", "neg-inf-estimate", "zero-se", "negative-se", "nan-se",
+         "empty-field", "non-numeric"],
+)
+def test_damaged_input_fails_loudly_and_writes_no_nan(command, column, value, tmp_path, capsys):
+    """One damaged cell in row 3 (analysis a, study s2), under every command
+    that reads a corpus: the parser refuses it, so the command exits 2
+    naming the row and the column, writes nothing (so no NaN or Infinity)
+    and lets no RuntimeWarning escape."""
+    cells = {"estimate": ["0.1", "0.3", "-0.2"], "std_err": ["0.2", "0.25", "0.3"]}
+    cells[column][1] = value
+    p = tmp_path / "damaged.csv"
+    p.write_text(
+        "analysis_id,study_id,estimate,std_err\n"
+        + "".join(f"a,s{i},{cells['estimate'][i]},{cells['std_err'][i]}\n" for i in range(3))
+        + "b,s1,0.1,0.2\nb,s2,0.3,0.4\n"
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, str(p), *_SWEEP_COMMANDS[command], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "row 3: " in err and column in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "compare"])
@@ -1077,7 +1126,7 @@ def test_json_mode_matches_file(argv, doc, corpus_csv, single_csv, fit_dir, tmp_
     assert main([a.format(**paths) for a in argv] + ["--json", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert printed == (out / doc).read_text()
-    assert json.loads(printed)["schema_version"] == 6
+    assert json.loads(printed)["schema_version"] == 7
 
 
 # -- the library functions return the documents their commands write ------------------
