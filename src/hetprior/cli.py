@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,18 +396,31 @@ def cmd_approx(args) -> int:
     for method in methods:
         # a direct fit is one unit per fit family, so one family's failure keeps the others
         for fit_family in fit_families if method in ("ml", "moments") else (None,):
-            try:
-                specs.append(_make_prior(method, fit_family, s, source))
-            except (InfeasibleError, FitError) as e:
-                failure = {"method": method, "error": str(e)}
-                where = ""
+            where = "" if fit_family is None else f" for {fit_family}"
+            failed = None
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                try:
+                    specs.append(_make_prior(method, fit_family, s, source))
+                except (InfeasibleError, FitError) as e:
+                    failed = e
+            # a RuntimeWarning of the build (the half-t df cap) is a line of the list
+            lines = []
+            for w in caught:
+                if issubclass(w.category, RuntimeWarning):
+                    lines.append(f"{method}{where}: {w.message}")
+                else:
+                    warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+            if failed is not None:
+                failure = {"method": method, "error": str(failed)}
                 if fit_family is not None:
                     failure["family"] = fit_family
-                    where = f" for {fit_family}"
                 failures.append(failure)
-                errors.append(f"{method}{where}: {e}")
-                warns.append(f"{method} failed{where}: {e}")
-                print(f"warning: {warns[-1]}", file=sys.stderr)
+                errors.append(f"{method}{where}: {failed}")
+                lines.append(f"{method} failed{where}: {failed}")
+            for line in dict.fromkeys(lines):
+                warns.append(line)
+                print(f"warning: {line}", file=sys.stderr)
     if not specs:
         raise FitError("no prior could be produced: " + "; ".join(errors))
 

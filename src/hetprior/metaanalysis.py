@@ -31,9 +31,10 @@ The three quantiles are found together by safeguarded Newton iteration on
 effect grid's trapezoid cdf crosses each probability and bracketed by the
 span of mu_hat +- 10 sd; a Newton point outside the bracket falls back to
 bisection.  Each quantile stops once its step is at most brentq's
-tolerance, 1e-12 + 4 eps |x|: mostly after 3 passes (3 to 5 over 250 test
-datasets), and after about 55 where the effect's scale is near 1e70 and
-the cdf is too flat for its rounding, so that bisection does the work.
+tolerance, 1e-12 + 4 eps |x|: mostly after 4 passes (3 to 5 over the 50
+``analyze_batch`` datasets of one perfbench seed), and after about 55
+where the effect's scale is near 1e70 and the cdf is too flat for its
+rounding, so that bisection does the work.
 
 The density comes from a reduced mixture of K normals, the DIRECT rule of
 Roever & Friede (2017, JCGS 26:217): walking the tau grid, a new bin
@@ -45,12 +46,17 @@ K was 43 to 368 (median 141) against T >= 500 nodes, and the reduced
 density stayed within 1e-4 of its peak of the full mixture's (at most
 6.4e-5).  It is tabulated on an effect grid whose step is half the
 smaller of the posterior sd and the narrowest reduced component, clipped
-to 1201 to 40001 points.  Tiny
-standard errors alone do not reach the cap, because the reduction merges
-the narrow conditionals near tau = 0 into wider components.  The cap is
-reached where a narrow component sits beside a window that a heavy tau
-tail widens: two studies 1e-4 apart with standard errors 1e-4 under
-Lomax(9.9, 1.5) give K = 451 and 40001 points.  The terms are evaluated in
+to 201 to 40001 points.  Typical data (k up to 30, standard errors 0.1 to
+0.6) ask for 30 to 2550 points, median about 60, so most analyses sit at
+the floor.  Tiny standard errors alone stay far below the cap, because the
+reduction merges the narrow conditionals near tau = 0 into wider
+components: eight standard errors of 5e-5 to 2e-4 under Lomax(9.9, 1.5)
+take 736 points.  The cap is reached where a narrow component sits beside
+a window that a heavy tau tail widens: two studies 1e-4 apart with
+standard errors 1e-4 under Lomax(9.9, 1.5) give K = 451 and 40001 points.
+The floor sets only where the Newton iteration starts: raising it to 1201
+points moves the quantiles by at most 1.8e-13 relative over 200
+``analyze_batch`` datasets.  The terms are evaluated in
 blocks of 64 effect points with in-place ufuncs on one 64 x K scratch
 array, reused block after block, in place of grid-sized temporaries.  Each
 point's density is the row sum of its block, which does not depend on the
@@ -108,6 +114,8 @@ _TAIL_MASS = 1e-6
 _MAX_EXTENSIONS = 60
 #: effect-grid rows per block of the mixture-density evaluation
 _MU_BLOCK = 64
+#: the effect grid's fewest and most points: its step rule decides in between
+_MU_GRID_FLOOR, _MU_GRID_CAP = 201, 40001
 #: divergence bound of the DIRECT reduction of the effect mixture: one tenth
 #: of bayesmeta's default
 _DIRECT_DELTA = 1e-3
@@ -455,7 +463,7 @@ def bayes_ma(
     c_weight, c_mean, c_sd = _reduced_mixture(omega, mu_hat, v)
     # the grid resolves the narrowest component it sums
     step = 0.5 * min(mu_sd, float(c_sd.min()))
-    n_grid = int(np.clip(math.ceil((hi_g - lo_g) / step), 1201, 40001))
+    n_grid = int(np.clip(math.ceil((hi_g - lo_g) / step), _MU_GRID_FLOOR, _MU_GRID_CAP))
     mu_grid = np.linspace(lo_g, hi_g, n_grid)
     mu_dens = np.empty_like(mu_grid)
     norm = c_weight / (c_sd * math.sqrt(2.0 * math.pi))

@@ -608,6 +608,24 @@ def test_approx_direct_fit_fails_per_family_and_keeps_the_rest(tmp_path, capsys)
     ]
 
 
+def test_approx_records_the_half_t_df_cap_in_its_warnings(tmp_path, capsys):
+    # scale draws with cv 3e-4 need a mixing df far above the 1e4 cap
+    run = _low_cv_run(tmp_path / "run")
+    table = np.load(run / "samples.npy")
+    table[0, :, 0] = np.random.default_rng(1).uniform(0.1999, 0.2001, table.shape[1])
+    (run / "samples.npy").write_bytes(_npy_bytes(table))
+    out = tmp_path / "o"
+    argv = ["approx", str(run), "--methods", "point:mean,mixture", "--out", str(out)]
+    assert main(argv) == 0
+    warns = json.loads((out / "summary.json").read_text())["warnings"]
+    assert len(warns) == 1 and warns[0].startswith("mixture: scale_mixture_half_t: cv ")
+    assert warns[0].endswith("needs df > 10000; capping (effectively half-normal)")
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("warning: ")] == [f"warning: {warns[0]}"]
+    priors = json.loads((out / "priors.json").read_text())["priors"]
+    assert [p["method"] for p in priors] == ["point_estimate(mean)", "mixture_match"]
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [(["--methods", ","], "--methods"), (["--methods", "ml", "--fit-families", ""], "--fit-families")],

@@ -285,7 +285,7 @@ def test_blocked_mu_density_equals_one_shot_formula(capped):
     sm, prior, mu_prior = _case(capped)
     res = bayes_ma(sm, prior, mu_prior)
     n = res.mu_density.grid.size
-    assert n == (40001 if capped else 1201)
+    assert n == (metaanalysis._MU_GRID_CAP if capped else metaanalysis._MU_GRID_FLOOR)
     rows = slice(5, None, 97) if capped else slice(None)
     components = _reduced_mixture(*_conditionals(sm, res.tau_density, mu_prior))
     assert res.mu_components == components[0].size
@@ -309,20 +309,47 @@ def test_reduced_mu_density_matches_full_mixture(capped):
     assert 1 <= res.mu_components < 500
 
 
-def test_tiny_standard_errors_need_no_more_than_the_floor_grid():
-    # the narrowest tau-cell conditional (sd ~ 5e-5) no longer sets the step:
-    # the narrowest reduced component is as wide as the grid floor resolves
+def test_tiny_standard_errors_stay_far_below_the_grid_cap():
+    # the narrowest tau-cell conditional (sd ~ 5e-5) does not set the step:
+    # the reduction merges it into components the step resolves in 736 points
     res = _assert_reduced_density_close(tiny_se_meta(), Lomax(9.9, 1.5), None)
-    assert res.mu_density.grid.size == 1201
+    assert res.mu_density.grid.size == 736
 
 
-def test_reduced_mu_density_matches_full_mixture_random_sweep():
+def _sweep_cases():
+    """The random shapes of the reduced-density sweep: k = 1 to 30, the
+    paper's priors and a half-Cauchy(1), every second case with an effect
+    prior."""
     rng = np.random.default_rng(20)
     priors = TABLE_PRIORS + [HalfCauchy(1.0)]
     for n in range(24):
         k = int(rng.integers(1, 31))
         sm = SingleMeta(y=tuple(rng.normal(0.0, 0.5, k)), sigma=tuple(rng.uniform(0.05, 1.0, k)))
-        _assert_reduced_density_close(sm, priors[n % len(priors)], Normal(0.0, 2.0) if n % 2 else None)
+        yield sm, priors[n % len(priors)], Normal(0.0, 2.0) if n % 2 else None
+
+
+def test_reduced_mu_density_matches_full_mixture_random_sweep():
+    for case in _sweep_cases():
+        _assert_reduced_density_close(*case)
+
+
+def test_effect_grid_floor_moves_no_summary(monkeypatch):
+    # the floor sets only where Newton starts the effect quantiles: under a
+    # 1201-point floor every other summary is the same bit for bit
+    cases = list(_sweep_cases())
+    new = [bayes_ma(*case) for case in cases]
+    # the sweep reaches the floor, so the two runs differ
+    assert min(r.mu_density.grid.size for r in new) == metaanalysis._MU_GRID_FLOOR
+    monkeypatch.setattr(metaanalysis, "_MU_GRID_FLOOR", 1201)
+    old = [bayes_ma(*case) for case in cases]
+    for a, b in zip(old, new):
+        assert (a.mu_mean, a.mu_sd, a.mu_components) == (b.mu_mean, b.mu_sd, b.mu_components)
+        assert (a.tau_median, a.tau_interval) == (b.tau_median, b.tau_interval)
+        assert np.array_equal(a.tau_density.grid, b.tau_density.grid)
+        assert np.array_equal(a.tau_density.density, b.tau_density.density)
+        for x, y in zip((a.mu_median, *a.mu_interval), (b.mu_median, *b.mu_interval)):
+            assert abs(x - y) <= 2.0 * (1e-12 + metaanalysis._RTOL * abs(x))
+        assert abs(b.mu_density.integral() - 1.0) < 1e-6
 
 
 def test_reduced_mixture_moments_survive_subnormal_weights():
