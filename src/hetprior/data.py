@@ -177,7 +177,8 @@ def parse_collection(text: str) -> MetaAnalysisCollection:
     ----------
     text : str
         CSV with header ``analysis_id,study_id,estimate,std_err`` and an
-        optional trailing ``seq`` column of integers.
+        optional trailing ``seq`` column of integers; a leading byte-order
+        mark (U+FEFF) is skipped.
 
     Returns
     -------
@@ -193,7 +194,8 @@ def parse_collection(text: str) -> MetaAnalysisCollection:
         On a bad data row; the message carries the 1-based row number
         (header = row 1).
     """
-    reader = csv.reader(io.StringIO(text))
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:

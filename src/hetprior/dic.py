@@ -38,6 +38,7 @@ from .sampler import (
     _predictive_summary,
     _shared_likelihoods,
     _summary_cells,
+    _variances,
     run_hierarchical,
 )
 
@@ -72,7 +73,7 @@ def deviance(c: MetaAnalysisCollection, mu, tau) -> float:
     if np.any(tau < 0.0):
         raise ValueError("tau values must be nonnegative")
     y, se2, offsets = _flatten(c)
-    return float(_deviance(y, se2, offsets, mu, tau))
+    return float(_deviance(y, offsets, mu, _variances(se2, offsets, tau)))
 
 
 def compute_dic(s: PosteriorSamples, c: MetaAnalysisCollection) -> DicResult:

@@ -36,9 +36,12 @@ M_g Lbar_jg (Devroye 1986, *Non-Uniform Random Variate Generation*, ch.
 III): a block of ``_TAU_BLOCK`` cells, one of its sub-blocks of
 ``_SUB_BLOCK`` cells, then a cell, reading about ten, eight and eight values
 (:func:`_tau_draws`). One batched float32 product per batch of drawn theta
-cells gives every sub-block sum. A batch holds about 4 ``_BLOCK`` sums and a
-chunk of picks about ``_BLOCK`` / 4, so the working set stays near a MiB
-whatever the draw count.
+cells gives every sub-block sum. The picks read those sums pick-major, one
+contiguous row per (drawn theta cell, analysis), and the cell likelihoods
+as one row of eight per (analysis, sub-block), so each level of a pick
+gathers whole rows. A batch holds about 4 ``_BLOCK`` sums and a chunk of
+picks about ``_BLOCK`` / 4, so the working set stays near a MiB whatever
+the draw count.
 
 Every chain has its own ``Generator(Philox)`` spawned from the seed; the
 rest is computed element by element from the tables, so results are
@@ -403,11 +406,16 @@ def _flatten(c: MetaAnalysisCollection):
     return y, se2, offsets
 
 
-def _deviance(y, se2, offsets, mu, tau):
-    """-2 log likelihood of all studies at per-analysis effects and taus of
-    shape (..., N); the result has their leading shape."""
+def _variances(se2, offsets, tau):
+    """Each study's sigma_ij^2 + tau_j^2 at per-analysis taus of shape (..., N)."""
+    return se2 + np.repeat(np.square(tau), np.diff(offsets), axis=-1)
+
+
+def _deviance(y, offsets, mu, v):
+    """-2 log likelihood of all studies at per-analysis effects of shape
+    (..., N) and study variances ``v`` (:func:`_variances`); the result has
+    their leading shape."""
     sizes = np.diff(offsets)
-    v = se2 + np.repeat(np.square(tau), sizes, axis=-1)
     resid2 = np.square(y - np.repeat(mu, sizes, axis=-1))
     terms = np.add.reduceat(np.log(v) + resid2 / v, offsets[:-1], axis=-1)
     return terms.sum(axis=-1) + y.size * _LOG_2PI
@@ -653,16 +661,19 @@ def _cumulate(a: np.ndarray) -> np.ndarray:
 
 
 def _descend(cum: np.ndarray, pos: np.ndarray):
-    """One step down a tree of partial sums: for each column of ``cum``
-    (children, picks), the cumulative weights of a node's children, the
-    child k whose share [cum[k - 1], cum[k]) holds pos cum[-1], and the
-    place there, in [0, 1). Every column's total must be positive; a child
-    of zero weight is never picked."""
-    x = pos * cum[-1]
-    k = np.count_nonzero(cum <= x, axis=0)
-    picks = np.arange(k.size)
-    lower = np.where(k > 0, cum[k - 1, picks], 0.0)
-    return k, np.clip((x - lower) / (cum[k, picks] - lower), 0.0, _BELOW_ONE)
+    """One step down a tree of partial sums: for each row of ``cum`` (picks,
+    children), the cumulative weights of a node's children, the child k
+    whose share [cum[k - 1], cum[k]) holds pos cum[-1], and the place there,
+    in [0, 1). Every row's total must be positive; a child of zero weight is
+    never picked."""
+    x = pos * cum[:, -1]
+    k = np.zeros(x.size, dtype=np.intp)
+    for i in range(cum.shape[1]):
+        k += cum[:, i] <= x
+    at = np.arange(k.size) * cum.shape[1] + k
+    flat = cum.ravel()
+    lower = np.where(k > 0, flat[at - 1], 0.0)
+    return k, np.clip((x - lower) / (flat[at] - lower), 0.0, _BELOW_ONE)
 
 
 def _tau_draws(fam: _Family, grid, centre, cell, u, tau) -> None:
@@ -677,19 +688,27 @@ def _tau_draws(fam: _Family, grid, centre, cell, u, tau) -> None:
     M_g Lbar_jg, so each pick reads about ten, eight and eight values. For a
     batch of drawn theta cells one batched float32 product, (sub-blocks,
     cells, 8) @ (sub-blocks, 8, N), gives every sub-block sum, and the block
-    sums are their totals. A batch holds about 4 ``_BLOCK`` sub-block sums
-    and a chunk about ``_BLOCK`` / 4 picks (a draw of one analysis each), so
-    the working set stays near a MiB. Each drawn cell's arithmetic is its
-    own, so a draw does not depend on which other cells were drawn."""
+    sums are their totals. The cumulative sums are then laid out pick-major,
+    one contiguous row per (drawn cell, analysis), and the cell likelihoods
+    once per call as (analysis, sub-block, 8) rows, so each level of a pick
+    gathers whole rows. A batch holds about 4 ``_BLOCK`` sub-block sums and
+    a chunk about ``_BLOCK`` / 4 picks (a draw of one analysis each), so the
+    working set stays near a MiB. Each drawn cell's arithmetic is its own,
+    so a draw does not depend on which other cells were drawn."""
     n = u.shape[1]
     nodes = np.concatenate([grid[0][0], *(part[1:] for part, _ in grid[1:])])
     # each part's first block, and the cell of nodes its first cell is
     block_at = np.cumsum([0] + [blocks.shape[0] for _, blocks in grid])
     cell_at = np.cumsum([0] + [part.size - 1 for part, _ in grid])
-    subs, within = _TAU_BLOCK // _SUB_BLOCK, np.arange(_SUB_BLOCK)[:, None]
-    # each part's table as (sub-blocks, _SUB_BLOCK, N)
+    subs, n_blocks = _TAU_BLOCK // _SUB_BLOCK, block_at[-1]
+    n_subs = n_blocks * subs
+    # each part's table as (sub-blocks, _SUB_BLOCK, N), and all of them as
+    # (N x sub-blocks, _SUB_BLOCK) rows, analysis-major
     tables = [blocks.reshape(-1, _SUB_BLOCK, n) for _, blocks in grid]
-    per_batch = max(1, 4 * _BLOCK // (block_at[-1] * subs * n))
+    lbar = np.concatenate(tables).transpose(2, 0, 1).reshape(n * n_subs, _SUB_BLOCK)
+    # the cell of nodes that starts each sub-block
+    sub_cell = np.concatenate([c0 + _SUB_BLOCK * np.arange(len(t)) for t, c0 in zip(tables, cell_at)])
+    per_batch = max(1, 4 * _BLOCK // (n_subs * n))
     per_chunk = max(1, _BLOCK // (4 * n))
     order = np.argsort(cell, kind="stable")
     drawn, first = np.unique(cell[order], return_index=True)
@@ -698,7 +717,7 @@ def _tau_draws(fam: _Family, grid, centre, cell, u, tau) -> None:
         batch = drawn[start : start + per_batch]
         hyper = centre[batch].T
         cdf = fam.cdf(nodes, *hyper[..., None])
-        mass = np.zeros((batch.size, block_at[-1] * _TAU_BLOCK), dtype=_LIKELIHOOD)
+        mass = np.zeros((batch.size, n_blocks * _TAU_BLOCK), dtype=_LIKELIHOOD)
         for (part, _), b0, c0 in zip(grid, block_at, cell_at):
             first_cell = b0 * _TAU_BLOCK
             mass[:, first_cell : first_cell + part.size - 1] = np.diff(cdf[:, c0 : c0 + part.size], axis=1)
@@ -708,28 +727,27 @@ def _tau_draws(fam: _Family, grid, centre, cell, u, tau) -> None:
             for table, b0, b1 in zip(tables, block_at, block_at[1:])
         ])
         # (blocks, sub-blocks, cells x N) cumulative sub-block sums, and the
-        # (blocks, cells x N) cumulative block sums, their totals
-        sub_cum = sums.reshape(block_at[-1], subs, -1)
+        # (blocks, cells x N) cumulative block sums, their totals; then both
+        # pick-major: row r N + j of each is cell r and analysis j
+        sub_cum = sums.reshape(n_blocks, subs, -1)
         _cumulate(np.moveaxis(sub_cum, 1, 0))
-        block_cum = _cumulate(sub_cum[:, -1].copy())
+        block_rows = np.ascontiguousarray(_cumulate(sub_cum[:, -1].copy()).T)
+        sub_rows = np.ascontiguousarray(sub_cum.transpose(2, 0, 1)).reshape(-1, subs)
+        mass_rows = mass.reshape(-1, _SUB_BLOCK)
         draws = order[first[start] : first[start + batch.size]]
         for some in np.array_split(draws, 1 + draws.size // per_chunk):
             # one pick per draw and analysis: its theta cell's row in the
-            # batch, its analysis, and their place on the (cells x N) axis
+            # batch, its analysis, and their row in the pick-major sums
             row = np.repeat(np.searchsorted(batch, cell[some]), n)
             col = np.tile(np.arange(n), some.size)
-            table_col = row * n + col
-            block, pos = _descend(block_cum[:, table_col], u[some].ravel())
-            sub, pos = _descend(sub_cum[block, :, table_col].T, pos)
+            pick = row * n + col
+            block, pos = _descend(np.take(block_rows, pick, axis=0), u[some].ravel())
+            sub, pos = _descend(np.take(sub_rows, pick * n_blocks + block, axis=0), pos)
             sub += block * subs
-            which = np.searchsorted(block_at, block, side="right") - 1
-            weight = np.empty((_SUB_BLOCK, row.size), dtype=_LIKELIHOOD)
-            for p, table in enumerate(tables):
-                at = np.flatnonzero(which == p)
-                weight[:, at] = table[sub[at] - block_at[p] * subs, within, col[at]]
-            weight *= mass[row, sub, within]
-            g, pos = _descend(_cumulate(weight), pos)
-            g += cell_at[which] + (sub - block_at[which] * subs) * _SUB_BLOCK
+            weight = np.take(lbar, col * n_subs + sub, axis=0)
+            weight *= np.take(mass_rows, row * n_subs + sub, axis=0)
+            g, pos = _descend(_cumulate(weight.T).T, pos)
+            g += sub_cell[sub]
             below, above = cdf[row, g], cdf[row, g + 1]
             t = fam.quantile(below + pos * (above - below), *hyper[:, row])
             tau[some] = np.clip(t, nodes[g], nodes[g + 1]).reshape(some.size, n)
@@ -775,16 +793,17 @@ def run_hierarchical(
     del u, grid  # the largest tables, which the rest does not read
 
     # mu_j | tau_j: exact conjugate normal draws; then each draw's deviance
-    sizes, starts = np.diff(offsets), offsets[:-1]
+    starts = offsets[:-1]
     prior_prec = 1.0 / m.effect_prior_sd**2
     step = max(1, _BLOCK // (chains * y.size))
     for k0 in range(0, kept, step):
         rows = slice(k0, k0 + step)
-        wgt = 1.0 / (se2 + np.repeat(np.square(tau[:, rows]), sizes, axis=-1))
+        v = _variances(se2, offsets, tau[:, rows])
+        wgt = 1.0 / v
         prec = prior_prec + np.add.reduceat(wgt, starts, axis=-1)
         mean = (m.effect_prior_mean * prior_prec + np.add.reduceat(wgt * y, starts, axis=-1)) / prec
         mu[:, rows] = mean + z[:, rows] / np.sqrt(prec)
-        table[:, rows, -1] = _deviance(y, se2, offsets, mu[:, rows], tau[:, rows])
+        table[:, rows, -1] = _deviance(y, offsets, mu[:, rows], v)
 
     names = fam.hyper_names
     return PosteriorSamples(
@@ -864,25 +883,37 @@ def _summary_cells(summary: dict) -> str:
     )
 
 
-def split_rhat(x: np.ndarray) -> float:
-    """Split-chain potential scale reduction factor for (chains, n) draws:
-    each chain cut into a first and a last half of n // 2 draws, W their
-    mean within-half variance, B the between-half variance and
-    var+ = (n_half - 1) / n_half W + B / n_half. NaN below 4 draws per
-    chain, infinite when every half-chain is constant but the halves
-    differ."""
+def split_rhat(x: np.ndarray):
+    """Split-chain potential scale reduction factor for (chains, n) draws, or
+    for each trailing column of a (chains, n, ...) table at once: each chain
+    cut into a first and a last half of n // 2 draws, W their mean
+    within-half variance, B the between-half variance and var+ = (n_half -
+    1) / n_half W + B / n_half. NaN below 4 draws per chain, infinite when
+    every half-chain is constant but the halves differ. A (chains, n) input
+    gives a float; a table gives an array of its trailing shape, each value
+    bit-equal to the call on that column alone."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[1]
+    chains, n = x.shape[:2]
     half = n // 2
-    if half < 2:
-        return math.nan
-    h = np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
-    w = float(h.var(axis=1, ddof=1).mean())
-    b = half * float(h.mean(axis=1).var(ddof=1))
-    var_plus = (half - 1) / half * w + b / half
-    if w == 0.0:
-        return 1.0 if var_plus == 0.0 else math.inf
-    return math.sqrt(var_plus / w)
+    cols = x.reshape(chains, n, math.prod(x.shape[2:]))
+    rhat = np.full(cols.shape[-1], math.nan)
+    # below 4 draws per chain every value stays NaN; columns per pass: a
+    # pass's copies hold at most 16 _BLOCK values, as larger ones cost more
+    # to allocate than the per-pass overhead saves
+    n_cols = cols.shape[-1] if half >= 2 else 0
+    step = max(1, 16 * _BLOCK // max(1, chains * n))
+    for j in range(0, n_cols, step):
+        # the half-chains of each column as contiguous rows, so each row's
+        # sums run as they do for a column alone
+        rows = np.moveaxis(cols[..., j : j + step], -1, 0)
+        h = np.empty((len(rows), 2 * chains, half))
+        np.concatenate([rows[..., :half], rows[..., n - half :]], axis=1, out=h)
+        w = h.var(axis=-1, ddof=1).mean(axis=-1)
+        b = half * h.mean(axis=-1).var(axis=-1, ddof=1)
+        var_plus = (half - 1) / half * w + b / half
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhat[j : j + step] = np.where(w == 0.0, np.where(var_plus == 0.0, 1.0, math.inf), np.sqrt(var_plus / w))
+    return float(rhat[0]) if x.ndim == 2 else rhat.reshape(x.shape[2:])
 
 
 def diagnostics(s: PosteriorSamples) -> tuple[dict[str, dict], list[str]]:
@@ -899,8 +930,7 @@ def diagnostics(s: PosteriorSamples) -> tuple[dict[str, dict], list[str]]:
     n_draws = s.n_chains * s.n_kept
     if n_draws < 400:
         warns.append(f"{n_draws} draws ({s.n_chains} chains x {s.n_kept} kept) < 400")
-    for name, x in s.columns():
-        rhat = split_rhat(x)
+    for name, rhat in zip(s.parameter_names(), split_rhat(s.table).tolist()):
         if math.isnan(rhat):
             warns.append(f"{name}: split-Rhat undefined with {s.n_kept} draws per chain (needs 4)")
             rhat = None

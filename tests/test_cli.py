@@ -131,6 +131,21 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_input_with_a_byte_order_mark_reads_as_without_it(tmp_path):
+    # Excel's "CSV UTF-8" writes the UTF-8 byte-order mark first
+    runs = [(CORPUS, ["validate"]), (SINGLE, ["analyze", "--prior", "exp(0.3)"])]
+    for text, (command, *flags) in runs:
+        outs = {}
+        for mark in (b"", b"\xef\xbb\xbf"):
+            p = tmp_path / f"{command}-{mark.hex()}.csv"
+            p.write_bytes(mark + text.encode())
+            outs[mark] = tmp_path / f"{command}-{mark.hex()}"
+            assert main([command, str(p), *flags, "--out", str(outs[mark])]) == 0, (command, mark)
+            (entry,) = json.loads((outs[mark] / "manifest.json").read_text())["inputs"]
+            assert entry["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert (outs[b""] / "summary.json").read_bytes() == (outs[b"\xef\xbb\xbf"] / "summary.json").read_bytes()
+
+
 # -- inputs: read once, hashed as parsed -------------------------------------------
 
 

@@ -110,6 +110,11 @@ def test_parse_empty_input():
         parse_collection("analysis_id,study_id,estimate,std_err\n")
 
 
+def test_parse_skips_a_leading_byte_order_mark():
+    # Excel's "CSV UTF-8" starts the file with U+FEFF
+    assert parse_collection("\ufeff" + MINIMAL) == parse_collection(MINIMAL)
+
+
 def test_round_trip_is_identity():
     text = """analysis_id,study_id,estimate,std_err,seq
 A,S1,0.1234567890123456,0.25,3

@@ -238,6 +238,46 @@ def test_split_rhat_calibration():
     assert split_rhat(const) == 1.0
 
 
+def _split_rhat_of_one_column(x):
+    """The split-R-hat formula for one (chains, n) column, with its
+    variances and means over contiguous half-chain rows and the rest in
+    Python floats."""
+    n = x.shape[1]
+    half = n // 2
+    if half < 2:
+        return math.nan
+    h = np.concatenate([x[:, :half], x[:, n - half :]])
+    w = float(h.var(axis=1, ddof=1).mean())
+    b = half * float(h.mean(axis=1).var(ddof=1))
+    var_plus = (half - 1) / half * w + b / half
+    if w == 0.0:
+        return 1.0 if var_plus == 0.0 else math.inf
+    return math.sqrt(var_plus / w)
+
+
+@pytest.mark.parametrize("n", [3, 257, 1000, 20001])
+@pytest.mark.parametrize("chains", [1, 2, 4])
+def test_split_rhat_of_a_table_equals_each_column_alone(chains, n):
+    """One call on a (chains, n, P) table gives each column's R-hat bit for
+    bit: ordinary columns of three scales, a constant column (1.0), one
+    whose half-chains are constant but differ (inf), and with fewer than 4
+    draws per chain every column NaN."""
+    rng = np.random.default_rng(chains * n)
+    table = rng.standard_normal((chains, n, 5)) * [1.0, 1e-3, 1e4, 1.0, 1.0]
+    table[..., 3] = 0.5
+    table[..., 4] = 0.25 * np.arange(chains)[:, None] + 0.5 * (np.arange(n) >= n // 2)
+    rhat = split_rhat(table)
+    assert rhat.shape == (5,)
+    for j in range(5):
+        alone = split_rhat(table[..., j])
+        assert type(alone) is float
+        np.testing.assert_array_equal([rhat[j], alone], [_split_rhat_of_one_column(table[..., j])] * 2)
+    if n < 4:
+        assert np.isnan(rhat).all()
+    else:
+        assert np.isfinite(rhat[:3]).all() and rhat[3] == 1.0 and rhat[4] == math.inf
+
+
 def test_split_rhat_detects_within_chain_drift():
     # trend inside each chain: the split halves disagree
     trend = np.tile(np.linspace(0.0, 5.0, 1000), (2, 1))
@@ -807,11 +847,15 @@ def test_tau_pick_matches_one_level_reference(family, corpus):
             assert np.all(np.abs(x[off] - boundary) <= _PICK_SLIVER * cum[-1, j]), (k, j)
 
 
-def test_draws_do_not_depend_on_the_batching(quick_run, monkeypatch):
+@pytest.mark.parametrize("family", sorted(HET_FAMILIES))
+def test_draws_do_not_depend_on_the_batching(family, monkeypatch):
     """With one drawn theta cell per batch and one draw per chunk, every
-    draw is the default run's, bit for bit."""
+    draw is the default run's, bit for bit; every family's grid here has an
+    extension part, so the picks cross both parts' tables."""
+    m = ModelSpec(het_family=family)
+    default = run_hierarchical(small_corpus(), m, QUICK).table
     monkeypatch.setattr(sampler, "_BLOCK", 1)
-    np.testing.assert_array_equal(run_hierarchical(small_corpus(), ModelSpec(), QUICK).table, quick_run.table)
+    np.testing.assert_array_equal(run_hierarchical(small_corpus(), m, QUICK).table, default)
 
 
 def test_sampling_memory_stays_within_budget():
