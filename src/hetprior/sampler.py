@@ -23,23 +23,26 @@ The tau grid has ``analyze``'s node rule, ``_tau_grid``: ``_TAU_NODES``
 base nodes spaced as cubes, finest near 0, up to the 0.9999 quantile of a
 half-normal of the data's widest spread, max |y_ij - ybar_j| + sigma_ij
 (``_reference_top``), with a tenth as many nodes per doubling of an
-extension, extended like ``_tau_posterior`` until no tau_j has posterior
-mass ``_TAIL_MASS`` in its top 5%. L_j is averaged over each cell's ends; a
-cell's prior mass comes from the family's cdf, exact even where
-f(. | theta) is narrower than the cell. The theta cells follow the
-hyperpriors' supports, are weighed at their centres and refined by mass
-(see :func:`_quadrature`); m_j is computed ``_ROW_BLOCK`` theta cells at a
-time, so no (theta cells x tau cells) table is held whole.
+extension; as in ``_tau_posterior``, one loop stops at the first extension
+count where no tau_j has posterior mass ``_TAIL_MASS`` in its top 5%. The
+grid is one (nodes, cells) pair, cells a (cells, N) float32 table of L_j
+averaged over each cell's ends. A cell's prior mass comes from the
+family's cdf, exact even where f(. | theta) is narrower than the cell. The
+theta cells follow the hyperpriors' supports, are weighed at their centres
+and refined by mass (see :func:`_quadrature`); m_j is computed
+``_ROW_BLOCK`` theta cells at a time, so no (theta cells x tau cells)
+table is held whole.
 
 Each tau_j's cell is picked down a three-level tree of partial sums of
 M_g Lbar_jg (Devroye 1986, *Non-Uniform Random Variate Generation*, ch.
 III): a block of ``_TAU_BLOCK`` cells, one of its sub-blocks of
 ``_SUB_BLOCK`` cells, then a cell, reading about ten, eight and eight values
-(:func:`_tau_draws`). One batched float32 product per batch of drawn theta
-cells gives every sub-block sum. The picks read those sums pick-major, one
-contiguous row per (drawn theta cell, analysis), and the cell likelihoods
-as one row of eight per (analysis, sub-block), so each level of a pick
-gathers whole rows. A batch holds about 4 ``_BLOCK`` sums and a chunk of
+(:func:`_tau_draws`, the one place that pads the table to whole blocks).
+One batched float32 product per batch of drawn theta cells gives every
+sub-block sum. The picks read those sums pick-major, one contiguous row
+per (drawn theta cell, analysis), and the cell likelihoods as one row of
+eight per (analysis, sub-block), so each level of a pick gathers whole
+rows. A batch holds about 4 ``_BLOCK`` sums and a chunk of
 picks about ``_BLOCK`` / 4, so the working set stays near a MiB whatever
 the draw count.
 
@@ -274,7 +277,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chains and kept draws per chain, and the seed of their streams.
+    """Chains and kept draws per chain, at least 2 draws in all for the
+    summaries, and the seed of their streams.
 
     ``burn_in`` and ``thin`` are validated and recorded, but the draws are
     independent, so neither changes any draw.
@@ -291,6 +295,8 @@ class McmcConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+        if self.chains * self.iterations < 2:
+            raise ConfigError("chains x iterations give 1 draw, but the summaries need at least 2")
 
 
 def _parameter_names(family: str, analysis_ids) -> list[str]:
@@ -438,16 +444,16 @@ def _shared_likelihoods():
 
 
 def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scale=None):
-    """(blocks, _TAU_BLOCK, N) table of L_j / exp(scale_j) averaged over the
-    ends of each cell of ``nodes``, after the node values ``first`` if given,
-    padded with empty cells; the last node's values; and the scale, by
-    default each analysis' largest log L_j. The analyses of one size are
-    pooled at once, ``_BLOCK`` values at a time, with the studies on the
-    slowest axis, so their sums are array adds."""
+    """(cells, N) table of L_j / exp(scale_j) averaged over the ends of each
+    cell of ``nodes``, after the node values ``first`` if given; the last
+    node's values; and the scale, by default each analysis' largest log L_j.
+    The analyses of one size are pooled at once, ``_BLOCK`` values at a
+    time, with the studies on the slowest axis, so their sums are array
+    adds."""
     sizes = np.diff(offsets)
     rows = 0 if first is None else len(first)
     n_cells = rows + nodes.size - 1
-    table = np.empty((-(-n_cells // _TAU_BLOCK) * _TAU_BLOCK + 1, sizes.size), dtype=_LIKELIHOOD)
+    table = np.empty((n_cells + 1, sizes.size), dtype=_LIKELIHOOD)
     table[:rows] = first
     scale = np.full(sizes.size, np.nan) if scale is None else scale
     for k in np.unique(sizes):
@@ -461,31 +467,24 @@ def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scal
             est = np.concatenate([y[studies], np.full((batch.size, 1), mu_prior.mean)], axis=1)
             loglik = _integrated_loglik(est[:, None, :], np.moveaxis(var, 0, -1), None)[0].T
             scale[batch] = np.where(np.isnan(scale[batch]), loglik.max(axis=0, initial=-np.inf), scale[batch])
-            table[rows : n_cells + 1, batch] = np.exp(loglik - scale[batch])
-    last = table[n_cells : n_cells + 1].copy()
+            table[rows:, batch] = np.exp(loglik - scale[batch])
+    last = table[n_cells:].copy()
     step = max(1, _BLOCK // sizes.size)  # a block reads the next one's first row before it changes
     for start in range(0, n_cells, step):
         block = slice(start, min(start + step, n_cells))
         table[block] += table[block.start + 1 : block.stop + 1]
         table[block] *= 0.5
-    table[n_cells:] = 0.0
-    return table[:-1].reshape(-1, _TAU_BLOCK, sizes.size), last, scale
+    return table[:-1], last, scale
 
 
-def _cells(nodes, blocks) -> np.ndarray:
-    """The (cells, N) rows of a padded block table of the cells of ``nodes``."""
-    return blocks.reshape(-1, blocks.shape[-1])[: nodes.size - 1]
-
-
-def _marginals(fam: _Family, centre, parts, log_sum=False) -> np.ndarray:
-    """(theta rows, N) table of m_j = sum_g M_g Lbar_jg over the cells of the
-    grid ``parts``, (nodes, (cells, N) table) pairs, M_g the family's mass
-    at each row of ``centre``, or with ``log_sum`` each row's sum_j log m_j;
-    ``_ROW_BLOCK`` rows at a time."""
-    out = np.empty(len(centre) if log_sum else (len(centre), parts[0][1].shape[1]))
+def _marginals(fam: _Family, centre, nodes, cells, log_sum=False) -> np.ndarray:
+    """(theta rows, N) table of m_j = sum_g M_g Lbar_jg over the ``cells``
+    of ``nodes``, M_g the family's mass at each row of ``centre``, or with
+    ``log_sum`` each row's sum_j log m_j; ``_ROW_BLOCK`` rows at a time."""
+    out = np.empty(len(centre) if log_sum else (len(centre), cells.shape[1]))
     for start in range(0, len(centre), _ROW_BLOCK):
         hyper = [centre[start : start + _ROW_BLOCK, h : h + 1] for h in range(centre.shape[1])]
-        m = sum(np.diff(fam.cdf(nodes, *hyper), axis=1).astype(cells.dtype) @ cells for nodes, cells in parts)
+        m = np.diff(fam.cdf(nodes, *hyper), axis=1).astype(cells.dtype) @ cells
         out[start : start + len(hyper[0])] = np.log(m.astype(float)).sum(axis=1) if log_sum else m
     return out
 
@@ -510,11 +509,11 @@ def _centre(lo, hi) -> np.ndarray:
     return np.where(lo > 0.0, np.sqrt(lo * hi), 0.5 * hi)
 
 
-def _tail_share(fam, centre, nodes, blocks, marg, w) -> float:
-    """The largest posterior share of a tau_j in the top 5% of a grid that
-    ends with ``nodes`` (``blocks`` holds their cells)."""
+def _tail_share(fam, centre, nodes, cells, marg, w) -> float:
+    """The largest posterior share of a tau_j in the top 5% of the grid
+    ``nodes``, whose ``cells`` hold its cell likelihoods."""
     top = int(np.searchsorted(nodes, 0.95 * nodes[-1]))
-    tail = _marginals(fam, centre, [(nodes[top:], _cells(nodes, blocks)[top:])])
+    tail = _marginals(fam, centre, nodes[top:], cells[top:])
     return float(np.max(w @ np.where(w[:, None] > 0.0, tail / marg, 0.0)) / w.sum())
 
 
@@ -537,9 +536,13 @@ def _refine(lo, hi, parts):
 
 
 def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
-    """The tau grid as two (nodes, (blocks, _TAU_BLOCK, N) cell likelihoods)
-    parts, the base and its extensions, and the theta cells' (cells, H)
-    edges and posterior masses, the largest 1.
+    """The tau grid as one (nodes, (cells, N) cell likelihoods) pair, and
+    the theta cells' (cells, H) edges and posterior masses, the largest 1.
+
+    The base cells are tabulated once (and shared by the fits inside
+    :func:`_shared_likelihoods`); for 0, 1, 2, ... extensions the loop adds
+    the cells above them and stops at the first grid that
+    :func:`_tail_share` passes against the coarse theta cells' posterior.
 
     Each hyperparameter's coarse cells are geometric by ``_COARSE_RATIO``
     from ``_THETA_FLOOR`` times its prior median up to the top of its
@@ -569,21 +572,18 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
     hi = np.stack([e[band[:, h] + 1] for h, e in enumerate(axes)], axis=1)
     centre = _centre(lo, hi)
 
-    def tau_grid(extensions):
-        return _tau_grid(hi0, extensions, _TAU_NODES, _TAU_NODES // 10)
-
-    base = tau_grid(0)
+    base = _tau_grid(hi0, 0, _TAU_NODES, _TAU_NODES // 10)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         shared = {} if _shared_tables is None else _shared_tables
         if (c, mu_prior) not in shared:
             shared[c, mu_prior] = _cell_likelihoods(y, se2, offsets, mu_prior, base)
-        base_lbar, last, scale = shared[c, mu_prior]
-        base_m = _marginals(fam, centre, [(base, _cells(base, base_lbar))])
-        extensions = 0
-        while True:  # the extensions add cells above the base
-            ext = tau_grid(extensions)[base.size - 1 :]
-            ext_lbar = _cell_likelihoods(y, se2, offsets, mu_prior, ext[1:], last, scale)[0]
-            marg = base_m + _marginals(fam, centre, [(ext, _cells(ext, ext_lbar))])
+        base_cells, last, scale = shared[c, mu_prior]
+        base_m = _marginals(fam, centre, base, base_cells)
+        for extensions in range(_MAX_EXTENSIONS + 1):  # the extensions add cells above the base
+            nodes = _tau_grid(hi0, extensions, _TAU_NODES, _TAU_NODES // 10)
+            ext = _cell_likelihoods(y, se2, offsets, mu_prior, nodes[base.size :], last, scale)[0]
+            cells = np.concatenate([base_cells, ext])
+            marg = base_m + _marginals(fam, centre, nodes[base.size - 1 :], ext)
             dead = [c.analysis_ids[j] for j in np.flatnonzero(~np.any(marg > 0.0, axis=0))]
             if dead:
                 raise GridError(
@@ -591,22 +591,13 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
                     "heterogeneity under its hyperpriors: their heterogeneity is far beyond them"
                 )
             w = _scaled(log_w := _log_weights(priors, lo, hi, np.log(marg).sum(axis=1)))
-            top = (base, base_lbar) if extensions == 0 else (ext, ext_lbar)
-            if _tail_share(fam, centre, *top, marg, w) < _TAIL_MASS:
+            if _tail_share(fam, centre, nodes, cells, marg, w) < _TAIL_MASS:
                 break
-            # on to the first longer grid whose top 5%, tabulated alone,
-            # passes against this posterior, whose marginals it only raises
-            for extensions in range(extensions + 1, _MAX_EXTENSIONS + 1):
-                window = tau_grid(extensions)
-                window = window[int(np.searchsorted(window, 0.95 * window[-1])) :]
-                blocks = _cell_likelihoods(y, se2, offsets, mu_prior, window, scale=scale)[0]
-                if _tail_share(fam, centre, window, blocks, marg, w) < _TAIL_MASS:
-                    break
-            else:
-                raise GridError(
-                    f"tau posterior mass does not decay: grid extended {_MAX_EXTENSIONS} "
-                    f"times without reaching tail mass < {_TAIL_MASS:g}"
-                )
+        else:
+            raise GridError(
+                f"tau posterior mass does not decay: grid extended {_MAX_EXTENSIONS} "
+                f"times without reaching tail mass < {_TAIL_MASS:g}"
+            )
         for h, prior in enumerate(priors):
             top_mass = w[band[:, h] == axes[h].size - 2].sum()
             if not math.isfinite(_hyper_support(prior)[1]) and top_mass >= _TAIL_MASS * w.sum():
@@ -614,10 +605,6 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
                     f"hyperparameter posterior mass does not decay: the top cell below the "
                     f"hyperprior's {1.0 - _TAIL_MASS:g} quantile holds {_TAIL_MASS:g} of it"
                 )
-        # the grid in two parts, the base (which ``compare``'s fits share)
-        # and the extensions, so neither table is copied
-        grid = [(base, base_lbar), (ext, ext_lbar)]
-        cells = [(nodes, _cells(nodes, blocks)) for nodes, blocks in grid]
         n_axes = lo.shape[1]
         share = w / w.sum()
         parts = np.stack([np.bincount(band[:, h], share)[band[:, h]] for h in range(n_axes)], 1)
@@ -629,14 +616,14 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
                 break
             lo, hi, parent = _refine(lo, hi, parts)
             new, log_w = cut[parent], log_w[parent]
-            log_m = _marginals(fam, _centre(lo[new], hi[new]), cells, True)
+            log_m = _marginals(fam, _centre(lo[new], hi[new]), nodes, cells, True)
             log_w[new] = _log_weights(priors, lo[new], hi[new], log_m)
             w = _scaled(log_w)
             share = w / w.sum()
             parts = np.ceil((share * _THETA_CELLS) ** (1.0 / n_axes)).astype(np.int64)
             parts = np.where(share > 1.0 / _THETA_CELLS, np.maximum(parts, 2), w > 0.0)
             parts = np.repeat(parts[:, None], n_axes, axis=1)
-    return grid, lo, hi, w
+    return (nodes, cells), lo, hi, w
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray):
@@ -676,38 +663,35 @@ def _descend(cum: np.ndarray, pos: np.ndarray):
     return k, np.clip((x - lower) / (flat[at] - lower), 0.0, _BELOW_ONE)
 
 
-def _tau_draws(fam: _Family, grid, centre, cell, u, tau) -> None:
+def _tau_draws(fam: _Family, nodes, cells, centre, cell, u, tau) -> None:
     """Write into ``tau`` the tau_j draws for the uniforms ``u`` (draws, N)
-    of draws in the theta cells ``cell``: a tau cell in proportion to M_g
-    Lbar_jg at the cell's ``centre``, and the family's quantile inside it.
+    of draws in the theta cells ``cell``: a tau cell of ``nodes`` in
+    proportion to M_g Lbar_jg at the cell's ``centre``, Lbar the (cells, N)
+    table ``cells``, and the family's quantile inside it.
 
     The cell is picked down a three-level tree of partial sums (Devroye
     1986, *Non-Uniform Random Variate Generation*, ch. III): a block of
-    ``_TAU_BLOCK`` cells of the ``grid`` parts by the block sums, one of its
-    sub-blocks of ``_SUB_BLOCK`` cells by their sums, then a cell by its
-    M_g Lbar_jg, so each pick reads about ten, eight and eight values. For a
-    batch of drawn theta cells one batched float32 product, (sub-blocks,
-    cells, 8) @ (sub-blocks, 8, N), gives every sub-block sum, and the block
-    sums are their totals. The cumulative sums are then laid out pick-major,
-    one contiguous row per (drawn cell, analysis), and the cell likelihoods
-    once per call as (analysis, sub-block, 8) rows, so each level of a pick
-    gathers whole rows. A batch holds about 4 ``_BLOCK`` sub-block sums and
-    a chunk about ``_BLOCK`` / 4 picks (a draw of one analysis each), so the
-    working set stays near a MiB. Each drawn cell's arithmetic is its own,
-    so a draw does not depend on which other cells were drawn."""
-    n = u.shape[1]
-    nodes = np.concatenate([grid[0][0], *(part[1:] for part, _ in grid[1:])])
-    # each part's first block, and the cell of nodes its first cell is
-    block_at = np.cumsum([0] + [blocks.shape[0] for _, blocks in grid])
-    cell_at = np.cumsum([0] + [part.size - 1 for part, _ in grid])
-    subs, n_blocks = _TAU_BLOCK // _SUB_BLOCK, block_at[-1]
+    ``_TAU_BLOCK`` cells by the block sums, one of its sub-blocks of
+    ``_SUB_BLOCK`` cells by their sums, then a cell by its M_g Lbar_jg, so
+    each pick reads about ten, eight and eight values. The table is padded
+    with empty cells to whole blocks. For a batch of drawn theta cells one
+    batched float32 product, (sub-blocks, cells, 8) @ (sub-blocks, 8, N),
+    gives every sub-block sum, and the block sums are their totals. The
+    cumulative sums are then laid out pick-major, one contiguous row per
+    (drawn cell, analysis), and the cell likelihoods once per call as
+    (analysis, sub-block, 8) rows, so each level of a pick gathers whole
+    rows. A batch holds about 4 ``_BLOCK`` sub-block sums and a chunk about
+    ``_BLOCK`` / 4 picks (a draw of one analysis each), so the working set
+    stays near a MiB. Each drawn cell's arithmetic is its own, so a draw
+    does not depend on which other cells were drawn."""
+    n, n_cells, subs = u.shape[1], nodes.size - 1, _TAU_BLOCK // _SUB_BLOCK
+    n_blocks = -(-n_cells // _TAU_BLOCK)
     n_subs = n_blocks * subs
-    # each part's table as (sub-blocks, _SUB_BLOCK, N), and all of them as
+    # the table padded to whole blocks as (sub-blocks, _SUB_BLOCK, N), and as
     # (N x sub-blocks, _SUB_BLOCK) rows, analysis-major
-    tables = [blocks.reshape(-1, _SUB_BLOCK, n) for _, blocks in grid]
-    lbar = np.concatenate(tables).transpose(2, 0, 1).reshape(n * n_subs, _SUB_BLOCK)
-    # the cell of nodes that starts each sub-block
-    sub_cell = np.concatenate([c0 + _SUB_BLOCK * np.arange(len(t)) for t, c0 in zip(tables, cell_at)])
+    table = np.zeros((n_subs, _SUB_BLOCK, n), dtype=_LIKELIHOOD)
+    table.reshape(-1, n)[:n_cells] = cells
+    lbar = table.transpose(2, 0, 1).reshape(n * n_subs, _SUB_BLOCK)
     per_batch = max(1, 4 * _BLOCK // (n_subs * n))
     per_chunk = max(1, _BLOCK // (4 * n))
     order = np.argsort(cell, kind="stable")
@@ -717,15 +701,9 @@ def _tau_draws(fam: _Family, grid, centre, cell, u, tau) -> None:
         batch = drawn[start : start + per_batch]
         hyper = centre[batch].T
         cdf = fam.cdf(nodes, *hyper[..., None])
-        mass = np.zeros((batch.size, n_blocks * _TAU_BLOCK), dtype=_LIKELIHOOD)
-        for (part, _), b0, c0 in zip(grid, block_at, cell_at):
-            first_cell = b0 * _TAU_BLOCK
-            mass[:, first_cell : first_cell + part.size - 1] = np.diff(cdf[:, c0 : c0 + part.size], axis=1)
-        mass = mass.reshape(batch.size, -1, _SUB_BLOCK)
-        sums = np.concatenate([
-            np.matmul(mass[:, b0 * subs : b1 * subs].transpose(1, 0, 2), table)
-            for table, b0, b1 in zip(tables, block_at, block_at[1:])
-        ])
+        mass = np.zeros((batch.size, n_subs, _SUB_BLOCK), dtype=_LIKELIHOOD)
+        mass.reshape(batch.size, -1)[:, :n_cells] = np.diff(cdf, axis=1)
+        sums = np.matmul(mass.transpose(1, 0, 2), table)
         # (blocks, sub-blocks, cells x N) cumulative sub-block sums, and the
         # (blocks, cells x N) cumulative block sums, their totals; then both
         # pick-major: row r N + j of each is cell r and analysis j
@@ -747,7 +725,7 @@ def _tau_draws(fam: _Family, grid, centre, cell, u, tau) -> None:
             weight = np.take(lbar, col * n_subs + sub, axis=0)
             weight *= np.take(mass_rows, row * n_subs + sub, axis=0)
             g, pos = _descend(_cumulate(weight.T).T, pos)
-            g += sub_cell[sub]
+            g += sub * _SUB_BLOCK
             below, above = cdf[row, g], cdf[row, g + 1]
             t = fam.quantile(below + pos * (above - below), *hyper[:, row])
             tau[some] = np.clip(t, nodes[g], nodes[g + 1]).reshape(some.size, n)
@@ -787,9 +765,9 @@ def run_hierarchical(
     theta[:] = np.clip(lo[cell] + places * (hi - lo)[cell], lo[cell], hi[cell]).reshape(chains, kept, -1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u_tau = u[..., n_hyper:-1].reshape(-1, n)
-        _tau_draws(fam, grid, _centre(lo, hi), cell, u_tau, table.reshape(chains * kept, -1)[:, -2 - n : -2])
+        _tau_draws(fam, *grid, _centre(lo, hi), cell, u_tau, table.reshape(chains * kept, -1)[:, -2 - n : -2])
         table[..., -2] = fam.quantile(u[..., -1], *np.moveaxis(theta, -1, 0))
-    nodes = grid[0][0].size + grid[1][0].size - 1
+    nodes = grid[0].size
     del u, grid  # the largest tables, which the rest does not read
 
     # mu_j | tau_j: exact conjugate normal draws; then each draw's deviance

@@ -853,6 +853,17 @@ def test_damaged_input_fails_loudly_and_writes_no_nan(command, column, value, tm
 
 
 @pytest.mark.parametrize("command", ["fit", "compare"])
+def test_one_draw_in_all_exits_2_before_sampling(command, corpus_csv, tmp_path, capsys):
+    """One chain of one kept draw is too few for the summaries: the command
+    exits 2 naming the draw count before it samples, and writes nothing."""
+    out = tmp_path / "o"
+    code = main([command, str(corpus_csv), "--seed", "1", "--chains", "1", "--iters", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "give 1 draw, but the summaries need at least 2" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
 def test_estimates_at_the_bound_fail_naming_the_analysis_and_write_no_nan(command, tmp_path, capsys):
     """Estimates 0, 5e69 and 1e70 (the bound itself) at se 0.1 put analysis
     a's heterogeneity beyond every family's hyperpriors: ``fit`` exits 3

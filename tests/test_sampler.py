@@ -29,7 +29,7 @@ from hetprior.sampler import (
 #: sha256 of scale, mu, tau, tau* and deviance draws of ``quick_run``, taken
 #: with numpy 2.4.6 and scipy 1.17.1 (Python 3.11.7) and numpy's bundled
 #: OpenBLAS on an x86-64 CPU whose numpy dispatches to AVX512 (SPR) kernels
-GOLDEN_DIGEST = "d21993ca461f21ba6028ab0949823e4a57a7507496fb5a51eab8f20cce93be40"
+GOLDEN_DIGEST = "74447318407ce0b1b23bbfb8e6e21d8564c27da6195fe38da3f61bce8925faeb"
 
 
 def synthetic_corpus(n_analyses, k, sigma, true_scale, seed):
@@ -220,6 +220,13 @@ def test_mcmc_config_validation():
         McmcConfig(thin=0)
     with pytest.raises(ConfigError):
         McmcConfig(burn_in=0)
+
+
+def test_mcmc_config_needs_two_draws_in_all():
+    with pytest.raises(ConfigError, match="give 1 draw, but the summaries need at least 2"):
+        McmcConfig(chains=1, iterations=1)
+    assert McmcConfig(chains=2, iterations=1).chains == 2
+    assert McmcConfig(chains=1, iterations=2).iterations == 2
 
 
 def test_thinning_changes_spacing_not_count():
@@ -788,10 +795,26 @@ def test_analyze_and_the_sampler_share_the_base_tau_nodes():
     sampler's base tau nodes, bit for bit."""
     y, se = (0.1, 0.5, -0.2, 0.3), (0.2, 0.25, 0.3, 0.22)
     prior = HalfCauchy(1.0)
-    base = sampler._quadrature(_collection([(y, se)]), ModelSpec())[0][0][0]
+    base = sampler._quadrature(_collection([(y, se)]), ModelSpec())[0][0][: sampler._TAU_NODES]
     assert prior.quantile(0.9999) > base[-1]
     td = tau_marginal(SingleMeta(y=y, sigma=se), prior)
     assert np.array_equal(td.grid[: base.size], base)
+
+
+@pytest.mark.parametrize("family", sorted(HET_FAMILIES))
+def test_tau_grid_stops_at_the_first_extension_that_passes(family, monkeypatch):
+    """The grid is the base plus E doublings of ``_TAU_NODES`` / 10 nodes,
+    and E is the fewest that pass the tail test: allowed E - 1, the
+    quadrature fails saying the tau posterior mass does not decay."""
+    m = ModelSpec(het_family=family)
+    for c in (_collection(ORACLE_CORPUS), small_corpus(), _collection(_mixed_precision())):
+        nodes = sampler._quadrature(c, m)[0][0]
+        extensions, rest = divmod(nodes.size - sampler._TAU_NODES, sampler._TAU_NODES // 10)
+        assert rest == 0 and extensions >= 0, nodes.size
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "_MAX_EXTENSIONS", extensions - 1)
+            with pytest.raises(GridError, match="tau posterior mass does not decay"):
+                sampler._quadrature(c, m)
 
 
 # -- the tau-cell pick against a one-level reference -----------------------------
@@ -823,16 +846,16 @@ def test_tau_pick_matches_one_level_reference(family, corpus):
     c = _collection(ORACLE_CORPUS if corpus == "oracle" else _paper_shaped())
     fam = HET_FAMILIES[family]
     grid, lo, hi, w = sampler._quadrature(c, ModelSpec(het_family=family))
-    assert grid[1][1].shape[0] > 0  # the grid has an extension part
+    assert grid[0].size > sampler._TAU_NODES  # the grid is extended
     rng = np.random.default_rng(8)
     cell = rng.choice(w.size, 4000, p=w / w.sum())
     u = rng.random((cell.size, c.n_analyses))
     tau = np.empty_like(u)
     centre = sampler._centre(lo, hi)
     with np.errstate(divide="ignore"):  # log(0) at tau = 0, as in run_hierarchical
-        sampler._tau_draws(fam, grid, centre, cell, u, tau)
-    nodes = np.concatenate([grid[0][0], grid[1][0][1:]])
-    lbar = np.concatenate([sampler._cells(part, blocks) for part, blocks in grid]).astype(float)
+        sampler._tau_draws(fam, *grid, centre, cell, u, tau)
+    nodes, lbar = grid
+    lbar = lbar.astype(float)
     picked = np.searchsorted(nodes, tau, side="right") - 1
     for k in np.unique(cell):
         rows = np.flatnonzero(cell == k)
@@ -850,8 +873,8 @@ def test_tau_pick_matches_one_level_reference(family, corpus):
 @pytest.mark.parametrize("family", sorted(HET_FAMILIES))
 def test_draws_do_not_depend_on_the_batching(family, monkeypatch):
     """With one drawn theta cell per batch and one draw per chunk, every
-    draw is the default run's, bit for bit; every family's grid here has an
-    extension part, so the picks cross both parts' tables."""
+    draw is the default run's, bit for bit; every family's grid here is
+    extended, so the picks reach the extension's cells."""
     m = ModelSpec(het_family=family)
     default = run_hierarchical(small_corpus(), m, QUICK).table
     monkeypatch.setattr(sampler, "_BLOCK", 1)
