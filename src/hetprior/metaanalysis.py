@@ -13,15 +13,17 @@ with mu_hat(tau) the w-weighted mean.  The effect posterior is then the
 grid mixture of the conditional normals N(mu_hat(tau), V(tau)),
 V(tau) = 1/sum_i w_i.
 
-The tau grid follows the sampler's node rule: 500 base nodes
-hi0 (i / 499)^3, finest near 0, then geometric extensions of 200 nodes
-per doubling until the top 5% of the grid holds less than 1e-6 of the
-posterior.  hi0 is the smaller of the prior's 0.9999 quantile and that of
-the sampler's reference half-normal, whose scale is the data's widest
-spread max_i |y_i - ybar| + sigma_i.  The prior's quantile alone is far
-too high under a heavy-tailed prior (6366 for a half-Cauchy(1)), leaving
-few nodes where the tau of precise studies sits; the data's alone leaves
-a prior narrower than the data's spread in a few nodes.
+The tau grid and its weights are the sampler's for one analysis under a
+fixed prior (500 base nodes hi0 (i / 499)^3, then 50 geometric nodes per
+doubling until the top 5% holds less than 1e-6 of the posterior; hi0 the
+smaller of the prior's 0.9999 quantile and the data's ``_reference_top``).
+Cell [t_g, t_g+1] holds mass (F(t_g+1) - F(t_g)) (L(t_g) + L(t_g+1)) / 2,
+F the prior's cdf, formed in log space; where the cdf difference rounds to
+0 in a light tail, the cell's width times the geometric mean of its end
+densities.  These masses normalize the posterior, pass the tail test and
+place the tau quantiles; node i's effect weight L(t_i) (F(t_i+1) -
+F(t_i-1)) / 2 gives each cell its mass.  The density at a node is
+prior(t) L(t) / Z, Z the masses' sum.
 
 Its mean, sd, median and 95% interval come from the full mixture, one
 term per node of the tau grid.  The grid is pooled once: the sum_i w_i
@@ -105,11 +107,9 @@ _Z975 = float(special.ndtri(0.975))
 
 #: the tau grid's base nodes hi0 (i / (_TAU_NODES - 1))^_TAU_POWER, for
 #: ``analyze`` and the sampler alike: spaced more finely near 0 than squares
-#: would be, where the tau of precise analyses sits
+#: would be, where the tau of precise analyses sits; each doubling of an
+#: extension adds a tenth as many geometric nodes
 _TAU_NODES, _TAU_POWER = 500, 3
-#: geometric nodes per doubling of ``analyze``'s grid extensions; the
-#: sampler's tables take a tenth of its base count
-_DOUBLING_NODES = 200
 _TAIL_MASS = 1e-6
 _MAX_EXTENSIONS = 60
 #: effect-grid rows per block of the mixture-density evaluation
@@ -178,20 +178,24 @@ def _from_records(records) -> SingleMeta:
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
-    """A normalized density tabulated on an increasing grid."""
+    """A normalized density on an increasing grid, and each cell's mass (up
+    to a common factor; the trapezoid's unless given) for its quantiles."""
 
     grid: np.ndarray
     density: np.ndarray
+    cell_mass: np.ndarray | None = None
 
     def __post_init__(self):
         if self.grid.shape != self.density.shape or self.grid.ndim != 1:
             raise ValueError("grid and density must be matching 1-d arrays")
+        if self.cell_mass is None:
+            d = self.density
+            object.__setattr__(self, "cell_mass", np.diff(self.grid) * (d[1:] + d[:-1]) / 2.0)
 
     def _cdf_table(self) -> np.ndarray:
-        # scipy.integrate.cumulative_trapezoid(initial=0.0), bit for bit,
-        # without its import cost
-        d = self.density
-        cdf = np.concatenate(([0.0], np.cumsum(np.diff(self.grid) * (d[1:] + d[:-1]) / 2.0)))
+        # with the trapezoid's masses, scipy.integrate.cumulative_trapezoid(
+        # initial=0.0), bit for bit, without its import cost
+        cdf = np.concatenate(([0.0], np.cumsum(self.cell_mass)))
         return cdf / cdf[-1]
 
     def quantile(self, p) -> np.ndarray | float:
@@ -282,14 +286,14 @@ def _reference_top(y: np.ndarray, se2: np.ndarray, offsets: np.ndarray) -> float
     return float(HalfNormal(float(spread.max())).quantile(0.9999))
 
 
-def _tau_grid(hi0: float, extensions: int, nodes: int, per_doubling: int) -> np.ndarray:
-    """``nodes`` base nodes hi0 (i / (nodes - 1))^``_TAU_POWER`` from 0 up to
-    hi0, then ``extensions`` doublings of it with ``per_doubling`` geometric
-    nodes each."""
-    base = hi0 * np.linspace(0.0, 1.0, nodes) ** _TAU_POWER
+def _tau_grid(hi0: float, extensions: int) -> np.ndarray:
+    """``_TAU_NODES`` base nodes hi0 (i / (_TAU_NODES - 1))^``_TAU_POWER``
+    from 0 up to hi0, then ``extensions`` doublings of it with a tenth as
+    many geometric nodes each."""
+    base = hi0 * np.linspace(0.0, 1.0, _TAU_NODES) ** _TAU_POWER
     if extensions == 0:
         return base
-    ext = np.geomspace(hi0, hi0 * 2.0**extensions, extensions * per_doubling + 1)[1:]
+    ext = np.geomspace(hi0, hi0 * 2.0**extensions, extensions * (_TAU_NODES // 10) + 1)[1:]
     return np.concatenate([base, ext])
 
 
@@ -304,8 +308,9 @@ def tau_marginal(
 
 def _tau_posterior(
     sm: SingleMeta, prior: Distribution, mu_prior: Normal | None
-) -> tuple[GridDensity, np.ndarray, np.ndarray]:
-    """:func:`tau_marginal`, with the sum(w) and mu_hat of its final grid."""
+) -> tuple[GridDensity, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`tau_marginal`, with the sum(w) and mu_hat of its final grid
+    and the effect mixture's node weights, which give each cell its mass."""
     below = float(prior.cdf(0.0))
     if below > 0.0:
         raise ValueError(
@@ -333,33 +338,35 @@ def _tau_posterior(
     # alone leaves few nodes where precise studies put tau
     hi0 = min(hi0, _reference_top(y, sigma2, np.array([0, y.size])))
     for extensions in range(_MAX_EXTENSIONS + 1):
-        grid = _tau_grid(hi0, extensions, _TAU_NODES, _DOUBLING_NODES)
+        grid = _tau_grid(hi0, extensions)
         loglik, total_w, mu_hat = _integrated_loglik(y, sigma2 + grid[:, None] ** 2, mu_prior)
-        log_post = prior.log_density(grid) + loglik
-        finite = log_post[np.isfinite(log_post)]
-        if finite.size == 0:
+        log_f = prior.log_density(grid)
+        with np.errstate(divide="ignore"):
+            log_m = np.log(np.diff(prior.cdf(grid)))
+        # a cdf difference lost to rounding: width x geometric mean density
+        lost = np.isneginf(log_m)
+        log_m[lost] = (np.log(np.diff(grid)) + 0.5 * (log_f[:-1] + log_f[1:]))[lost]
+        log_mass = log_m + np.logaddexp(loglik[:-1], loglik[1:]) - math.log(2.0)
+        top = np.max(log_mass)
+        if not math.isfinite(top):
             raise GridError("heterogeneity posterior vanished on the whole tau grid")
-        g = np.exp(log_post - finite.max())
-        total = np.trapezoid(g, grid)
-        if total <= 0.0 or not math.isfinite(total):
-            raise GridError("heterogeneity posterior could not be normalized")
-        tail_start = 0.95 * grid[-1]
-        tail = np.trapezoid(np.where(grid >= tail_start, g, 0.0), grid)
+        mass = np.exp(log_mass - top)
+        total = mass.sum()
+        # the cells from the first node at or above 95% of the top, as in
+        # the sampler's _tail_share
+        tail = mass[np.searchsorted(grid, 0.95 * grid[-1]) :].sum()
         if tail < _TAIL_MASS * total:
-            return GridDensity(grid=grid, density=g / total), total_w, mu_hat
-    raise GridError(
-        "tau posterior mass does not decay: grid extended "
-        f"{_MAX_EXTENSIONS} times without reaching tail mass < {_TAIL_MASS:g}"
-    )
-
-
-def _mixture_weights(td: GridDensity) -> np.ndarray:
-    """Trapezoid cell masses: nonnegative, summing to the grid integral (1)."""
-    dx = np.diff(td.grid)
-    w = np.zeros_like(td.grid)
-    w[:-1] += 0.5 * dx * td.density[:-1]
-    w[1:] += 0.5 * dx * td.density[1:]
-    return w / w.sum()
+            break
+    else:
+        raise GridError(
+            "tau posterior mass does not decay: grid extended "
+            f"{_MAX_EXTENSIONS} times without reaching tail mass < {_TAIL_MASS:g}"
+        )
+    # each node takes half of each neighbouring cell's prior mass
+    half = np.logaddexp(np.append(log_m, -np.inf), np.insert(log_m, 0, -np.inf)) - math.log(2.0)
+    omega = np.exp(loglik + half - top) / total
+    density = np.exp(log_f + loglik - top) / total
+    return GridDensity(grid=grid, density=density, cell_mass=mass / total), total_w, mu_hat, omega
 
 
 def _reduced_mixture(
@@ -426,6 +433,20 @@ def _mixture_quantiles(
     raise GridError(f"effect quantiles did not converge in {_NEWTON_PASSES} Newton passes")
 
 
+def _window_end(done, start: float, step: float) -> float:
+    """start + n step for the fewest n >= 0 at which the monotone ``done``
+    holds, bracketing n by doubling, then bisecting; overflow is a GridError."""
+    lo, hi = -1.0, 0.0  # whole numbers, as floats so that a far end overflows to inf
+    while not done(start + hi * step):
+        lo, hi = hi, max(1.0, 2.0 * hi)
+        if not math.isfinite(start + hi * step):
+            raise GridError("effect posterior mass does not decay: no finite effect window holds it")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if done(start + mid * step) else (mid, hi)
+    return start + hi * step
+
+
 def bayes_ma(
     sm: SingleMeta,
     prior: Distribution,
@@ -433,9 +454,8 @@ def bayes_ma(
 ) -> MetaAnalysisResult:
     """Full Bayesian meta-analysis under the given heterogeneity prior,
     with the frequentist comparators of :func:`ci_suite` for k >= 2."""
-    td, total_w, mu_hat = _tau_posterior(sm, prior, mu_prior)
+    td, total_w, mu_hat, omega = _tau_posterior(sm, prior, mu_prior)
     v = 1.0 / total_w
-    omega = _mixture_weights(td)
 
     mu_mean = float(np.sum(omega * mu_hat))
     # centred: sum(omega * mu_hat^2) - mu_mean^2 cancels catastrophically
@@ -448,18 +468,10 @@ def bayes_ma(
     def mixture_cdf(x: float) -> float:
         return float(np.sum(omega * special.ndtr((x - mu_hat) / sd_cond)))
 
-    # report the density on a window holding all but ~1e-7 of the mixture
-    # mass; wide components (large tau) push the window out adaptively
-    lo_g = mu_mean - 6.0 * mu_sd
-    hi_g = mu_mean + 6.0 * mu_sd
-    for _ in range(200):
-        if mixture_cdf(lo_g) <= 1e-7:
-            break
-        lo_g -= 2.0 * mu_sd
-    for _ in range(200):
-        if mixture_cdf(hi_g) >= 1.0 - 1e-7:
-            break
-        hi_g += 2.0 * mu_sd
+    # report the density on a window holding all but 1e-7 of the mixture
+    # mass at each end; wide components (large tau) push the window out
+    lo_g = _window_end(lambda x: mixture_cdf(x) <= 1e-7, mu_mean - 6.0 * mu_sd, -2.0 * mu_sd)
+    hi_g = _window_end(lambda x: mixture_cdf(x) >= 1.0 - 1e-7, mu_mean + 6.0 * mu_sd, 2.0 * mu_sd)
     c_weight, c_mean, c_sd = _reduced_mixture(omega, mu_hat, v)
     # the grid resolves the narrowest component it sums
     step = 0.5 * min(mu_sd, float(c_sd.min()))
@@ -527,33 +539,19 @@ class DlResult:
     q: float
 
 
-def _dl_fit(y: np.ndarray, var: np.ndarray) -> tuple[float, float, float | None]:
-    """Fixed-effect mean, Cochran's Q and the DerSimonian-Laird tau^2
-    (truncated at zero) from estimates ``y`` and variances ``var = sigma^2``.
-
-    tau^2 is None where DL is undefined: fewer than two studies, or weights
-    so unequal that the denominator sum(w) - sum(w^2)/sum(w) is not positive.
-    """
-    w, sw, mu, q = _pool(y, var)
-    mu, q = float(mu), float(q)
-    denom = float(sw - np.sum(w**2) / sw)
-    if y.size < 2 or not denom > 0.0:
-        return mu, q, None
-    return mu, q, max(0.0, (q - (y.size - 1)) / denom)
-
-
 def dl_estimate(sm: SingleMeta) -> DlResult:
     """DerSimonian-Laird moment estimate (truncated at zero) and Cochran's Q."""
     if sm.k < 2:
         raise UndefinedEstimatorError("DL estimate needs at least 2 studies")
-    _, q, tau2 = _dl_fit(np.asarray(sm.y, dtype=float), np.asarray(sm.sigma, dtype=float) ** 2)
-    if tau2 is None:
+    w, sw, _, q = _pool_at(sm, 0.0)
+    denom = float(sw - np.sum(w**2) / sw)
+    if not denom > 0.0:
         raise UndefinedEstimatorError(
             "DL estimate undefined: the weight denominator sum(w) - sum(w^2)/sum(w) "
             f"is not positive (standard errors {min(sm.sigma):g} to {max(sm.sigma):g} "
             "are too unequal for double precision)"
         )
-    return DlResult(tau=math.sqrt(tau2), q=q)
+    return DlResult(tau=math.sqrt(max(0.0, (float(q) - (sm.k - 1)) / denom)), q=float(q))
 
 
 def pm_estimate(sm: SingleMeta) -> float:

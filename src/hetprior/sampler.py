@@ -19,15 +19,16 @@ theta cell's centre and the family's quantile within it; mu_j from its
 conjugate normal; tau* from f(. | theta). ``McmcConfig.burn_in`` and
 ``thin`` are recorded but change no draw.
 
-The tau grid has ``analyze``'s node rule, ``_tau_grid``: ``_TAU_NODES``
-base nodes spaced as cubes, finest near 0, up to the 0.9999 quantile of a
-half-normal of the data's widest spread, max |y_ij - ybar_j| + sigma_ij
+The tau grid is ``metaanalysis._tau_grid``: ``_TAU_NODES`` base nodes
+spaced as cubes, finest near 0, up to the 0.9999 quantile of a half-normal
+of the data's widest spread, max |y_ij - ybar_j| + sigma_ij
 (``_reference_top``), with a tenth as many nodes per doubling of an
-extension; as in ``_tau_posterior``, one loop stops at the first extension
-count where no tau_j has posterior mass ``_TAIL_MASS`` in its top 5%. The
-grid is one (nodes, cells) pair, cells a (cells, N) float32 table of L_j
-averaged over each cell's ends. A cell's prior mass comes from the
-family's cdf, exact even where f(. | theta) is narrower than the cell. The
+extension; one loop stops at the first extension count where no tau_j has
+posterior mass ``_TAIL_MASS`` in its top 5%. The grid is one (nodes,
+cells) pair, cells a (cells, N) float32 table of L_j averaged over each
+cell's ends. A cell's prior mass comes from the family's cdf, exact even
+where f(. | theta) is narrower than the cell. ``analyze``'s tau posterior
+is the one-analysis, fixed-prior case of these cell masses. The
 theta cells follow the hyperpriors' supports, are weighed at their centres
 and refined by mass (see :func:`_quadrature`); m_j is computed
 ``_ROW_BLOCK`` theta cells at a time, so no (theta cells x tau cells)
@@ -84,7 +85,6 @@ from .dist import (
 from .metaanalysis import (
     _MAX_EXTENSIONS,
     _TAIL_MASS,
-    _TAU_NODES,
     GridError,
     _integrated_loglik,
     _reference_top,
@@ -572,7 +572,7 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
     hi = np.stack([e[band[:, h] + 1] for h, e in enumerate(axes)], axis=1)
     centre = _centre(lo, hi)
 
-    base = _tau_grid(hi0, 0, _TAU_NODES, _TAU_NODES // 10)
+    base = _tau_grid(hi0, 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         shared = {} if _shared_tables is None else _shared_tables
         if (c, mu_prior) not in shared:
@@ -580,7 +580,7 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
         base_cells, last, scale = shared[c, mu_prior]
         base_m = _marginals(fam, centre, base, base_cells)
         for extensions in range(_MAX_EXTENSIONS + 1):  # the extensions add cells above the base
-            nodes = _tau_grid(hi0, extensions, _TAU_NODES, _TAU_NODES // 10)
+            nodes = _tau_grid(hi0, extensions)
             ext = _cell_likelihoods(y, se2, offsets, mu_prior, nodes[base.size :], last, scale)[0]
             cells = np.concatenate([base_cells, ext])
             marg = base_m + _marginals(fam, centre, nodes[base.size - 1 :], ext)

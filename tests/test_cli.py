@@ -20,8 +20,8 @@ from hetprior import cli
 from hetprior.cli import _dump_json, main
 from hetprior.data import parse_collection, validate_collection
 from hetprior.dic import compare_models, comparison_to_dict
-from hetprior.dist import format_distribution, parse_distribution
-from hetprior.metaanalysis import SingleMeta, bayes_ma, pm_estimate
+from hetprior.dist import HalfNormal, format_distribution, parse_distribution
+from hetprior.metaanalysis import SingleMeta, bayes_ma, pm_estimate, single_meta, tau_marginal
 from hetprior.sampler import (
     HET_FAMILIES,
     McmcConfig,
@@ -683,8 +683,10 @@ def test_analyze_summary_json_and_text(single_csv, tmp_path, capsys):
     lo, hi = doc["mu"]["interval"]
     assert lo < doc["mu"]["median"] < hi
     assert doc["tau"]["density_file"] == "tau_density.npy"
-    grid, dens = np.load(out / "tau_density.npy")
-    assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
+    # the file is tau_marginal's posterior, normalized by its cell masses
+    td = tau_marginal(single_meta(parse_collection(single_csv.read_text())), HalfNormal(0.5))
+    assert np.array_equal(np.load(out / "tau_density.npy"), np.stack([td.grid, td.density]))
+    assert abs(np.cumsum(td.cell_mass)[-1] - 1.0) < 1e-12
     textout = capsys.readouterr().out
     assert "effect" in textout and "heterogeneity" in textout
     assert doc["warnings"] == [] and "warning" not in textout

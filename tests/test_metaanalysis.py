@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
-from hetprior import cli, metaanalysis
+from hetprior import cli, metaanalysis, sampler
 from hetprior.data import parse_collection
 from hetprior.dist import (
     HalfCauchy,
@@ -28,7 +28,6 @@ from hetprior.metaanalysis import (
     LabeledInterval,
     SingleMeta,
     UndefinedEstimatorError,
-    _mixture_weights,
     _pool_at,
     _reduced_mixture,
     bayes_ma,
@@ -107,7 +106,7 @@ def test_single_study_posterior_equals_prior():
     td = tau_marginal(sm, prior)
     sup = np.max(np.abs(td.density - prior.density(td.grid)))
     assert sup < 1e-3
-    assert abs(td.integral() - 1.0) < 1e-6
+    assert abs(np.cumsum(td.cell_mass)[-1] - 1.0) < 1e-12
 
 
 def test_two_identical_studies_barely_move_the_prior():
@@ -135,21 +134,42 @@ def test_tau_marginal_matches_mcmc_oracle():
     assert abs(td.quantile(0.5) - mcmc_median) < 0.01
 
 
+def test_analyze_weighs_tau_cells_as_the_sampler_does():
+    """One analysis under the fixed half-normal(0.3) that the oracle test
+    pins: each of ``analyze``'s tau cell masses is the sampler's M_g Lbar_g
+    from ``_cell_likelihoods`` within float32 rounding, and node i's effect
+    weight is L_i (F(t_i+1) - F(t_i-1)) / 2, so each cell gets its mass."""
+    y, sigma = (0.1, 0.5, -0.2, 0.3), (0.2, 0.25, 0.3, 0.22)
+    prior, m = HalfNormal(0.3), ModelSpec()
+    mu_prior = Normal(m.effect_prior_mean, m.effect_prior_sd)
+    sm = SingleMeta(y=y, sigma=sigma)
+    td, _, _, omega = metaanalysis._tau_posterior(sm, prior, mu_prior)
+    se2, offsets = np.square(sigma), np.array([0, len(y)])
+    lbar = sampler._cell_likelihoods(np.array(y), se2, offsets, mu_prior, td.grid)[0][:, 0]
+    prior_mass = np.diff(prior.cdf(td.grid))
+    expected = prior_mass * lbar.astype(float)
+    np.testing.assert_allclose(td.cell_mass, expected / expected.sum(), rtol=4 * 2.0**-24, atol=0)
+    w, total_w, _, q = _pool_at(sm, td.grid[:, None], mu_prior)
+    lik = np.exp(0.5 * (np.log(w).sum(axis=1) - np.log(total_w) - q))
+    node = lik * (np.append(prior_mass, 0.0) + np.insert(prior_mass, 0, 0.0)) / 2.0
+    np.testing.assert_allclose(omega, node / node.sum(), rtol=1e-10, atol=0)
+
+
 def test_tau_marginal_normalizes_heavy_tailed_priors():
     sm = SingleMeta(y=(0.1, 0.4), sigma=(0.3, 0.3))
     td = tau_marginal(sm, HalfCauchy(0.1))
-    assert abs(td.integral() - 1.0) < 1e-6
+    assert abs(np.cumsum(td.cell_mass)[-1] - 1.0) < 1e-12
     assert np.all(td.density >= 0.0)
 
 
 def test_tau_marginal_extends_past_bounded_priors():
     sm = SingleMeta(y=(0.1,), sigma=(0.5,))
     td = tau_marginal(sm, Uniform(0.0, 0.8))
-    assert abs(td.integral() - 1.0) < 1e-6
-    # posterior == prior: flat at 1/0.8 inside the support (the trapezoid
-    # cell straddling the support edge biases the normalizer by ~2e-3)
+    assert abs(np.cumsum(td.cell_mass)[-1] - 1.0) < 1e-12
+    # posterior == prior: flat at 1/0.8 inside the support, the cell
+    # straddling the support edge weighed by its prior mass alone
     inside = td.grid < 0.79
-    assert np.allclose(td.density[inside], 1.25, atol=5e-3)
+    assert np.allclose(td.density[inside], 1.25, rtol=1e-12, atol=0.0)
     assert np.all(td.density[td.grid > 0.81] == 0.0)
 
 
@@ -251,10 +271,14 @@ def tiny_se_meta():
     return SingleMeta(y=tuple(rng.normal(0.2, np.sqrt(sigma**2 + 0.09))), sigma=tuple(sigma))
 
 
-def _conditionals(sm, td, mu_prior):
-    """Mixture weights, means and variances of the effect conditionals."""
-    _, total_w, mu_hat, _ = _pool_at(sm, td.grid[:, None], mu_prior)
-    return _mixture_weights(td), mu_hat, 1.0 / total_w
+def _conditionals(sm, res, mu_prior):
+    """Mixture weights, means and variances of the effect conditionals of
+    ``res``'s tau posterior, whose weights and cell masses both sum to 1."""
+    td, total_w, mu_hat, omega = metaanalysis._tau_posterior(sm, res.prior, mu_prior)
+    assert np.array_equal(td.cell_mass, res.tau_density.cell_mass)
+    assert abs(np.cumsum(td.cell_mass)[-1] - 1.0) < 1e-12
+    assert abs(omega.sum() - 1.0) < 1e-12
+    return omega, mu_hat, 1.0 / total_w
 
 
 def _mixture_at(x, weight, mean, sd):
@@ -269,7 +293,7 @@ def _mixture_at(x, weight, mean, sd):
 def one_shot_mu_density(sm, res, mu_prior, rows):
     """The effect density at ``mu_grid[rows]`` summed over every cell of the
     tau grid: the full mixture the reduced one approximates."""
-    omega, mu_hat, v = _conditionals(sm, res.tau_density, mu_prior)
+    omega, mu_hat, v = _conditionals(sm, res, mu_prior)
     return _mixture_at(res.mu_density.grid[rows], omega, mu_hat, np.sqrt(v))
 
 
@@ -287,7 +311,7 @@ def test_blocked_mu_density_equals_one_shot_formula(capped):
     n = res.mu_density.grid.size
     assert n == (metaanalysis._MU_GRID_CAP if capped else metaanalysis._MU_GRID_FLOOR)
     rows = slice(5, None, 97) if capped else slice(None)
-    components = _reduced_mixture(*_conditionals(sm, res.tau_density, mu_prior))
+    components = _reduced_mixture(*_conditionals(sm, res, mu_prior))
     assert res.mu_components == components[0].size
     expected = _mixture_at(res.mu_density.grid[rows], *components)
     assert np.array_equal(res.mu_density.density[rows], expected)
@@ -350,6 +374,35 @@ def test_effect_grid_floor_moves_no_summary(monkeypatch):
         for x, y in zip((a.mu_median, *a.mu_interval), (b.mu_median, *b.mu_interval)):
             assert abs(x - y) <= 2.0 * (1e-12 + metaanalysis._RTOL * abs(x))
         assert abs(b.mu_density.integral() - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0])
+def test_effect_window_holds_all_but_1e7_at_each_end(scale):
+    """One study under a half-Cauchy: the effect window reaches its 1e-7
+    target at each end, which 200 steps of 2 sd left at 3.7e-7 (scale 0.1)
+    and 3.0e-7 (scale 1), and one step less would not."""
+    sm = SingleMeta(y=(0.3,), sigma=(0.2,))
+    res = bayes_ma(sm, HalfCauchy(scale))
+    omega, mu_hat, v = _conditionals(sm, res, None)
+    lo, hi = res.mu_density.grid[[0, -1]]
+    step = 2.0 * res.mu_sd
+    ends = np.array([lo, hi, lo + step, hi - step])
+    below = special.ndtr((ends[:, None] - mu_hat) / np.sqrt(v)) @ omega
+    assert below[0] <= 1e-7 and below[1] >= 1.0 - 1e-7
+    assert below[2] > 1e-7 and below[3] < 1.0 - 1e-7
+
+
+def test_effect_window_end_is_the_fewest_steps():
+    tests = []
+
+    def done(x):
+        tests.append(x)
+        return x >= 1000.5
+
+    assert metaanalysis._window_end(done, 0.0, 1.0) == 1001.0
+    assert len(tests) <= 2 * math.log2(1001) + 2
+    with pytest.raises(GridError, match="effect posterior mass does not decay"):
+        metaanalysis._window_end(lambda x: False, 0.0, -1.0)
 
 
 def test_reduced_mixture_moments_survive_subnormal_weights():
@@ -447,7 +500,7 @@ def _quantile_cases():
 def test_newton_quantiles_match_brentq_on_the_full_mixture():
     for sm, prior, mu_prior in _quantile_cases():
         res = bayes_ma(sm, prior, mu_prior)
-        omega, mu_hat, v = _conditionals(sm, res.tau_density, mu_prior)
+        omega, mu_hat, v = _conditionals(sm, res, mu_prior)
         lo, hi = res.mu_interval
         for p, q in ((0.025, lo), (0.5, res.mu_median), (0.975, hi)):
             assert abs(q - _brentq_quantile(omega, mu_hat, np.sqrt(v), p)) <= 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from hetprior import sampler
+from hetprior import metaanalysis, sampler
 from hetprior.data import MetaAnalysisCollection, StudyRecord
 from hetprior.dist import HalfCauchy, HalfNormal, Normal, Uniform
 from hetprior.metaanalysis import GridError, SingleMeta, tau_marginal
@@ -781,10 +781,12 @@ def test_tau_grid_agrees_with_one_four_times_finer(family, monkeypatch):
     m = ModelSpec(het_family=family)
     for corpus in (ORACLE_CORPUS, _paper_shaped(), _mixed_precision()):
         c = _collection(corpus)
-        coarse = _grid_checked(run_hierarchical(c, m, cfg))
+        coarse_run = run_hierarchical(c, m, cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(sampler, "_TAU_NODES", 4 * sampler._TAU_NODES)
-            fine = _grid_checked(run_hierarchical(c, m, cfg))
+            patch.setattr(metaanalysis, "_TAU_NODES", 4 * metaanalysis._TAU_NODES)
+            fine_run = run_hierarchical(c, m, cfg)
+        assert fine_run.quadrature["tau_nodes"] == 4 * coarse_run.quadrature["tau_nodes"]
+        coarse, fine = _grid_checked(coarse_run), _grid_checked(fine_run)
         for name, value in coarse.items():
             assert value == pytest.approx(fine[name], rel=5e-3), (c.n_analyses, name)
 
@@ -795,7 +797,7 @@ def test_analyze_and_the_sampler_share_the_base_tau_nodes():
     sampler's base tau nodes, bit for bit."""
     y, se = (0.1, 0.5, -0.2, 0.3), (0.2, 0.25, 0.3, 0.22)
     prior = HalfCauchy(1.0)
-    base = sampler._quadrature(_collection([(y, se)]), ModelSpec())[0][0][: sampler._TAU_NODES]
+    base = sampler._quadrature(_collection([(y, se)]), ModelSpec())[0][0][: metaanalysis._TAU_NODES]
     assert prior.quantile(0.9999) > base[-1]
     td = tau_marginal(SingleMeta(y=y, sigma=se), prior)
     assert np.array_equal(td.grid[: base.size], base)
@@ -809,7 +811,8 @@ def test_tau_grid_stops_at_the_first_extension_that_passes(family, monkeypatch):
     m = ModelSpec(het_family=family)
     for c in (_collection(ORACLE_CORPUS), small_corpus(), _collection(_mixed_precision())):
         nodes = sampler._quadrature(c, m)[0][0]
-        extensions, rest = divmod(nodes.size - sampler._TAU_NODES, sampler._TAU_NODES // 10)
+        base = metaanalysis._TAU_NODES
+        extensions, rest = divmod(nodes.size - base, base // 10)
         assert rest == 0 and extensions >= 0, nodes.size
         with monkeypatch.context() as patch:
             patch.setattr(sampler, "_MAX_EXTENSIONS", extensions - 1)
@@ -846,7 +849,7 @@ def test_tau_pick_matches_one_level_reference(family, corpus):
     c = _collection(ORACLE_CORPUS if corpus == "oracle" else _paper_shaped())
     fam = HET_FAMILIES[family]
     grid, lo, hi, w = sampler._quadrature(c, ModelSpec(het_family=family))
-    assert grid[0].size > sampler._TAU_NODES  # the grid is extended
+    assert grid[0].size > metaanalysis._TAU_NODES  # the grid is extended
     rng = np.random.default_rng(8)
     cell = rng.choice(w.size, 4000, p=w / w.sum())
     u = rng.random((cell.size, c.n_analyses))
