@@ -10,8 +10,9 @@ Three routes:
    exponential becomes a Lomax, a log-normal absorbs the location
    uncertainty into an inflated shape;
 3. direct fit — fit a chosen family to the predictive draws themselves,
-   by maximum likelihood (simplex search on log-reparametrized
-   parameters) or by moment inversion.
+   by maximum likelihood (each family's likelihood equations: a closed
+   form, one monotone root, or a one-dimensional profile) or by moment
+   inversion.
 
 The published form of a prior is rounded to 2 decimals (two significant
 digits for a parameter that would round to 0); the unrounded parameters
@@ -29,9 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sc
 
 from .dist import (
-    _FAMILIES,
     Distribution,
     Exponential,
     HalfCauchy,
@@ -68,7 +69,8 @@ __all__ = [
 
 
 class FitError(RuntimeError):
-    """A direct fit did not converge within its evaluation budget."""
+    """A direct fit's likelihood has no maximum, or its solver did not
+    converge."""
 
 
 #: decimals of a prior's published parameters
@@ -165,96 +167,212 @@ FIT_FAMILIES = ("half-normal", "half-t", "exp", "half-cauchy", "log-normal", "lo
 
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: an ML fit whose half-t df or Lomax shape exceeds this has run off to the
-#: family's limit (half-normal, exponential) and is reported as that limit
+#: family's limit (half-normal, exponential) and is reported as that limit; a
+#: half-t df below its reciprocal is a likelihood with no maximum
 _ML_LIMIT = 1e4
+#: the profile searches reach one e-fold past the limits, in log df or log scale
+_LOG_REACH = math.log(_ML_LIMIT) + 1.0
+#: Newton steps allowed to a scale equation
+_NEWTON_STEPS = 100
+#: the half-Cauchy, half-t and Lomax fits square or divide the draws in units
+#: of the largest, so their positive draws may span at most this many decades
+_SPAN_DECADES = 150
 
 
-def _moment_start(x: np.ndarray, family: str) -> Distribution:
-    """Starting point for the ML search: the moment fit, except for the
-    half-Cauchy (no moments: the median sets the scale) and the log-normal
-    (moments of log x); a fixed-shape half-t or Lomax at the sample mean
-    where the moments are out of the family's reach."""
+def _unit_squares(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest draw and the squares of the draws in its units, so that
+    no square overflows."""
+    top = float(x.max())
+    return top, np.square(x / top)
+
+
+def _rms(x: np.ndarray) -> float:
+    """√mean(x²), exact for constant draws."""
+    top, q = _unit_squares(x)
+    return top * math.sqrt(float(np.mean(q)))
+
+
+def _scale_root(q: np.ndarray, target: float, t: float) -> float:
+    """The log u at which Σ q/(q + u) = ``target``, by Newton's method in
+    log u from ``t``.
+
+    The sum falls from the count of positive q to 0 as u rises, so the root
+    exists for a target between. A step is at most a stride that starts at
+    2 and doubles each time it binds, and once the root is bracketed a step
+    that leaves the bracket halves it.
+    """
+    lo, hi, stride = -math.inf, math.inf, 2.0
+    for _ in range(_NEWTON_STEPS):
+        w = q / (q + math.exp(t))
+        excess = float(w.sum()) - target
+        if excess == 0.0:
+            return t
+        if excess > 0.0:
+            lo = t
+        else:
+            hi = t
+        slope = float(np.dot(w, 1.0 - w))
+        step = excess / slope if slope > 0.0 else math.inf
+        if abs(step) > stride:
+            step = math.copysign(stride, excess)
+            stride *= 2.0
+        if abs(step) < 1e-12:
+            return t + step
+        t += step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    raise FitError(f"the scale equation did not converge in {_NEWTON_STEPS} Newton steps")
+
+
+def _no_maximum(family: str, n: int, positive: int, limit: str) -> FitError:
+    return FitError(
+        f"ML fit of {family!r} has no maximum: {n - positive} of {n} draws are exactly 0, "
+        f"so the likelihood grows without bound as {limit} -> 0"
+    )
+
+
+def _half_cauchy_ml(x: np.ndarray) -> HalfCauchy:
+    """The scale solves Σ x²/(x² + s²) = n/2."""
+    positive = np.count_nonzero(x)
+    if 2 * positive <= x.size:
+        raise _no_maximum("half-cauchy", x.size, positive, "the scale")
+    top, q = _unit_squares(x)
+    log_u = _scale_root(q, 0.5 * x.size, math.log(float(np.median(q))))
+    return HalfCauchy(top * math.exp(0.5 * log_u))
+
+
+def _bounded_max(neg_profile, lo: float, hi: float) -> float:
+    """The point of [lo, hi] where a profile log likelihood, given as its
+    negative, is highest."""
+    from scipy import optimize  # here, not at import: it adds ~0.4 s to every command's start-up
+
+    res = optimize.minimize_scalar(neg_profile, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8})
+    return float(res.x)
+
+
+def _half_t_ml(x: np.ndarray) -> Distribution:
+    """Profile over log df; at each df the scale solves
+    Σ x²/(x² + df s²) = n/(df + 1), from the last solve's scale."""
+    n = x.size
+    positive = np.count_nonzero(x)
+    if positive * (1.0 + math.exp(-_LOG_REACH)) <= n:
+        raise _no_maximum("half-t", n, positive, "df and the scale")
+    top, q = _unit_squares(x)
+    log_s2 = math.log(float(np.mean(q)))  # the half-normal's scale to start
+
+    def scale_at(log_df: float) -> float:
+        nonlocal log_s2
+        log_s2 = _scale_root(q, n / (1.0 + math.exp(log_df)), log_s2 + log_df) - log_df
+        return log_s2
+
+    def neg_profile(log_df: float) -> float:
+        df = math.exp(log_df)
+        log_u = scale_at(log_df) + log_df
+        tail = float(np.sum(np.log1p(q / math.exp(log_u))))
+        return n * (float(sc.betaln(0.5 * df, 0.5)) + 0.5 * log_u) + 0.5 * (df + 1.0) * tail
+
+    log_df = _bounded_max(neg_profile, -_LOG_REACH, _LOG_REACH)
+    df = math.exp(log_df)
+    if df > _ML_LIMIT:
+        return HalfNormal(_rms(x))
+    if df < 1.0 / _ML_LIMIT:
+        raise FitError(f"ML fit of 'half-t' has no maximum: the likelihood rises as df -> 0 (df {df:.3g})")
+    return HalfStudentT(df, top * math.exp(0.5 * scale_at(log_df)))
+
+
+def _lomax_ml(x: np.ndarray) -> Distribution:
+    """Profile over log scale; at each scale the shape is
+    n / Σ log1p(x/scale)."""
+    n = x.size
+    top = float(x.max())
+    z = x / top
+    least = float(z[z > 0.0].min())
+
+    def tail(log_scale: float) -> float:
+        return float(np.sum(np.log1p(z * math.exp(-log_scale))))
+
+    def neg_profile(log_scale: float) -> float:
+        s = tail(log_scale)
+        return n * (math.log(s) + log_scale) + s
+
+    # the shape exceeds scale / mean(z), so it passes the limit below the top
+    log_scale = _bounded_max(neg_profile, math.log(least) - 1.0, math.log(float(np.mean(z))) + _LOG_REACH)
+    shape = n / tail(log_scale)
+    if shape > _ML_LIMIT:
+        return Exponential(float(np.mean(x)))
+    if log_scale < math.log(least):
+        raise FitError(
+            f"ML fit of 'lomax' has no maximum: the likelihood rises as the scale -> 0 "
+            f"(scale {top * math.exp(log_scale):.3g} below the least positive draw {top * least:.3g})"
+        )
+    return Lomax(shape, top * math.exp(log_scale))
+
+
+def _ml_fit(x: np.ndarray, family: str) -> Distribution:
+    """The maximum-likelihood member of ``family`` for the draws ``x``, or
+    the family's limit where the likelihood rises toward it."""
+    if family == "half-normal":
+        return HalfNormal(_rms(x))
+    if family == "exp":
+        return Exponential(float(np.mean(x)))
+    if family == "log-normal":
+        zeros = x.size - np.count_nonzero(x)
+        if zeros:
+            raise InfeasibleError(
+                f"{zeros} of {x.size} draws are exactly 0, where the log-normal has no density"
+            )
+        lx = np.log(x)
+        if lx.min() == lx.max():
+            raise InfeasibleError(f"no spread in log draws: every draw is {float(x[0])!r}")
+        return LogNormal(float(np.mean(lx)), float(np.std(lx)))
+    span = math.log10(float(x.max())) - math.log10(float(x[x > 0.0].min()))
+    if span > _SPAN_DECADES:
+        raise InfeasibleError(
+            f"the positive draws span {span:.0f} orders of magnitude; a {family} fit "
+            f"takes at most {_SPAN_DECADES}"
+        )
     if family == "half-cauchy":
-        return HalfCauchy(float(np.quantile(x, 0.5)))
-    if family == "log-normal":
-        lx = np.log(x[x > 0.0])
-        return LogNormal(float(np.mean(lx)), max(float(np.std(lx)), 1e-6))
-    try:
-        return _moment_fit(x, family)
-    except InfeasibleError:
-        mean = float(np.mean(x))
-        if family == "half-t":
-            return HalfStudentT(50.0, mean / _ROOT_2_OVER_PI)
-        return Lomax(3.0, 2.0 * mean)
-
-
-def _pack(d: Distribution) -> np.ndarray:
-    """Unconstrained parameter vector (logs of positive parameters)."""
-    if isinstance(d, LogNormal):
-        return np.array([d.mu, math.log(d.sigma)])
-    return np.log(np.asarray(d._params(), dtype=float))
-
-
-def _unpack(family: str, v: np.ndarray) -> Distribution:
-    """Inverse of :func:`_pack`."""
-    if family == "log-normal":
-        return LogNormal(v[0], math.exp(v[1]))
-    return _FAMILIES[family](*(math.exp(p) for p in v))
+        return _half_cauchy_ml(x)
+    if family == "half-t":
+        return _half_t_ml(x)
+    return _lomax_ml(x)
 
 
 def fit_predictive_ml(draws, family: str, source: str = "") -> PriorSpec:
     """Route 3a: maximum likelihood on the predictive draws.
 
-    Simplex (Nelder-Mead) search over log-reparametrized parameters,
-    starting from the moment estimate, with a 10^4-evaluation budget. A
-    half-t fit whose df, or a Lomax fit whose shape, ends above 10^4 has
-    run off to its limit, converged or not: it is returned as
-    half-normal(scale) or exp(scale/shape) with a note, and the log
-    likelihood is the limit's.
+    Each family solves its own likelihood equations. The half-normal (scale
+    √mean x²), exponential (scale mean x) and log-normal (the mean and sd of
+    log x) have closed forms. The half-Cauchy's scale is the one root of
+    Σ x²/(x² + s²) = n/2. The half-t maximizes its profile likelihood over
+    log df, its scale a Newton root at each df; the Lomax maximizes its
+    profile over log scale, its shape n / Σ log1p(x/scale) at each. A half-t
+    whose df, or a Lomax whose shape, comes out above 10^4 has run off to
+    its limit: it is returned as the half-normal or exponential ML fit with
+    a note. A likelihood with no maximum (too many zero draws, or a half-t
+    df or Lomax scale running to 0) raises :class:`FitError`.
     """
     x = np.asarray(draws, dtype=float).ravel()
     if x.size < 1000:
         raise InfeasibleError(f"need at least 1000 draws for a direct fit, got {x.size}")
     if family not in FIT_FAMILIES:
         raise ValueError(f"unsupported fit family {family!r}; choose from {FIT_FAMILIES}")
-
-    def neg_ll(v):
-        d = _unpack(family, v)
-        ll = d.log_density(x)
-        total = float(np.sum(ll))
-        return math.inf if math.isnan(total) else -total
-
-    from scipy import optimize  # here, not at import: it adds ~0.4 s to every command's start-up
-
-    start = _pack(_moment_start(x, family))
-    res = optimize.minimize(
-        neg_ll,
-        start,
-        method="Nelder-Mead",
-        options={"maxfev": 10_000, "xatol": 1e-8, "fatol": 1e-10},
-    )
-    dist = _unpack(family, res.x)
-    # past the limit the likelihood is flat along df or shape, so the search
-    # may also stop there without converging
+    if not (x.min() >= 0.0 and math.isfinite(x.max())):
+        raise InfeasibleError("a direct fit needs finite, nonnegative draws")
+    if x.max() == 0.0:
+        raise InfeasibleError("every draw is 0: no member of a fit family has all its mass at 0")
+    dist = _ml_fit(x, family)
     note = None
-    if family == "half-t" and dist.df > _ML_LIMIT:
-        note = f"degenerate fit: half-t df {dist.df:.3g} > {_ML_LIMIT:g}, half-normal limit"
-        dist = HalfNormal(dist.scale)
-    elif family == "lomax" and dist.shape > _ML_LIMIT:
-        note = f"degenerate fit: lomax shape {dist.shape:.3g} > {_ML_LIMIT:g}, exponential limit"
-        dist = Exponential(dist.scale / dist.shape)
-    if note is None and not res.success:
-        raise FitError(
-            f"ML fit of {family!r} did not converge: {res.message} "
-            f"(evaluations: {res.nfev}, last point: {res.x.tolist()})"
-        )
-    log_likelihood = -float(res.fun) if note is None else float(np.sum(dist.log_density(x)))
+    if family == "half-t" and isinstance(dist, HalfNormal):
+        note = f"degenerate fit: half-t df > {_ML_LIMIT:g}, half-normal limit"
+    elif family == "lomax" and isinstance(dist, Exponential):
+        note = f"degenerate fit: lomax shape > {_ML_LIMIT:g}, exponential limit"
     return PriorSpec(
         distribution=dist,
         method="direct_fit_ml",
         source=source,
         note=note,
-        log_likelihood=log_likelihood,
+        log_likelihood=float(np.sum(dist.log_density(x))),
     )
 
 

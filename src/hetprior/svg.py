@@ -83,8 +83,16 @@ def _x_axis(parts: list[str], x_px, lo: float, hi: float, label: str) -> None:
     )
 
 
+def _points(xs, ys, x_px, y_px) -> str:
+    """The points' pixel pairs as ``x,y`` with two decimals, mapped as whole
+    arrays (the same float operations, in the same order, as one point)."""
+    px = x_px(np.asarray(xs, dtype=float)).tolist()
+    py = y_px(np.asarray(ys, dtype=float)).tolist()
+    return " ".join(map("{:.2f},{:.2f}".format, px, py))
+
+
 def _polyline(xs, ys, x_px, y_px, color: str) -> str:
-    pts = " ".join(f"{_f(x_px(float(x)))},{_f(y_px(float(y)))}" for x, y in zip(xs, ys))
+    pts = _points(xs, ys, x_px, y_px)
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
@@ -202,11 +210,9 @@ def density_svg(
         mask = (xs0 >= lo) & (xs0 <= hi)
         if mask.any():
             seg_x = xs0[mask]
-            seg_y = ys0[mask]
-            pts = [f"{_f(x_px(float(seg_x[0])))},{_f(y_px(0.0))}"]
-            pts += [f"{_f(x_px(float(x)))},{_f(y_px(float(y)))}" for x, y in zip(seg_x, seg_y)]
-            pts.append(f"{_f(x_px(float(seg_x[-1])))},{_f(y_px(0.0))}")
-            parts.append(f'<polygon points="{" ".join(pts)}" fill="#cccccc"/>')
+            # down to the axis at both ends of the interval
+            pts = _points(np.r_[seg_x[0], seg_x, seg_x[-1]], np.r_[0.0, ys0[mask], 0.0], x_px, y_px)
+            parts.append(f'<polygon points="{pts}" fill="#cccccc"/>')
     for i, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(_polyline(xs, ys, x_px, y_px, color))

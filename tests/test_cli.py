@@ -642,6 +642,39 @@ def test_approx_records_the_half_t_df_cap_in_its_warnings(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "tau_star, fit_families, fitted, failed",
+    [
+        (np.r_[0.0, np.linspace(0.01, 0.5, 1999)], "exp,log-normal", ["exp"],
+         "1 of 2000 draws are exactly 0, where the log-normal has no density"),
+        (np.full(2000, 0.2), "half-t,log-normal", ["half-normal"], "no spread in log draws: every draw is 0.2"),
+    ],
+    ids=["zero-draw", "constant"],
+)
+def test_approx_log_normal_ml_of_degenerate_draws_fails_by_name(tmp_path, capsys, tau_star, fit_families,
+                                                               fitted, failed):
+    run = tmp_path / "run"
+    run.mkdir()
+    n = tau_star.size
+    table = np.stack([np.full(n, 0.2), np.zeros(n), np.full(n, 0.2), tau_star, np.full(n, 20.0)], axis=-1)[None]
+    (run / "samples.npy").write_bytes(_npy_bytes(table))
+    doc = {"family": "half-normal", "columns": ["scale", "mu[a]", "tau[a]", "tau_star", "deviance"]}
+    (run / "summary.json").write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    argv = ["approx", str(run), "--methods", "point:mean,ml", "--fit-families", fit_families, "--out", str(out)]
+    assert main(argv) == 0
+    warns = json.loads((out / "summary.json").read_text())["warnings"]
+    assert warns == [f"ml failed for log-normal: {failed}"]
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("warning: ")] == [f"warning: {warns[0]}"]
+    priors = json.loads((out / "priors.json").read_text())["priors"]
+    assert [(q["method"], q["family"]) for q in priors] == [
+        ("point_estimate(mean)", "half-normal"), *(("direct_fit_ml", f) for f in fitted)
+    ]
+    if fitted == ["half-normal"]:  # the half-t's limit, fitted exactly
+        assert priors[1]["params"] == [0.2]
+
+
+@pytest.mark.parametrize(
     "flags, named",
     [(["--methods", ","], "--methods"), (["--methods", "ml", "--fit-families", ""], "--fit-families")],
     ids=["methods", "fit-families"],

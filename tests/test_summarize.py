@@ -1,7 +1,6 @@
 """Tests for condensing posterior draws into parametric priors."""
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -19,8 +18,10 @@ from hetprior.dist import (
     half_t_moment_fit,
     scale_mixture_half_t,
 )
-from hetprior.sampler import PosteriorSamples, summarize_samples
+from hetprior.data import MetaAnalysisCollection, StudyRecord
+from hetprior.sampler import McmcConfig, ModelSpec, PosteriorSamples, run_hierarchical, summarize_samples
 from hetprior.summarize import (
+    FIT_FAMILIES,
     FitError,
     PriorSpec,
     approximation_table,
@@ -238,11 +239,11 @@ def test_ml_log_likelihood_is_reported_and_consistent():
 @pytest.mark.parametrize(
     "family, generator, seed, limit",
     [
-        ("half-t", HalfNormal(0.22), 5, HalfNormal),  # converges at df 8.4e6
-        ("half-t", HalfNormal(0.22), 0, HalfNormal),  # stops at the budget, df 7.4e6
-        ("lomax", Exponential(0.3), 2, Exponential),  # converges at shape 1.4e14
+        ("half-t", HalfNormal(0.22), 5, HalfNormal),  # the df profile rises to its bound
+        ("half-t", HalfNormal(0.22), 0, HalfNormal),  # the same, on a second sample
+        ("lomax", Exponential(0.3), 2, Exponential),  # the scale profile rises to its bound
     ],
-    ids=["half-t-converged", "half-t-budget", "lomax"],
+    ids=["half-t-converged", "half-t-second-sample", "lomax"],
 )
 def test_ml_degenerate_fit_returns_limit_family(family, generator, seed, limit):
     draws = generator.sample(np.random.default_rng(seed), 4000)
@@ -282,13 +283,125 @@ def test_ml_rejects_unknown_family():
         fit_predictive_ml(np.full(2000, 0.2), "weibull")
 
 
-def test_ml_nonconvergence_raises_fit_error(monkeypatch):
-    fake = types.SimpleNamespace(
-        success=False, message="budget exhausted", nfev=10_000, x=np.array([0.0]), fun=1.0
-    )
-    monkeypatch.setattr("scipy.optimize.minimize", lambda *a, **k: fake)
-    with pytest.raises(FitError, match="did not converge"):
-        fit_predictive_ml(np.full(2000, 0.2), "exp")
+@pytest.mark.parametrize(
+    "family, zeros, cause",
+    [
+        ("half-cauchy", 1000, "1000 of 2000 draws are exactly 0"),
+        ("half-t", 1, "1 of 2000 draws are exactly 0"),
+        ("lomax", 1000, "the likelihood rises as the scale -> 0"),
+    ],
+    ids=["half-cauchy", "half-t", "lomax"],
+)
+def test_ml_likelihood_without_a_maximum_raises_fit_error(family, zeros, cause):
+    # with n0 of n draws at 0 the likelihood grows without bound as the scale
+    # shrinks: for any n0 under the Lomax, for df < n0/(n - n0) under the
+    # half-t (the half-Cauchy's df is 1)
+    draws = np.concatenate([np.zeros(zeros), HalfNormal(0.2).sample(np.random.default_rng(3), 2000 - zeros)])
+    with pytest.raises(FitError, match=f"'{family}' has no maximum: {cause}"):
+        fit_predictive_ml(draws, family)
+
+
+@pytest.mark.parametrize("family", ["half-cauchy", "half-t", "lomax"])
+def test_ml_rejects_draws_spread_beyond_the_solvers_range(family):
+    draws = np.exp(np.random.default_rng(1).uniform(-350.0, 350.0, 2000))
+    with pytest.raises(InfeasibleError, match=f"span 30[0-9] orders of magnitude; a {family} fit takes at most 150"):
+        fit_predictive_ml(draws, family)
+
+
+def test_ml_log_normal_of_a_zero_draw_fails_at_once_by_name():
+    draws = np.concatenate([[0.0], HalfNormal(0.2).sample(np.random.default_rng(4), 1999)])
+    with pytest.raises(InfeasibleError, match="1 of 2000 draws are exactly 0, where the log-normal"):
+        fit_predictive_ml(draws, "log-normal")
+
+
+def test_ml_of_constant_draws():
+    draws = np.full(2000, 0.2)
+    with pytest.raises(InfeasibleError, match="no spread in log draws"):
+        fit_predictive_ml(draws, "log-normal")
+    spec = fit_predictive_ml(draws, "half-t")
+    assert spec.distribution == HalfNormal(0.2)
+    assert spec.note == "degenerate fit: half-t df > 10000, half-normal limit"
+
+
+@pytest.mark.parametrize(
+    "draws, message",
+    [
+        (np.r_[-0.1, np.full(1999, 0.2)], "finite, nonnegative draws"),
+        (np.r_[np.nan, np.full(1999, 0.2)], "finite, nonnegative draws"),
+        (np.r_[np.inf, np.full(1999, 0.2)], "finite, nonnegative draws"),
+        (np.zeros(2000), "every draw is 0"),
+    ],
+    ids=["negative", "nan", "inf", "all-zero"],
+)
+@pytest.mark.parametrize("family", FIT_FAMILIES)
+def test_ml_rejects_draws_outside_the_families_support(draws, message, family):
+    with pytest.raises(InfeasibleError, match=message):
+        fit_predictive_ml(draws, family)
+
+
+def _pipeline_predictive():
+    """The 4 x 256 predictive draws of a half-normal fit to a corpus shaped
+    like the benchmark's pipeline corpus: 40 analyses of 3-18 studies,
+    tau_j ~ half-normal(0.2), standard errors 0.1-0.6."""
+    rng = np.random.default_rng(9191)
+    sizes = rng.permutation([round(3 + 15 * ((i + 0.5) / 40) ** 1.1) for i in range(40)])
+    analyses, seq = [], 0
+    for j, (k, tau) in enumerate(zip(sizes, np.abs(rng.normal(0.0, 0.2, 40)))):
+        mu, se = rng.normal(0.0, 0.5), rng.uniform(0.1, 0.6, k)
+        y = rng.normal(mu, np.sqrt(se**2 + tau**2))
+        recs = tuple(StudyRecord(f"a{j}", f"s{i}", float(y[i]), float(se[i]), seq + i) for i in range(k))
+        analyses.append((f"a{j}", recs))
+        seq += k
+    cfg = McmcConfig(chains=4, burn_in=64, iterations=256, seed=9191)
+    return run_hierarchical(MetaAnalysisCollection(tuple(analyses)), ModelSpec(), cfg).predictive.ravel()
+
+
+@pytest.fixture(scope="module")
+def ml_draws():
+    draws = {"pipeline": _pipeline_predictive()}
+    for i, g in enumerate([HalfNormal(0.3), HalfStudentT(5.0, 0.2), Exponential(0.2), HalfCauchy(0.1),
+                           LogNormal(-2.0, 0.8), Lomax(3.0, 0.5)]):
+        draws[g.token] = g.sample(np.random.default_rng(40 + i), 3000)
+    return draws
+
+
+def _log_params(d):
+    """Parameters on the scale the polish moves them: logs, but the
+    log-normal's location as it is."""
+    return [p if (d.token, i) == ("log-normal", 0) else math.log(p) for i, p in enumerate(d._params())]
+
+
+def _from_log_params(d, v):
+    return type(d)(*(p if (d.token, i) == ("log-normal", 0) else math.exp(p) for i, p in enumerate(v)))
+
+
+@pytest.mark.parametrize("source", ["pipeline", *FIT_FAMILIES])
+@pytest.mark.parametrize("family", FIT_FAMILIES)
+def test_ml_fit_is_a_maximum_of_the_likelihood(ml_draws, family, source):
+    from scipy import optimize
+
+    x = ml_draws[source]
+    spec = fit_predictive_ml(x, family)
+    d = spec.distribution
+    if spec.note is not None:  # a degenerate fit is the limit family's own ML fit
+        assert d == fit_predictive_ml(x, d.token).distribution
+        return
+    ll = spec.log_likelihood
+    # 1e-11 relative is the rounding of a log likelihood itself: along a
+    # flat profile (half-t df 731 on half-normal draws) it wobbles by 1.5e-12
+    noise = 1e-11 * abs(ll)
+    for i, p in enumerate(d._params()):
+        for factor in (1.0 - 1e-4, 1.0 + 1e-4):
+            moved = list(d._params())
+            moved[i] = p * factor
+            assert float(np.sum(type(d)(*moved).log_density(x))) <= ll + noise
+
+    def neg_ll(v):
+        return -float(np.sum(_from_log_params(d, v).log_density(x)))
+
+    polish = optimize.minimize(neg_ll, _log_params(d), method="Nelder-Mead",
+                               options={"xatol": 1e-10, "fatol": 1e-12, "maxfev": 4000})
+    assert -polish.fun <= ll + 1e-9 * abs(ll)
 
 
 # -- route 3b: moment inversion -------------------------------------------------

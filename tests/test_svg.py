@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hetprior import svg
 from hetprior.svg import density_svg, forest_svg, histogram_svg
 
 
@@ -57,3 +58,38 @@ def test_density_svg_shade_and_curves():
     assert doc.count("<polyline") >= 2
     assert "<polygon" in doc  # shaded interval
     assert "posterior" in doc and "prior" in doc
+
+
+def _reference_points(xs, ys, x_px, y_px):
+    """Pixel pairs mapped and formatted one point at a time."""
+    return " ".join(f"{x_px(float(x)):.2f},{y_px(float(y)):.2f}" for x, y in zip(xs, ys))
+
+
+def _random_curve(rng):
+    n = int(rng.integers(1, 400))
+    xs = np.sort(rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3))
+    ys = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3, 3)
+    ys[rng.random(n) < 0.1] = 0.0
+    return xs, ys
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_svg_points_match_a_per_point_reference(seed):
+    rng = np.random.default_rng(seed)
+    xs, ys = _random_curve(rng)
+    lo, hi = float(xs.min()), float(xs.max())
+    x_px, y_px = svg._x_scale(lo, hi), svg._y_scale(0.0, 1.05 * float(ys.max()))
+    ref = _reference_points(xs, ys, x_px, y_px)
+    assert svg._polyline(xs, ys, x_px, y_px, "#000") == (
+        f'<polyline points="{ref}" fill="none" stroke="#000" stroke-width="1.5"/>'
+    )
+    # the shaded interval: the curve between two x values, closed at the axis
+    a, b = np.sort(rng.uniform(lo, hi, 2))
+    doc = svg.density_svg([("c", xs, ys)], shade=(a, b))
+    mask = (xs >= a) & (xs <= b)
+    if mask.any():
+        seg_x, seg_y = xs[mask], ys[mask]
+        ref = _reference_points(np.r_[seg_x[0], seg_x, seg_x[-1]], np.r_[0.0, seg_y, 0.0], x_px, y_px)
+        assert f'<polygon points="{ref}" fill="#cccccc"/>' in doc
+    else:
+        assert "<polygon" not in doc
