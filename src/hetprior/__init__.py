@@ -48,6 +48,9 @@ from .sampler import (  # noqa: F401
     PosteriorSamples,
     ConfigError,
     run_hierarchical,
+    PosteriorMixture,
+    posterior_mixture,
+    predictive_draws,
     summarize_samples,
     split_rhat,
     diagnostics,
@@ -62,6 +65,7 @@ from .dic import (  # noqa: F401
     ComparisonRow,
     deviance,
     compute_dic,
+    mixture_dic,
     compare_models,
     comparison_to_dict,
     format_comparison_table,

@@ -583,11 +583,12 @@ def _add_corpus_flags(sp) -> None:
     )
 
 
-def _add_mcmc_flags(sp) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed (generated if omitted)")
-    sp.add_argument("--chains", type=int, default=4, help="number of chains (default 4)")
+def _add_mcmc_flags(sp, draws: str = "") -> None:
+    """The draw flags, their help ending in ``draws``, what the draws set."""
+    sp.add_argument("--seed", type=int, default=None, help=f"RNG seed (generated if omitted){draws}")
+    sp.add_argument("--chains", type=int, default=4, help=f"number of chains (default 4){draws}")
     sp.add_argument(
-        "--iters", type=int, default=20000, help="kept iterations per chain (default 20000)"
+        "--iters", type=int, default=20000, help=f"kept iterations per chain (default 20000){draws}"
     )
     sp.add_argument(
         "--burnin", type=int, default=5000, help="recorded; no effect, the draws are independent"
@@ -624,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(HET_FAMILIES),
         help="comma-separated families (default: all)",
     )
-    _add_mcmc_flags(sp)
+    _add_mcmc_flags(sp, "; sets the predictive columns only: the DIC takes no draws")
     _add_output_flags(sp)
 
     sp = sub.add_parser("approx", help="condense fitted samples into parametric priors")

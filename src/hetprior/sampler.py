@@ -52,6 +52,13 @@ rest is computed element by element from the tables, so results are
 reproducible bit for bit, no draw depends on which other theta cells were
 drawn or how they were batched, and adding chains never perturbs existing
 ones.
+
+The law of the draws is a function of the tables alone:
+:func:`posterior_mixture` gives, with no draw, each tau_j's posterior mass
+in each tau cell, mixed over the theta cells, and the posterior means of
+mu_j, tau_j and each analysis' deviance, from which ``compare`` takes its
+DIC; :func:`predictive_draws` draws only theta and tau*, from the same
+streams as :func:`run_hierarchical`.
 """
 
 from __future__ import annotations
@@ -98,6 +105,9 @@ __all__ = [
     "PosteriorSamples",
     "ConfigError",
     "run_hierarchical",
+    "PosteriorMixture",
+    "posterior_mixture",
+    "predictive_draws",
     "diagnostics",
     "split_rhat",
     "summarize_samples",
@@ -124,11 +134,16 @@ _SETTLE, _BANDS, _THETA_CELLS, _REFINEMENTS = 1e-4, {1: 256, 2: 16}, 256, 4
 #: cells per block and per sub-block of the tree of partial sums that picks
 #: a tau cell; values per block of the temporary arrays
 _ROW_BLOCK, _TAU_BLOCK, _SUB_BLOCK, _BLOCK = 8, 64, 8, 1 << 14
+#: theta cells weighed at a time in a refinement, so a posterior mixture
+#: holds the masses of that many cells at once
+_MIX_ROWS = 8 * _ROW_BLOCK
 #: the cell likelihoods are float32: their rounding, a relative 6e-8, is far
 #: below the quadrature's error, at half the memory
 _LIKELIHOOD = np.float32
-#: inside :func:`_shared_likelihoods`, the base tau grids' cell likelihoods
-#: by corpus and effect prior; None outside, so no table outlives a block
+#: the smallest normal float32; :func:`_mixed` counts smaller factors as 0
+_TINY = float(np.finfo(_LIKELIHOOD).tiny)
+#: inside :func:`_shared_likelihoods`, the :class:`_CorpusTables` by corpus
+#: identity and effect prior; None outside, so no table outlives a block
 _shared_tables: dict | None = None
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 #: A hyperparameter piles up at the upper bound of a finite hyperprior
@@ -432,15 +447,49 @@ def _deviance(y, offsets, mu, v):
 
 @contextmanager
 def _shared_likelihoods():
-    """Within the block, fits of one corpus share its base tau grid's cell
-    likelihoods, which depend on the data alone (``compare`` fits every
-    family to one corpus)."""
+    """Within the block, fits of one corpus share its :class:`_CorpusTables`,
+    which depend on the data and the effect prior alone (``compare`` fits
+    every family to one corpus)."""
     global _shared_tables
     _shared_tables = {}
     try:
         yield
     finally:
         _shared_tables = None
+
+
+class _CorpusTables:
+    """The family-free tables of one corpus under one effect prior: its
+    studies as :func:`_flatten` gives them, the base tau grid, and, each
+    computed on first use, the base grid's :func:`_cell_likelihoods` and
+    :func:`_conditional_moments`."""
+
+    def __init__(self, c: MetaAnalysisCollection, mu_prior: Normal):
+        self.corpus, self.mu_prior = c, mu_prior
+        self.y, self.se2, self.offsets = _flatten(c)
+        self.hi0 = _reference_top(self.y, self.se2, self.offsets)
+        self.base = _tau_grid(self.hi0, 0)
+
+    @cached_property
+    def cells(self):
+        return _cell_likelihoods(self.y, self.se2, self.offsets, self.mu_prior, self.base)
+
+    @cached_property
+    def moments(self):
+        return _conditional_moments(self.y, self.se2, self.offsets, self.mu_prior, self.base)
+
+
+def _corpus_tables(c: MetaAnalysisCollection, mu_prior: Normal) -> _CorpusTables:
+    """The tables of ``c`` under ``mu_prior``: inside
+    :func:`_shared_likelihoods` found by the identity of ``c``, which they
+    keep alive so it stays theirs (hashing ``c`` would hash every study
+    record), else new."""
+    if _shared_tables is None:
+        return _CorpusTables(c, mu_prior)
+    tables = _shared_tables.get(key := (id(c), mu_prior))
+    if tables is None:
+        tables = _shared_tables[key] = _CorpusTables(c, mu_prior)
+    return tables
 
 
 def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scale=None):
@@ -477,16 +526,63 @@ def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scal
     return table[:-1], last, scale
 
 
-def _marginals(fam: _Family, centre, nodes, cells, log_sum=False) -> np.ndarray:
+def _conditional_moments(y, se2, offsets, mu_prior: Normal, nodes):
+    """Two (N, nodes) tables at each node tau: the mean m_j(tau) of mu_j
+    given tau_j = tau, and E[D_j | tau], analysis j's expected deviance over
+    that conjugate normal of precision P_j(tau), sum_i log 2 pi v_ij +
+    ((y_ij - m_j)^2 + 1 / P_j) / v_ij with v_ij = sigma_ij^2 + tau^2. As in
+    :func:`_cell_likelihoods`, the analyses of one size are pooled at once,
+    ``_BLOCK`` values at a time, with the studies on the slowest axis."""
+    sizes = np.diff(offsets)
+    prior_prec = 1.0 / mu_prior.sd**2
+    effect, dev = np.empty((2, sizes.size, nodes.size))
+    for k in np.unique(sizes):
+        analyses = np.flatnonzero(sizes == k)
+        step = max(1, _BLOCK // (max(1, nodes.size) * k))
+        for batch in np.split(analyses, range(step, analyses.size, step)):
+            studies = (offsets[batch, None] + np.arange(k)).T
+            est = y[studies][:, :, None]
+            v = se2[studies][:, :, None] + np.square(nodes)
+            wgt = 1.0 / v
+            prec = prior_prec + wgt.sum(axis=0)
+            effect[batch] = (mu_prior.mean * prior_prec + (wgt * est).sum(axis=0)) / prec
+            resid2 = np.square(est - effect[batch]) + 1.0 / prec
+            dev[batch] = (np.log(v) + resid2 * wgt).sum(axis=0) + k * _LOG_2PI
+    return effect, dev
+
+
+def _marginals(fam: _Family, centre, nodes, cells, masses=None) -> np.ndarray:
     """(theta rows, N) table of m_j = sum_g M_g Lbar_jg over the ``cells``
-    of ``nodes``, M_g the family's mass at each row of ``centre``, or with
-    ``log_sum`` each row's sum_j log m_j; ``_ROW_BLOCK`` rows at a time."""
-    out = np.empty(len(centre) if log_sum else (len(centre), cells.shape[1]))
+    of ``nodes``, M_g the family's mass at each row of ``centre``;
+    ``_ROW_BLOCK`` rows at a time, each block's M_g written into the rows
+    of ``masses`` if given."""
+    out = np.empty((len(centre), cells.shape[1]))
     for start in range(0, len(centre), _ROW_BLOCK):
-        hyper = [centre[start : start + _ROW_BLOCK, h : h + 1] for h in range(centre.shape[1])]
-        m = np.diff(fam.cdf(nodes, *hyper), axis=1).astype(cells.dtype) @ cells
-        out[start : start + len(hyper[0])] = np.log(m.astype(float)).sum(axis=1) if log_sum else m
+        rows = slice(start, start + _ROW_BLOCK)
+        hyper = [centre[rows, h : h + 1] for h in range(centre.shape[1])]
+        mass = np.diff(fam.cdf(nodes, *hyper), axis=1).astype(cells.dtype)
+        if masses is not None:
+            masses[rows] = mass
+        out[rows] = mass @ cells
     return out
+
+
+def _chunks(rows: np.ndarray) -> list[np.ndarray]:
+    """``rows`` in runs of ``_MIX_ROWS``, whole blocks of ``_ROW_BLOCK``."""
+    return np.split(rows, range(_MIX_ROWS, rows.size, _MIX_ROWS))
+
+
+def _mixed(weight, marg, masses) -> np.ndarray:
+    """sum_k weight_k / m_jk M_kg over theta rows k, one (N x rows) @
+    (rows x cells) float32 product; a row of zero weight, which may have
+    m_jk = 0, adds nothing. Factors below the smallest normal float32 count
+    as 0 (``masses`` is changed in place): a subnormal operand slows the
+    product about fivefold, and their terms are below 1e-38 of a unit
+    mass."""
+    per_m = np.divide(weight[:, None], marg, out=np.zeros(marg.shape), where=weight[:, None] > 0.0)
+    per_m[per_m < _TINY] = 0.0
+    masses[masses < _TINY] = 0.0
+    return per_m.T.astype(_LIKELIHOOD) @ masses
 
 
 def _log_weights(priors, lo, hi, log_m) -> np.ndarray:
@@ -535,9 +631,13 @@ def _refine(lo, hi, parts):
     return new_lo, new_hi, parent
 
 
-def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
+def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
     """The tau grid as one (nodes, (cells, N) cell likelihoods) pair, and
-    the theta cells' (cells, H) edges and posterior masses, the largest 1.
+    the theta cells' (cells, H) edges and posterior masses w_k, the largest
+    1; with ``mixture`` also the (N, tau cells) float32 sum over the theta
+    cells of (w_k / sum w) M_kg / m_jk, M_kg the family's masses and m_jk
+    the marginals the weights came from, and the corpus's
+    :class:`_CorpusTables`.
 
     The base cells are tabulated once (and shared by the fits inside
     :func:`_shared_likelihoods`); for 0, 1, 2, ... extensions the loop adds
@@ -552,12 +652,16 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
     with more than ``_SETTLE`` of the mass is cut along each axis until no
     band holds more than 1 / ``_BANDS[H]`` of that marginal, then every
     cell with more than 1 / ``_THETA_CELLS`` of the mass by its share.
+
+    The mixture's sum follows the refinement: each cell's term is added
+    with the masses its marginals were computed from, and a cell that is
+    cut or dropped has its term, masses recomputed, taken out again, so no
+    (theta cells x tau cells) table is held.
     """
     fam = HET_FAMILIES[m.het_family]
     priors = list(m.hyperpriors.values())
-    mu_prior = Normal(m.effect_prior_mean, m.effect_prior_sd)
-    y, se2, offsets = _flatten(c)
-    hi0 = _reference_top(y, se2, offsets)
+    tables = _corpus_tables(c, Normal(m.effect_prior_mean, m.effect_prior_sd))
+    y, se2, offsets, hi0, base = tables.y, tables.se2, tables.offsets, tables.hi0, tables.base
     axes = []
     for prior in priors:
         lo, hi = _hyper_support(prior)
@@ -572,18 +676,25 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
     hi = np.stack([e[band[:, h] + 1] for h, e in enumerate(axes)], axis=1)
     centre = _centre(lo, hi)
 
-    base = _tau_grid(hi0, 0)
+    def rows(n_theta, n_tau):
+        """Room for the masses M_kg of theta cells, if the mixture needs them."""
+        return np.empty((n_theta, n_tau), dtype=_LIKELIHOOD) if mixture else None
+
+    def weigh(lo, hi):
+        """The marginals m_jk of refined theta cells on the final grid, and their masses if kept."""
+        masses = rows(len(lo), nodes.size - 1)
+        return _marginals(fam, _centre(lo, hi), nodes, cells, masses), masses
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        shared = {} if _shared_tables is None else _shared_tables
-        if (c, mu_prior) not in shared:
-            shared[c, mu_prior] = _cell_likelihoods(y, se2, offsets, mu_prior, base)
-        base_cells, last, scale = shared[c, mu_prior]
-        base_m = _marginals(fam, centre, base, base_cells)
+        base_cells, last, scale = tables.cells
+        base_mass = rows(len(centre), base.size - 1)
+        base_m = _marginals(fam, centre, base, base_cells, base_mass)
         for extensions in range(_MAX_EXTENSIONS + 1):  # the extensions add cells above the base
             nodes = _tau_grid(hi0, extensions)
-            ext = _cell_likelihoods(y, se2, offsets, mu_prior, nodes[base.size :], last, scale)[0]
+            ext = _cell_likelihoods(y, se2, offsets, tables.mu_prior, nodes[base.size :], last, scale)[0]
             cells = np.concatenate([base_cells, ext])
-            marg = base_m + _marginals(fam, centre, nodes[base.size - 1 :], ext)
+            ext_mass = rows(len(centre), len(ext))
+            marg = base_m + _marginals(fam, centre, nodes[base.size - 1 :], ext, ext_mass)
             dead = [c.analysis_ids[j] for j in np.flatnonzero(~np.any(marg > 0.0, axis=0))]
             if dead:
                 raise GridError(
@@ -598,6 +709,11 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
                 f"tau posterior mass does not decay: grid extended {_MAX_EXTENSIONS} "
                 f"times without reaching tail mass < {_TAIL_MASS:g}"
             )
+        if mixture:  # the sum's terms are relative to the coarse cells' largest weight
+            ref = log_w.max()
+            terms = [_mixed(np.exp(log_w - ref), marg, part) for part in (base_mass, ext_mass)]
+            mixed = np.concatenate(terms, axis=1)
+        del base_mass, ext_mass  # freed before the refinement weighs new cells
         for h, prior in enumerate(priors):
             top_mass = w[band[:, h] == axes[h].size - 2].sum()
             if not math.isfinite(_hyper_support(prior)[1]) and top_mass >= _TAIL_MASS * w.sum():
@@ -614,15 +730,25 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec):
             cut = parts.prod(axis=1) > 1
             if not cut.any():
                 break
+            if mixture:  # a cut or dropped cell's term leaves the sum
+                for k in _chunks(np.flatnonzero((parts.prod(axis=1) != 1) & (np.exp(log_w - ref) > 0.0))):
+                    marg, masses = weigh(lo[k], hi[k])
+                    mixed -= _mixed(np.exp(log_w[k] - ref), marg, masses)
             lo, hi, parent = _refine(lo, hi, parts)
             new, log_w = cut[parent], log_w[parent]
-            log_m = _marginals(fam, _centre(lo[new], hi[new]), nodes, cells, True)
-            log_w[new] = _log_weights(priors, lo[new], hi[new], log_m)
+            for k in _chunks(np.flatnonzero(new)):
+                marg, masses = weigh(lo[k], hi[k])
+                log_w[k] = _log_weights(priors, lo[k], hi[k], np.log(marg).sum(axis=1))
+                if mixture:
+                    mixed += _mixed(np.exp(log_w[k] - ref), marg, masses)
             w = _scaled(log_w)
             share = w / w.sum()
             parts = np.ceil((share * _THETA_CELLS) ** (1.0 / n_axes)).astype(np.int64)
             parts = np.where(share > 1.0 / _THETA_CELLS, np.maximum(parts, 2), w > 0.0)
             parts = np.repeat(parts[:, None], n_axes, axis=1)
+    if mixture:
+        mixed /= np.exp(log_w - ref).sum()
+        return (nodes, cells), lo, hi, w, mixed, tables
     return (nodes, cells), lo, hi, w
 
 
@@ -731,6 +857,104 @@ def _tau_draws(fam: _Family, nodes, cells, centre, cell, u, tau) -> None:
             tau[some] = np.clip(t, nodes[g], nodes[g + 1]).reshape(some.size, n)
 
 
+class PosteriorMixture(NamedTuple):
+    """The posterior that :func:`run_hierarchical` draws from, as the
+    tables of :func:`posterior_mixture`.
+
+    ``mass[j, g]``, float32, is the posterior probability that tau_j lies
+    in tau cell g, between ``nodes[g]`` and ``nodes[g + 1]``, mixed over the
+    theta cells
+    (edges ``lo``, ``hi``, masses ``weight``). ``mu``, ``tau`` and
+    ``deviance`` are each analysis' posterior means of mu_j, tau_j and of
+    its deviance D_j, -2 log likelihood of its studies."""
+
+    family: str
+    nodes: np.ndarray
+    mass: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    weight: np.ndarray
+    mu: np.ndarray
+    tau: np.ndarray
+    deviance: np.ndarray
+
+
+def posterior_mixture(c: MetaAnalysisCollection, m: ModelSpec | None = None) -> PosteriorMixture:
+    """The law of the tau_j draws of ``run_hierarchical(c, m, cfg)``, for
+    any ``cfg``, over the same quadrature tables, with no draw.
+
+    A draw picks theta cell k by its share w_k of the posterior mass, then
+    tau cell g in proportion to M_kg Lbar_jg, M_kg the family's mass at the
+    cell's centre; so tau_j lies in cell g with probability p_jg = Lbar_jg
+    sum_k (w_k / m_jk) M_kg, a float32 product that :func:`_quadrature`
+    sums as it weighs the theta cells. Given tau_j, mu_j is normal, so the
+    means of mu_j and D_j are sums over the cells of p_jg times m_j(tau) and
+    E[D_j | tau] (:func:`_conditional_moments`) averaged over the cell's
+    ends; tau_j's takes the middle of each cell. The moments at the base
+    nodes are computed once per corpus inside :func:`_shared_likelihoods`.
+    """
+    m = ModelSpec() if m is None else m
+    (nodes, cells), lo, hi, weight, mass, tables = _quadrature(c, m, mixture=True)
+    mass *= cells.T
+    base = tables.base.size
+    ext = _conditional_moments(tables.y, tables.se2, tables.offsets, tables.mu_prior, nodes[base:])
+
+    def mean(at_base, at_ext):
+        """sum_g p_jg (h_jg + h_j,g+1) / 2 of a table h at the nodes"""
+        h = np.concatenate([at_base, at_ext], axis=1)
+        return 0.5 * (np.einsum("jg,jg->j", mass, h[:, :-1]) + np.einsum("jg,jg->j", mass, h[:, 1:]))
+
+    mu, dev = (mean(at_base, at_ext) for at_base, at_ext in zip(tables.moments, ext))
+    return PosteriorMixture(
+        family=m.het_family,
+        nodes=nodes,
+        mass=mass,
+        lo=lo,
+        hi=hi,
+        weight=weight,
+        mu=mu,
+        tau=mass @ (0.5 * (nodes[:-1] + nodes[1:])),
+        deviance=dev,
+    )
+
+
+def _uniforms(cfg: McmcConfig, width: int):
+    """Each chain's ``Generator(Philox)``, spawned from the seed, and its
+    first (kept, ``width``) uniforms, one row per kept draw, stacked by
+    chain."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
+    rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
+    return rngs, np.stack([r.random((cfg.iterations, width)) for r in rngs])
+
+
+def _hyper_draws(fam: _Family, lo, hi, weight, u, theta, tau_star) -> np.ndarray:
+    """Write into ``theta`` (chains, kept, H) and ``tau_star`` (chains,
+    kept) the draws for the rows of uniforms ``u``: a theta cell by inverse
+    cdf on u[..., 0], uniform within it by the place there and u[..., 1:H],
+    and tau* from f(. | theta) by u[..., -1]. Returns each draw's theta
+    cell."""
+    chains, kept, n_hyper = theta.shape
+    cell, pos = _inverse_cdf(np.cumsum(weight), u[..., 0].ravel())
+    places = np.column_stack([pos, u[..., 1:n_hyper].reshape(chains * kept, -1)])
+    theta[:] = np.clip(lo[cell] + places * (hi - lo)[cell], lo[cell], hi[cell]).reshape(chains, kept, -1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau_star[:] = fam.quantile(u[..., -1], *np.moveaxis(theta, -1, 0))
+    return cell
+
+
+def predictive_draws(mix: PosteriorMixture, cfg: McmcConfig | None = None) -> np.ndarray:
+    """The (chains, kept) tau* draws of ``run_hierarchical(c, m, cfg)``, bit
+    for bit, where ``mix`` is ``posterior_mixture(c, m)``: the same streams
+    and rows of uniforms, and only theta and tau* drawn from them."""
+    cfg = McmcConfig() if cfg is None else cfg
+    fam = HET_FAMILIES[mix.family]
+    n_hyper = len(fam.hyper_names)
+    u = _uniforms(cfg, n_hyper + mix.mass.shape[0] + 1)[1]
+    draws = np.empty((cfg.chains, cfg.iterations, n_hyper + 1))
+    _hyper_draws(fam, mix.lo, mix.hi, mix.weight, u, draws[..., :n_hyper], draws[..., -1])
+    return draws[..., -1]
+
+
 def run_hierarchical(
     c: MetaAnalysisCollection, m: ModelSpec | None = None, cfg: McmcConfig | None = None
 ) -> PosteriorSamples:
@@ -751,22 +975,16 @@ def run_hierarchical(
     # each chain's stream gives each draw a row of uniforms (the theta cell,
     # the further hyperparameters' places, tau_j, tau*), then the normals
     # of the mu_j
-    seeds = np.random.SeedSequence(cfg.seed).spawn(chains)
-    rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
-    u = np.stack([r.random((kept, n_hyper + n + 1)) for r in rngs])
+    rngs, u = _uniforms(cfg, n_hyper + n + 1)
     z = np.stack([r.standard_normal((kept, n)) for r in rngs])
 
     # one row per kept draw, in the column order of parameter_names()
     table = np.empty((chains, kept, n_hyper + 2 * n + 2))
     theta, mu, tau = table[..., :n_hyper], table[..., n_hyper : n_hyper + n], table[..., -2 - n : -2]
-    # theta: a cell by inverse cdf, then uniform within it
-    cell, pos = _inverse_cdf(np.cumsum(weight), u[..., 0].ravel())
-    places = np.column_stack([pos, u[..., 1:n_hyper].reshape(chains * kept, -1)])
-    theta[:] = np.clip(lo[cell] + places * (hi - lo)[cell], lo[cell], hi[cell]).reshape(chains, kept, -1)
+    cell = _hyper_draws(fam, lo, hi, weight, u, theta, table[..., -2])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u_tau = u[..., n_hyper:-1].reshape(-1, n)
         _tau_draws(fam, *grid, _centre(lo, hi), cell, u_tau, table.reshape(chains * kept, -1)[:, -2 - n : -2])
-        table[..., -2] = fam.quantile(u[..., -1], *np.moveaxis(theta, -1, 0))
     nodes = grid[0].size
     del u, grid  # the largest tables, which the rest does not read
 
@@ -820,12 +1038,12 @@ def _summaries(x: np.ndarray) -> list[dict[str, float]]:
     return [dict(zip(_SUMMARY_COLUMNS, map(float, row))) for row in zip(*stats)]
 
 
-def _predictive_summary(s: PosteriorSamples) -> dict[str, float | None]:
-    """:func:`summarize_samples` of the predictive draws of ``s``, with the
-    mean and sd its family does not have (the half-Cauchy has neither) as
-    ``None``: the draws' values would be unstable noise."""
-    summary = summarize_samples(s.predictive)
-    record = HET_FAMILIES[s.family]
+def _predictive_summary(family: str, draws: np.ndarray) -> dict[str, float | None]:
+    """:func:`summarize_samples` of the predictive draws of a ``family``
+    fit, with the mean and sd the family does not have (the half-Cauchy has
+    neither) as ``None``: the draws' values would be unstable noise."""
+    summary = summarize_samples(draws)
+    record = HET_FAMILIES[family]
     # which moments a family has does not depend on its hyperparameters
     moments = record.distribution(*[1.0] * len(record.hyper_names)).moments()
     if moments.mean is None:

@@ -428,7 +428,7 @@ def approximation_table(specs: list[PriorSpec], s: PosteriorSamples) -> list[dic
     the label."""
     if not specs:
         raise ValueError("need at least one prior spec")
-    rows = [{"label": "MCMC", **_predictive_summary(s)}]
+    rows = [{"label": "MCMC", **_predictive_summary(s.family, s.predictive)}]
     rows += [{"label": spec.text(), **_distribution_summary(spec.distribution)} for spec in specs]
     return rows
 

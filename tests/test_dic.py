@@ -11,12 +11,16 @@ from hetprior.dic import (
     compute_dic,
     deviance,
     format_comparison_table,
+    mixture_dic,
 )
 from hetprior.sampler import (
     HET_FAMILIES,
     McmcConfig,
     ModelSpec,
     PosteriorSamples,
+    _predictive_summary,
+    posterior_mixture,
+    predictive_draws,
     run_hierarchical,
     samples_from_csv,
     samples_from_npy,
@@ -53,6 +57,19 @@ def test_deviance_validates_inputs():
         deviance(c, [0.0, 1.0], [0.0])
     with pytest.raises(ValueError):
         deviance(c, [0.0], [-0.5])
+
+
+def test_deviance_rejects_non_finite_inputs_by_name():
+    c = one_study_collection()
+    with pytest.raises(ValueError, match="analysis 'A': mu nan"):
+        deviance(c, [math.nan], [0.1])
+    with pytest.raises(ValueError, match="analysis 'A': .*tau inf"):
+        deviance(c, [0.0], [math.inf])
+    two = MetaAnalysisCollection(
+        (("A", (StudyRecord("A", "S1", 0.1, 0.2, 0),)), ("B", (StudyRecord("B", "S1", 0.3, 0.2, 1),)))
+    )
+    with pytest.raises(ValueError, match="analysis 'B'"):
+        deviance(two, [0.0, -math.inf], [0.1, 0.2])
 
 
 def test_deviance_unimodal_toward_moment_fit():
@@ -241,3 +258,58 @@ def test_format_comparison_table_layout(quick_fit):
     # undefined cells render as a dash
     hc_line = next(l for l in lines if l.startswith("half-cauchy"))
     assert " - " in hc_line or hc_line.rstrip().endswith("-") or "  -" in hc_line
+
+
+# -- DIC from the tables ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(HET_FAMILIES))
+def test_mixture_dic_agrees_with_large_draw_runs(quick_fit, family):
+    """The DIC and p_D of the tables lie within three seed-to-seed sds of
+    the mean of four runs of 4 x 5000 draws from the same tables."""
+    _, c = quick_fit
+    m = ModelSpec(het_family=family)
+    exact = mixture_dic(posterior_mixture(c, m), c)
+    runs = [
+        compute_dic(run_hierarchical(c, m, McmcConfig(chains=4, iterations=5000, seed=seed)), c)
+        for seed in range(1, 5)
+    ]
+    for field in ("dic", "p_d", "mean_deviance", "plug_in_deviance"):
+        drawn, value = np.array([getattr(r, field) for r in runs]), getattr(exact, field)
+        assert abs(value - drawn.mean()) <= 3.0 * drawn.std(ddof=1), (field, value, drawn)
+
+
+@pytest.mark.parametrize("family", sorted(HET_FAMILIES))
+def test_posterior_mixture_masses_sum_to_one_per_analysis(quick_fit, family):
+    _, c = quick_fit
+    mix = posterior_mixture(c, ModelSpec(het_family=family))
+    assert mix.mass.shape == (c.n_analyses, mix.nodes.size - 1)
+    assert np.all(mix.mass >= 0.0)
+    np.testing.assert_allclose(mix.mass.sum(axis=1), 1.0, rtol=1e-5)
+    assert np.all((mix.tau >= 0.0) & (mix.tau <= mix.nodes[-1]))
+
+
+@pytest.mark.parametrize("family", sorted(HET_FAMILIES))
+def test_predictive_draws_are_run_hierarchical_s_bit_for_bit(quick_fit, family):
+    _, c = quick_fit
+    m, cfg = ModelSpec(het_family=family), McmcConfig(chains=3, iterations=200, seed=8)
+    draws = predictive_draws(posterior_mixture(c, m), cfg)
+    assert draws.tobytes() == run_hierarchical(c, m, cfg).predictive.tobytes()
+
+
+def test_compare_models_dic_is_seed_free_and_predictive_is_the_sampler_s(quick_fit):
+    _, c = quick_fit
+    families = sorted(HET_FAMILIES)
+    by_seed = []
+    for seed in (5, 6):
+        cfg = McmcConfig(chains=2, iterations=300, seed=seed)
+        rows = {r.family: r for r in compare_models(c, families, cfg=cfg)}
+        for family, row in rows.items():
+            s = run_hierarchical(c, ModelSpec(het_family=family), cfg)
+            assert row.predictive == _predictive_summary(family, s.predictive)
+            # the shared tables of the block give the numbers of a lone fit
+            assert row.dic == mixture_dic(posterior_mixture(c, ModelSpec(het_family=family)), c)
+        by_seed.append(rows)
+    for family in families:
+        assert by_seed[0][family].dic == by_seed[1][family].dic
+        assert by_seed[0][family].predictive != by_seed[1][family].predictive

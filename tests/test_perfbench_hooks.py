@@ -79,8 +79,9 @@ def test_traced_commands_run_and_feed_every_hook(tracer, tmp_path, capsys):
 
     (ma,) = attrs("metaanalysis.bayes_ma")
     assert ma["tau_grid_points"] > 0 and ma["mu_grid_points"] > 0
+    # fit draws; compare scores its families from the quadrature tables
     runs = attrs("sampler.run_hierarchical")
-    assert len(runs) == 3 and all(a["chain_iters"] == 2 * 50 for a in runs)
+    assert len(runs) == 1 and all(a["chain_iters"] == 2 * 50 for a in runs)
     s = tracer.last_samples
     assert s is not None
 
