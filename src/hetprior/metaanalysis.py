@@ -288,13 +288,13 @@ def _reference_top(y: np.ndarray, se2: np.ndarray, offsets: np.ndarray) -> float
 
 def _tau_grid(hi0: float, extensions: int) -> np.ndarray:
     """``_TAU_NODES`` base nodes hi0 (i / (_TAU_NODES - 1))^``_TAU_POWER``
-    from 0 up to hi0, then ``extensions`` doublings of it with a tenth as
-    many geometric nodes each."""
+    from 0 up to hi0, then ``extensions`` doublings of it with n =
+    ``_TAU_NODES`` / 10 geometric nodes each, hi0 2^(i / n) for i = 1 ...
+    n ``extensions``. A node's value does not depend on ``extensions``, so
+    each grid starts with the one of one doubling fewer, bit for bit."""
     base = hi0 * np.linspace(0.0, 1.0, _TAU_NODES) ** _TAU_POWER
-    if extensions == 0:
-        return base
-    ext = np.geomspace(hi0, hi0 * 2.0**extensions, extensions * (_TAU_NODES // 10) + 1)[1:]
-    return np.concatenate([base, ext])
+    per = _TAU_NODES // 10
+    return np.concatenate([base, hi0 * 2.0 ** (np.arange(1, extensions * per + 1) / per)])
 
 
 def tau_marginal(
@@ -435,14 +435,15 @@ def _mixture_quantiles(
 
 def _window_end(done, start: float, step: float) -> float:
     """start + n step for the fewest n >= 0 at which the monotone ``done``
-    holds, bracketing n by doubling, then bisecting; overflow is a GridError."""
+    holds, bracketing n by doubling, then bisecting until no float lies
+    between the bracket's ends (past 2^53 they are more than 1 apart);
+    overflow is a GridError."""
     lo, hi = -1.0, 0.0  # whole numbers, as floats so that a far end overflows to inf
     while not done(start + hi * step):
         lo, hi = hi, max(1.0, 2.0 * hi)
         if not math.isfinite(start + hi * step):
             raise GridError("effect posterior mass does not decay: no finite effect window holds it")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    while lo < (mid := (lo + hi) // 2) < hi:
         lo, hi = (lo, mid) if done(start + mid * step) else (mid, hi)
     return start + hi * step
 

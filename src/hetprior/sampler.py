@@ -24,15 +24,17 @@ spaced as cubes, finest near 0, up to the 0.9999 quantile of a half-normal
 of the data's widest spread, max |y_ij - ybar_j| + sigma_ij
 (``_reference_top``), with a tenth as many nodes per doubling of an
 extension; one loop stops at the first extension count where no tau_j has
-posterior mass ``_TAIL_MASS`` in its top 5%. The grid is one (nodes,
-cells) pair, cells a (cells, N) float32 table of L_j averaged over each
-cell's ends. A cell's prior mass comes from the family's cdf, exact even
-where f(. | theta) is narrower than the cell. ``analyze``'s tau posterior
-is the one-analysis, fixed-prior case of these cell masses. The
-theta cells follow the hyperpriors' supports, are weighed at their centres
-and refined by mass (see :func:`_quadrature`); m_j is computed
-``_ROW_BLOCK`` theta cells at a time, so no (theta cells x tau cells)
-table is held whole.
+posterior mass ``_TAIL_MASS`` in its top 5%. The grids are nested, so
+each pass tabulates only the nodes of its new doubling. The grid is one
+(nodes, cells) pair, cells a (cells, N) float32 table of L_j averaged
+over each cell's ends. A cell's prior mass comes from the family's cdf,
+exact even where f(. | theta) is narrower than the cell. ``analyze``'s
+tau posterior is the one-analysis, fixed-prior case of these cell masses.
+The theta cells follow the hyperpriors' supports, are weighed at their
+centres and refined by mass (see :func:`_quadrature`); m_j is one float32
+product per ``_ROW_BLOCK`` theta cells, so no (theta cells x tau cells)
+table is held whole; a theta cell's m_j may differ in its last bits,
+deterministically, with the cells that share its block.
 
 Each tau_j's cell is picked down a three-level tree of partial sums of
 M_g Lbar_jg (Devroye 1986, *Non-Uniform Random Variate Generation*, ch.
@@ -57,8 +59,9 @@ The law of the draws is a function of the tables alone:
 :func:`posterior_mixture` gives, with no draw, each tau_j's posterior mass
 in each tau cell, mixed over the theta cells, and the posterior means of
 mu_j, tau_j and each analysis' deviance, from which ``compare`` takes its
-DIC; :func:`predictive_draws` draws only theta and tau*, from the same
-streams as :func:`run_hierarchical`.
+DIC (the means given tau come from the pooled sums of the cell
+likelihoods); :func:`predictive_draws` draws only theta and tau*, from
+the same streams as :func:`run_hierarchical`.
 """
 
 from __future__ import annotations
@@ -130,17 +133,17 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: _REFINEMENTS passes
 _COARSE_RATIO, _THETA_FLOOR = 2.0, 2e-4
 _SETTLE, _BANDS, _THETA_CELLS, _REFINEMENTS = 1e-4, {1: 256, 2: 16}, 256, 4
-#: theta cells per block of the (theta cells x tau cells) prior masses; tau
-#: cells per block and per sub-block of the tree of partial sums that picks
-#: a tau cell; values per block of the temporary arrays
-_ROW_BLOCK, _TAU_BLOCK, _SUB_BLOCK, _BLOCK = 8, 64, 8, 1 << 14
-#: theta cells weighed at a time in a refinement, so a posterior mixture
-#: holds the masses of that many cells at once
-_MIX_ROWS = 8 * _ROW_BLOCK
+#: theta cells per block of the (theta cells x tau cells) prior masses, and
+#: weighed at a time in a refinement, so a posterior mixture holds the masses
+#: of that many cells at once; tau cells per block and per sub-block of the
+#: tree of partial sums that picks a tau cell; values per block of the
+#: temporary arrays
+_ROW_BLOCK, _TAU_BLOCK, _SUB_BLOCK, _BLOCK = 64, 64, 8, 1 << 14
 #: the cell likelihoods are float32: their rounding, a relative 6e-8, is far
 #: below the quadrature's error, at half the memory
 _LIKELIHOOD = np.float32
-#: the smallest normal float32; :func:`_mixed` counts smaller factors as 0
+#: the smallest normal float32; :func:`_marginals` and :func:`_mixed` count
+#: smaller factors as 0
 _TINY = float(np.finfo(_LIKELIHOOD).tiny)
 #: inside :func:`_shared_likelihoods`, the :class:`_CorpusTables` by corpus
 #: identity and effect prior; None outside, so no table outlives a block
@@ -460,23 +463,21 @@ def _shared_likelihoods():
 
 class _CorpusTables:
     """The family-free tables of one corpus under one effect prior: its
-    studies as :func:`_flatten` gives them, the base tau grid, and, each
-    computed on first use, the base grid's :func:`_cell_likelihoods` and
-    :func:`_conditional_moments`."""
+    studies as :func:`_flatten` gives them, the base tau grid, and,
+    computed on first use, the base grid's :func:`_cell_likelihoods`, with
+    the conditional moments once they are asked for."""
 
     def __init__(self, c: MetaAnalysisCollection, mu_prior: Normal):
         self.corpus, self.mu_prior = c, mu_prior
         self.y, self.se2, self.offsets = _flatten(c)
         self.hi0 = _reference_top(self.y, self.se2, self.offsets)
         self.base = _tau_grid(self.hi0, 0)
+        self._cells = None
 
-    @cached_property
-    def cells(self):
-        return _cell_likelihoods(self.y, self.se2, self.offsets, self.mu_prior, self.base)
-
-    @cached_property
-    def moments(self):
-        return _conditional_moments(self.y, self.se2, self.offsets, self.mu_prior, self.base)
+    def cells(self, moments: bool):
+        if self._cells is None or (moments and self._cells[3] is None):
+            self._cells = _cell_likelihoods(self.y, self.se2, self.offsets, self.mu_prior, self.base, moments=moments)
+        return self._cells
 
 
 def _corpus_tables(c: MetaAnalysisCollection, mu_prior: Normal) -> _CorpusTables:
@@ -492,19 +493,28 @@ def _corpus_tables(c: MetaAnalysisCollection, mu_prior: Normal) -> _CorpusTables
     return tables
 
 
-def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scale=None):
+def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scale=None, moments=False):
     """(cells, N) table of L_j / exp(scale_j) averaged over the ends of each
     cell of ``nodes``, after the node values ``first`` if given; the last
-    node's values; and the scale, by default each analysis' largest log L_j.
-    The analyses of one size are pooled at once, ``_BLOCK`` values at a
-    time, with the studies on the slowest axis, so their sums are array
-    adds."""
+    node's values; the scale, by default each analysis' largest log L_j;
+    and with ``moments`` a (2, N, nodes) table, else None, of the mean
+    m_j(tau) of mu_j given tau_j = tau at each node, and of E[D_j | tau],
+    analysis j's expected deviance over that conjugate normal of precision
+    P_j(tau). Both come from the pooled sums of log L_j: with the effect
+    prior N(m0, s0^2) as one more study, E[D_j | tau] = sum_i log 2 pi v_ij
+    + ((y_ij - m_j)^2 + 1 / P_j) / v_ij = -2 log L_j - log(s0^2 P_j) - (m0 -
+    m_j)^2 / s0^2 + 1 - 1 / (s0^2 P_j) + k_j log 2 pi, v_ij = sigma_ij^2 +
+    tau^2. The analyses of one size are pooled at once, ``_BLOCK`` values
+    at a time, with the studies on the slowest axis, so their sums are
+    array adds."""
     sizes = np.diff(offsets)
     rows = 0 if first is None else len(first)
     n_cells = rows + nodes.size - 1
     table = np.empty((n_cells + 1, sizes.size), dtype=_LIKELIHOOD)
     table[:rows] = first
     scale = np.full(sizes.size, np.nan) if scale is None else scale
+    cond = np.empty((2, sizes.size, nodes.size)) if moments else None
+    prior_var = mu_prior.sd**2
     for k in np.unique(sizes):
         analyses = np.flatnonzero(sizes == k)
         step = max(1, _BLOCK // (max(1, nodes.size) * (k + 1)))
@@ -512,9 +522,15 @@ def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scal
             studies = offsets[batch, None] + np.arange(k)
             var = np.empty((k + 1, batch.size, nodes.size))
             np.add(se2[studies].T[:, :, None], np.square(nodes), out=var[:k])
-            var[k] = mu_prior.sd**2  # the effect prior joins as one more study
+            var[k] = prior_var  # the effect prior joins as one more study
             est = np.concatenate([y[studies], np.full((batch.size, 1), mu_prior.mean)], axis=1)
-            loglik = _integrated_loglik(est[:, None, :], np.moveaxis(var, 0, -1), None)[0].T
+            loglik, total_w, mu_hat = _integrated_loglik(est[:, None, :], np.moveaxis(var, 0, -1), None)
+            if moments:
+                s0p = prior_var * total_w
+                cond[0, batch] = mu_hat
+                cond[1, batch] = -2.0 * loglik - np.log(s0p) - np.square(mu_prior.mean - mu_hat) / prior_var
+                cond[1, batch] += 1.0 - 1.0 / s0p + k * _LOG_2PI
+            loglik = loglik.T
             scale[batch] = np.where(np.isnan(scale[batch]), loglik.max(axis=0, initial=-np.inf), scale[batch])
             table[rows:, batch] = np.exp(loglik - scale[batch])
     last = table[n_cells:].copy()
@@ -523,65 +539,44 @@ def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scal
         block = slice(start, min(start + step, n_cells))
         table[block] += table[block.start + 1 : block.stop + 1]
         table[block] *= 0.5
-    return table[:-1], last, scale
-
-
-def _conditional_moments(y, se2, offsets, mu_prior: Normal, nodes):
-    """Two (N, nodes) tables at each node tau: the mean m_j(tau) of mu_j
-    given tau_j = tau, and E[D_j | tau], analysis j's expected deviance over
-    that conjugate normal of precision P_j(tau), sum_i log 2 pi v_ij +
-    ((y_ij - m_j)^2 + 1 / P_j) / v_ij with v_ij = sigma_ij^2 + tau^2. As in
-    :func:`_cell_likelihoods`, the analyses of one size are pooled at once,
-    ``_BLOCK`` values at a time, with the studies on the slowest axis."""
-    sizes = np.diff(offsets)
-    prior_prec = 1.0 / mu_prior.sd**2
-    effect, dev = np.empty((2, sizes.size, nodes.size))
-    for k in np.unique(sizes):
-        analyses = np.flatnonzero(sizes == k)
-        step = max(1, _BLOCK // (max(1, nodes.size) * k))
-        for batch in np.split(analyses, range(step, analyses.size, step)):
-            studies = (offsets[batch, None] + np.arange(k)).T
-            est = y[studies][:, :, None]
-            v = se2[studies][:, :, None] + np.square(nodes)
-            wgt = 1.0 / v
-            prec = prior_prec + wgt.sum(axis=0)
-            effect[batch] = (mu_prior.mean * prior_prec + (wgt * est).sum(axis=0)) / prec
-            resid2 = np.square(est - effect[batch]) + 1.0 / prec
-            dev[batch] = (np.log(v) + resid2 * wgt).sum(axis=0) + k * _LOG_2PI
-    return effect, dev
+    return table[:-1], last, scale, cond
 
 
 def _marginals(fam: _Family, centre, nodes, cells, masses=None) -> np.ndarray:
     """(theta rows, N) table of m_j = sum_g M_g Lbar_jg over the ``cells``
-    of ``nodes``, M_g the family's mass at each row of ``centre``;
-    ``_ROW_BLOCK`` rows at a time, each block's M_g written into the rows
-    of ``masses`` if given."""
+    of ``nodes``, M_g the family's mass at each row of ``centre``, counted
+    as 0 below the smallest normal float32 (a subnormal operand slows the
+    product about twofold, and such a term is below 1e-38 of a unit mass);
+    one float32 product per ``_ROW_BLOCK`` rows, each block's M_g written
+    into the rows of ``masses`` if given. How the product groups its sums
+    depends on the block's row count, so a theta cell's m_j depends, in
+    its last bits and deterministically, on which cells share its block."""
     out = np.empty((len(centre), cells.shape[1]))
     for start in range(0, len(centre), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         hyper = [centre[rows, h : h + 1] for h in range(centre.shape[1])]
-        mass = np.diff(fam.cdf(nodes, *hyper), axis=1).astype(cells.dtype)
-        if masses is not None:
-            masses[rows] = mass
+        cdf = fam.cdf(nodes, *hyper)
+        mass = np.empty((len(cdf), len(cells)), cells.dtype) if masses is None else masses[rows]
+        np.subtract(cdf[:, 1:], cdf[:, :-1], out=mass)
+        mass[mass < _TINY] = 0.0
         out[rows] = mass @ cells
     return out
 
 
 def _chunks(rows: np.ndarray) -> list[np.ndarray]:
-    """``rows`` in runs of ``_MIX_ROWS``, whole blocks of ``_ROW_BLOCK``."""
-    return np.split(rows, range(_MIX_ROWS, rows.size, _MIX_ROWS))
+    """``rows`` in runs of ``_ROW_BLOCK``."""
+    return np.split(rows, range(_ROW_BLOCK, rows.size, _ROW_BLOCK))
 
 
 def _mixed(weight, marg, masses) -> np.ndarray:
     """sum_k weight_k / m_jk M_kg over theta rows k, one (N x rows) @
-    (rows x cells) float32 product; a row of zero weight, which may have
-    m_jk = 0, adds nothing. Factors below the smallest normal float32 count
-    as 0 (``masses`` is changed in place): a subnormal operand slows the
-    product about fivefold, and their terms are below 1e-38 of a unit
-    mass."""
+    (rows x cells) float32 product of the ``masses`` :func:`_marginals`
+    wrote; a row of zero weight, which may have m_jk = 0, adds nothing.
+    Factors below the smallest normal float32 count as 0: a subnormal
+    operand slows the product about fivefold, and their terms are below
+    1e-38 of a unit mass."""
     per_m = np.divide(weight[:, None], marg, out=np.zeros(marg.shape), where=weight[:, None] > 0.0)
     per_m[per_m < _TINY] = 0.0
-    masses[masses < _TINY] = 0.0
     return per_m.T.astype(_LIKELIHOOD) @ masses
 
 
@@ -636,13 +631,16 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
     the theta cells' (cells, H) edges and posterior masses w_k, the largest
     1; with ``mixture`` also the (N, tau cells) float32 sum over the theta
     cells of (w_k / sum w) M_kg / m_jk, M_kg the family's masses and m_jk
-    the marginals the weights came from, and the corpus's
-    :class:`_CorpusTables`.
+    the marginals the weights came from, and the (2, N, nodes) conditional
+    moments of :func:`_cell_likelihoods` as a list of node ranges, the base
+    and then one per doubling.
 
     The base cells are tabulated once (and shared by the fits inside
-    :func:`_shared_likelihoods`); for 0, 1, 2, ... extensions the loop adds
-    the cells above them and stops at the first grid that
-    :func:`_tail_share` passes against the coarse theta cells' posterior.
+    :func:`_shared_likelihoods`); for 0, 1, 2, ... extensions the loop
+    stops at the first grid that :func:`_tail_share` passes against the
+    coarse theta cells' posterior. The grids are nested, so each pass
+    tabulates only the nodes of its new doubling, from the last node's
+    values, and adds their cells' marginals to the coarse cells' m_jk.
 
     Each hyperparameter's coarse cells are geometric by ``_COARSE_RATIO``
     from ``_THETA_FLOOR`` times its prior median up to the top of its
@@ -651,7 +649,9 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
     support down to 0 adds a cell [0, bottom]. Refinement: each coarse cell
     with more than ``_SETTLE`` of the mass is cut along each axis until no
     band holds more than 1 / ``_BANDS[H]`` of that marginal, then every
-    cell with more than 1 / ``_THETA_CELLS`` of the mass by its share.
+    cell with more than 1 / ``_THETA_CELLS`` of the mass by its share. The
+    new cells are weighed ``_ROW_BLOCK`` at a time, so a cell's m_jk, and
+    its weight, depend in their last bits on which cells share its block.
 
     The mixture's sum follows the refinement: each cell's term is added
     with the masses its marginals were computed from, and a cell that is
@@ -661,7 +661,7 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
     fam = HET_FAMILIES[m.het_family]
     priors = list(m.hyperpriors.values())
     tables = _corpus_tables(c, Normal(m.effect_prior_mean, m.effect_prior_sd))
-    y, se2, offsets, hi0, base = tables.y, tables.se2, tables.offsets, tables.hi0, tables.base
+    studies = tables.y, tables.se2, tables.offsets, tables.mu_prior
     axes = []
     for prior in priors:
         lo, hi = _hyper_support(prior)
@@ -686,15 +686,17 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
         return _marginals(fam, _centre(lo, hi), nodes, cells, masses), masses
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        base_cells, last, scale = tables.cells
-        base_mass = rows(len(centre), base.size - 1)
-        base_m = _marginals(fam, centre, base, base_cells, base_mass)
-        for extensions in range(_MAX_EXTENSIONS + 1):  # the extensions add cells above the base
-            nodes = _tau_grid(hi0, extensions)
-            ext = _cell_likelihoods(y, se2, offsets, tables.mu_prior, nodes[base.size :], last, scale)[0]
-            cells = np.concatenate([base_cells, ext])
-            ext_mass = rows(len(centre), len(ext))
-            marg = base_m + _marginals(fam, centre, nodes[base.size - 1 :], ext, ext_mass)
+        cells, last, scale, moments = tables.cells(mixture)
+        nodes, masses, moments = tables.base, [rows(len(centre), len(cells))], [moments]
+        marg = _marginals(fam, centre, nodes, cells, masses[0])
+        for extensions in range(_MAX_EXTENSIONS + 1):  # each pass adds one doubling's cells
+            if extensions:
+                nodes = _tau_grid(tables.hi0, extensions)
+                ext, last, _, more = _cell_likelihoods(*studies, nodes[len(cells) + 1 :], last, scale, mixture)
+                masses.append(rows(len(centre), len(ext)))
+                marg += _marginals(fam, centre, nodes[len(cells) :], ext, masses[-1])
+                cells = np.concatenate([cells, ext])
+                moments.append(more)
             dead = [c.analysis_ids[j] for j in np.flatnonzero(~np.any(marg > 0.0, axis=0))]
             if dead:
                 raise GridError(
@@ -711,9 +713,8 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
             )
         if mixture:  # the sum's terms are relative to the coarse cells' largest weight
             ref = log_w.max()
-            terms = [_mixed(np.exp(log_w - ref), marg, part) for part in (base_mass, ext_mass)]
-            mixed = np.concatenate(terms, axis=1)
-        del base_mass, ext_mass  # freed before the refinement weighs new cells
+            mixed = np.concatenate([_mixed(np.exp(log_w - ref), marg, part) for part in masses], axis=1)
+        del masses  # freed before the refinement weighs new cells
         for h, prior in enumerate(priors):
             top_mass = w[band[:, h] == axes[h].size - 2].sum()
             if not math.isfinite(_hyper_support(prior)[1]) and top_mass >= _TAIL_MASS * w.sum():
@@ -748,7 +749,7 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
             parts = np.repeat(parts[:, None], n_axes, axis=1)
     if mixture:
         mixed /= np.exp(log_w - ref).sum()
-        return (nodes, cells), lo, hi, w, mixed, tables
+        return (nodes, cells), lo, hi, w, mixed, moments
     return (nodes, cells), lo, hi, w
 
 
@@ -889,22 +890,21 @@ def posterior_mixture(c: MetaAnalysisCollection, m: ModelSpec | None = None) -> 
     sum_k (w_k / m_jk) M_kg, a float32 product that :func:`_quadrature`
     sums as it weighs the theta cells. Given tau_j, mu_j is normal, so the
     means of mu_j and D_j are sums over the cells of p_jg times m_j(tau) and
-    E[D_j | tau] (:func:`_conditional_moments`) averaged over the cell's
-    ends; tau_j's takes the middle of each cell. The moments at the base
-    nodes are computed once per corpus inside :func:`_shared_likelihoods`.
+    E[D_j | tau], tabulated with the cell likelihoods, averaged over the
+    cell's ends; tau_j's takes the middle of each cell. The moments at the
+    base nodes are computed once per corpus inside
+    :func:`_shared_likelihoods`.
     """
     m = ModelSpec() if m is None else m
-    (nodes, cells), lo, hi, weight, mass, tables = _quadrature(c, m, mixture=True)
+    (nodes, cells), lo, hi, weight, mass, moments = _quadrature(c, m, mixture=True)
     mass *= cells.T
-    base = tables.base.size
-    ext = _conditional_moments(tables.y, tables.se2, tables.offsets, tables.mu_prior, nodes[base:])
 
-    def mean(at_base, at_ext):
-        """sum_g p_jg (h_jg + h_j,g+1) / 2 of a table h at the nodes"""
-        h = np.concatenate([at_base, at_ext], axis=1)
+    def mean(parts):
+        """sum_g p_jg (h_jg + h_j,g+1) / 2 of a table h at the nodes, given in node ranges"""
+        h = np.concatenate(parts, axis=1)
         return 0.5 * (np.einsum("jg,jg->j", mass, h[:, :-1]) + np.einsum("jg,jg->j", mass, h[:, 1:]))
 
-    mu, dev = (mean(at_base, at_ext) for at_base, at_ext in zip(tables.moments, ext))
+    mu, dev = (mean(parts) for parts in zip(*moments))
     return PosteriorMixture(
         family=m.het_family,
         nodes=nodes,

@@ -405,6 +405,44 @@ def test_effect_window_end_is_the_fewest_steps():
         metaanalysis._window_end(lambda x: False, 0.0, -1.0)
 
 
+def _counted(done, limit=5000):
+    """``done``, failing the test after ``limit`` calls instead of looping on."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        if len(calls) > limit:
+            pytest.fail(f"the effect window tested {limit} ends without stopping")
+        return done(x)
+
+    return counted
+
+
+def test_effect_window_end_stops_where_no_float_lies_between():
+    """A start that dwarfs the step: past 2^53 steps the bracket's ends are
+    adjacent floats more than 1 apart, whose floored midpoint is one of
+    them; the bisection stops there, at the first end that is done."""
+    target = 1e40 + 1e30
+    assert metaanalysis._window_end(_counted(lambda x: x >= target), 1e40, 1.0) == target
+
+
+def test_bayes_ma_far_from_zero_keeps_its_effect_window_finite(monkeypatch):
+    """Two precise studies at 1e40 under half-Cauchy(1): the effect window
+    starts 1e40 from 0 with steps of 2 sd, so its bisection reaches adjacent
+    floats far apart; it stops there, and the effect summaries are 1e40 to
+    within a float step (the interval's ends may be a step out of order)."""
+    window_end = metaanalysis._window_end
+    monkeypatch.setattr(
+        metaanalysis, "_window_end", lambda done, start, step: window_end(_counted(done), start, step)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = bayes_ma(SingleMeta(y=(1e40, 1e40 + 1.0), sigma=(0.1, 0.2)), HalfCauchy(1.0))
+    for x in (res.mu_median, *res.mu_interval, *res.mu_density.grid[[0, -1]]):
+        assert x == pytest.approx(1e40, rel=1e-15)
+    assert 0.0 < res.tau_interval[0] < res.tau_median < res.tau_interval[1] < math.inf
+
+
 def test_reduced_mixture_moments_survive_subnormal_weights():
     # a bin of two equal conditionals with subnormal weights: sum(omega * v)
     # underflows to 0, the in-bin shares keep the variance exact
