@@ -43,10 +43,10 @@ from .sampler import (
     ModelSpec,
     PosteriorMixture,
     PosteriorSamples,
+    _CorpusTables,
     _deviance,
     _flatten,
     _predictive_summary,
-    _shared_likelihoods,
     _summary_cells,
     _variances,
     posterior_mixture,
@@ -125,7 +125,9 @@ def compare_models(
     """Fit each family on the same data and rank by DIC (lowest first).
 
     Each family's DIC comes from its quadrature tables
-    (:func:`mixture_dic`), so ``cfg`` sets only the predictive summary,
+    (:func:`mixture_dic`); the family-free corpus tables are built once and
+    passed to every family's :func:`~hetprior.sampler.posterior_mixture`.
+    ``cfg`` sets only the predictive summary,
     :func:`~hetprior.sampler.predictive_draws`: the tau* draws of
     ``run_hierarchical`` at ``cfg``, bit for bit.
 
@@ -139,20 +141,22 @@ def compare_models(
     if len(families) < 2:
         raise ValueError(f"need at least 2 families to compare, got {len(families)}")
     rows = []
-    with _shared_likelihoods():
-        for fam in families:
-            try:
-                rows.append(_score(c, fam, cfg))
-            except (ValueError, GridError) as exc:
-                rows.append(ComparisonRow(family=fam, dic=None, predictive=None, error=str(exc)))
+    tables = _CorpusTables(c, ModelSpec())
+    for fam in families:
+        try:
+            rows.append(_score(c, fam, cfg, tables))
+        except (ValueError, GridError) as exc:
+            rows.append(ComparisonRow(family=fam, dic=None, predictive=None, error=str(exc)))
     ok = sorted((r for r in rows if r.error is None), key=lambda r: r.dic.dic)
     failed = [r for r in rows if r.error is not None]
     return ok + failed
 
 
-def _score(c: MetaAnalysisCollection, family: str, cfg: McmcConfig | None) -> ComparisonRow:
+def _score(
+    c: MetaAnalysisCollection, family: str, cfg: McmcConfig | None, tables: _CorpusTables
+) -> ComparisonRow:
     """One family's row: its DIC from the tables, its predictive from draws."""
-    mix = posterior_mixture(c, ModelSpec(het_family=family))
+    mix = posterior_mixture(c, ModelSpec(het_family=family), tables)
     predictive = _predictive_summary(family, predictive_draws(mix, cfg))
     return ComparisonRow(family=family, dic=mixture_dic(mix, c), predictive=predictive)
 

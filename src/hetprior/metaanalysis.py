@@ -240,7 +240,8 @@ class MetaAnalysisResult:
     tau_density: GridDensity
     prior: Distribution
     comparators: tuple[LabeledInterval, ...]
-    #: why comparators are missing, when an estimator is undefined
+    #: why comparators are missing, when an estimator is undefined, and
+    #: whether the effect grid is too fine for the floats at the effect
     warnings: tuple[str, ...] = ()
 
 
@@ -297,6 +298,20 @@ def _tau_grid(hi0: float, extensions: int) -> np.ndarray:
     return np.concatenate([base, hi0 * 2.0 ** (np.arange(1, extensions * per + 1) / per)])
 
 
+def _tau_grids(hi0: float):
+    """The tau grids an extension loop tries, :func:`_tau_grid` with 0, 1,
+    ..., ``_MAX_EXTENSIONS`` doublings in turn; the loop stops at the first
+    that holds the posterior, and one that does not stop by the last fails
+    with a ``GridError``. ``analyze``'s tau posterior and the sampler's
+    quadrature both run their loops over it."""
+    for extensions in range(_MAX_EXTENSIONS + 1):
+        yield _tau_grid(hi0, extensions)
+    raise GridError(
+        "tau posterior mass does not decay: grid extended "
+        f"{_MAX_EXTENSIONS} times without reaching tail mass < {_TAIL_MASS:g}"
+    )
+
+
 def tau_marginal(
     sm: SingleMeta, prior: Distribution, mu_prior: Normal | None = None
 ) -> GridDensity:
@@ -337,8 +352,7 @@ def _tau_posterior(
     # anchored where the posterior lives: a heavy-tailed prior's quantile
     # alone leaves few nodes where precise studies put tau
     hi0 = min(hi0, _reference_top(y, sigma2, np.array([0, y.size])))
-    for extensions in range(_MAX_EXTENSIONS + 1):
-        grid = _tau_grid(hi0, extensions)
+    for grid in _tau_grids(hi0):
         loglik, total_w, mu_hat = _integrated_loglik(y, sigma2 + grid[:, None] ** 2, mu_prior)
         log_f = prior.log_density(grid)
         with np.errstate(divide="ignore"):
@@ -357,11 +371,6 @@ def _tau_posterior(
         tail = mass[np.searchsorted(grid, 0.95 * grid[-1]) :].sum()
         if tail < _TAIL_MASS * total:
             break
-    else:
-        raise GridError(
-            "tau posterior mass does not decay: grid extended "
-            f"{_MAX_EXTENSIONS} times without reaching tail mass < {_TAIL_MASS:g}"
-        )
     # each node takes half of each neighbouring cell's prior mass
     half = np.logaddexp(np.append(log_m, -np.inf), np.insert(log_m, 0, -np.inf)) - math.log(2.0)
     omega = np.exp(loglik + half - top) / total
@@ -478,6 +487,13 @@ def bayes_ma(
     step = 0.5 * min(mu_sd, float(c_sd.min()))
     n_grid = int(np.clip(math.ceil((hi_g - lo_g) / step), _MU_GRID_FLOOR, _MU_GRID_CAP))
     mu_grid = np.linspace(lo_g, hi_g, n_grid)
+    warns = []
+    if not np.all(mu_grid[1:] > mu_grid[:-1]):
+        warns.append(
+            f"effect grid repeats points: at effect {mu_mean:.6g} floats are "
+            f"{np.spacing(abs(mu_mean)):.3g} apart, too coarse for a posterior whose narrowest "
+            f"component has sd {c_sd.min():.3g}, so the effect summaries are rounding noise"
+        )
     mu_dens = np.empty_like(mu_grid)
     norm = c_weight / (c_sd * math.sqrt(2.0 * math.pi))
     # each row's sum does not depend on how many rows a block holds, so this
@@ -506,12 +522,11 @@ def bayes_ma(
     tau_median, tau_interval = td.median_and_interval()
 
     rows: tuple[LabeledInterval, ...] = ()
-    warns: tuple[str, ...] = ()
     if sm.k >= 2:
         try:
             dl = dl_estimate(sm)
         except UndefinedEstimatorError as e:
-            warns = (f"frequentist comparators omitted: {e}",)
+            warns.append(f"frequentist comparators omitted: {e}")
         else:
             rows = ci_suite(sm, dl.tau) + (_common_effect_interval(sm),)
 
@@ -527,7 +542,7 @@ def bayes_ma(
         tau_density=td,
         prior=prior,
         comparators=rows,
-        warnings=warns,
+        warnings=tuple(warns),
     )
 
 

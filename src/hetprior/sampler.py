@@ -23,13 +23,15 @@ The tau grid is ``metaanalysis._tau_grid``: ``_TAU_NODES`` base nodes
 spaced as cubes, finest near 0, up to the 0.9999 quantile of a half-normal
 of the data's widest spread, max |y_ij - ybar_j| + sigma_ij
 (``_reference_top``), with a tenth as many nodes per doubling of an
-extension; one loop stops at the first extension count where no tau_j has
-posterior mass ``_TAIL_MASS`` in its top 5%. The grids are nested, so
-each pass tabulates only the nodes of its new doubling. The grid is one
-(nodes, cells) pair, cells a (cells, N) float32 table of L_j averaged
-over each cell's ends. A cell's prior mass comes from the family's cdf,
-exact even where f(. | theta) is narrower than the cell. ``analyze``'s
-tau posterior is the one-analysis, fixed-prior case of these cell masses.
+extension; one loop over ``metaanalysis._tau_grids`` stops at the first
+extension count where no tau_j has posterior mass ``_TAIL_MASS`` in its top
+5%. The grids are nested, so each pass tabulates only the nodes of its new
+doubling; the base grid's come with the corpus tables, which the caller
+builds and passes down. The grid is one (nodes, cells) pair, cells a
+(cells, N) float32 table of L_j averaged over each cell's ends. A cell's
+prior mass comes from the family's cdf, exact even where f(. | theta) is
+narrower than the cell. ``analyze``'s tau posterior is the one-analysis,
+fixed-prior case of these cell masses.
 The theta cells follow the hyperpriors' supports, are weighed at their
 centres and refined by mass (see :func:`_quadrature`); m_j is one float32
 product per ``_ROW_BLOCK`` theta cells, so no (theta cells x tau cells)
@@ -70,7 +72,6 @@ import csv
 import io
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -93,12 +94,12 @@ from .dist import (
     scale_mixture_half_t,
 )
 from .metaanalysis import (
-    _MAX_EXTENSIONS,
     _TAIL_MASS,
     GridError,
     _integrated_loglik,
     _reference_top,
     _tau_grid,
+    _tau_grids,
 )
 
 __all__ = [
@@ -145,9 +146,6 @@ _LIKELIHOOD = np.float32
 #: the smallest normal float32; :func:`_marginals` and :func:`_mixed` count
 #: smaller factors as 0
 _TINY = float(np.finfo(_LIKELIHOOD).tiny)
-#: inside :func:`_shared_likelihoods`, the :class:`_CorpusTables` by corpus
-#: identity and effect prior; None outside, so no table outlives a block
-_shared_tables: dict | None = None
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 #: A hyperparameter piles up at the upper bound of a finite hyperprior
 #: support when its draws put more than _PILEUP_RATIO times the prior's mass
@@ -448,59 +446,31 @@ def _deviance(y, offsets, mu, v):
 # -- quadrature ----------------------------------------------------------------
 
 
-@contextmanager
-def _shared_likelihoods():
-    """Within the block, fits of one corpus share its :class:`_CorpusTables`,
-    which depend on the data and the effect prior alone (``compare`` fits
-    every family to one corpus)."""
-    global _shared_tables
-    _shared_tables = {}
-    try:
-        yield
-    finally:
-        _shared_tables = None
-
-
 class _CorpusTables:
-    """The family-free tables of one corpus under one effect prior: its
-    studies as :func:`_flatten` gives them, the base tau grid, and,
-    computed on first use, the base grid's :func:`_cell_likelihoods`, with
-    the conditional moments once they are asked for."""
+    """The family-free tables of ``corpus`` under the effect prior of a
+    :class:`ModelSpec`, all computed here: its analysis ids, its studies
+    as :func:`_flatten` gives them, ``hi0``, the ``base`` tau grid and its
+    :func:`_cell_likelihoods` (``cells``, ``last``, ``scale``, ``moments``).
+    A fit builds its own; ``compare`` builds one for all its families."""
 
-    def __init__(self, c: MetaAnalysisCollection, mu_prior: Normal):
-        self.corpus, self.mu_prior = c, mu_prior
+    def __init__(self, c: MetaAnalysisCollection, m: ModelSpec):
+        self.corpus, self.analysis_ids = c, tuple(c.analysis_ids)
+        self.mu_prior = Normal(m.effect_prior_mean, m.effect_prior_sd)
         self.y, self.se2, self.offsets = _flatten(c)
         self.hi0 = _reference_top(self.y, self.se2, self.offsets)
         self.base = _tau_grid(self.hi0, 0)
-        self._cells = None
-
-    def cells(self, moments: bool):
-        if self._cells is None or (moments and self._cells[3] is None):
-            self._cells = _cell_likelihoods(self.y, self.se2, self.offsets, self.mu_prior, self.base, moments=moments)
-        return self._cells
+        with np.errstate(all="ignore"):
+            tabulated = _cell_likelihoods(self.y, self.se2, self.offsets, self.mu_prior, self.base)
+        self.cells, self.last, self.scale, self.moments = tabulated
 
 
-def _corpus_tables(c: MetaAnalysisCollection, mu_prior: Normal) -> _CorpusTables:
-    """The tables of ``c`` under ``mu_prior``: inside
-    :func:`_shared_likelihoods` found by the identity of ``c``, which they
-    keep alive so it stays theirs (hashing ``c`` would hash every study
-    record), else new."""
-    if _shared_tables is None:
-        return _CorpusTables(c, mu_prior)
-    tables = _shared_tables.get(key := (id(c), mu_prior))
-    if tables is None:
-        tables = _shared_tables[key] = _CorpusTables(c, mu_prior)
-    return tables
-
-
-def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scale=None, moments=False):
+def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scale=None):
     """(cells, N) table of L_j / exp(scale_j) averaged over the ends of each
     cell of ``nodes``, after the node values ``first`` if given; the last
     node's values; the scale, by default each analysis' largest log L_j;
-    and with ``moments`` a (2, N, nodes) table, else None, of the mean
-    m_j(tau) of mu_j given tau_j = tau at each node, and of E[D_j | tau],
-    analysis j's expected deviance over that conjugate normal of precision
-    P_j(tau). Both come from the pooled sums of log L_j: with the effect
+    and a (2, N, nodes) table of the mean m_j(tau) of mu_j given tau_j =
+    tau at each node, and of E[D_j | tau], analysis j's expected deviance
+    over that conjugate normal of precision P_j(tau). Both come from the pooled sums of log L_j: with the effect
     prior N(m0, s0^2) as one more study, E[D_j | tau] = sum_i log 2 pi v_ij
     + ((y_ij - m_j)^2 + 1 / P_j) / v_ij = -2 log L_j - log(s0^2 P_j) - (m0 -
     m_j)^2 / s0^2 + 1 - 1 / (s0^2 P_j) + k_j log 2 pi, v_ij = sigma_ij^2 +
@@ -513,7 +483,7 @@ def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scal
     table = np.empty((n_cells + 1, sizes.size), dtype=_LIKELIHOOD)
     table[:rows] = first
     scale = np.full(sizes.size, np.nan) if scale is None else scale
-    cond = np.empty((2, sizes.size, nodes.size)) if moments else None
+    cond = np.empty((2, sizes.size, nodes.size))
     prior_var = mu_prior.sd**2
     for k in np.unique(sizes):
         analyses = np.flatnonzero(sizes == k)
@@ -525,11 +495,10 @@ def _cell_likelihoods(y, se2, offsets, mu_prior: Normal, nodes, first=None, scal
             var[k] = prior_var  # the effect prior joins as one more study
             est = np.concatenate([y[studies], np.full((batch.size, 1), mu_prior.mean)], axis=1)
             loglik, total_w, mu_hat = _integrated_loglik(est[:, None, :], np.moveaxis(var, 0, -1), None)
-            if moments:
-                s0p = prior_var * total_w
-                cond[0, batch] = mu_hat
-                cond[1, batch] = -2.0 * loglik - np.log(s0p) - np.square(mu_prior.mean - mu_hat) / prior_var
-                cond[1, batch] += 1.0 - 1.0 / s0p + k * _LOG_2PI
+            s0p = prior_var * total_w
+            cond[0, batch] = mu_hat
+            cond[1, batch] = -2.0 * loglik - np.log(s0p) - np.square(mu_prior.mean - mu_hat) / prior_var
+            cond[1, batch] += 1.0 - 1.0 / s0p + k * _LOG_2PI
             loglik = loglik.T
             scale[batch] = np.where(np.isnan(scale[batch]), loglik.max(axis=0, initial=-np.inf), scale[batch])
             table[rows:, batch] = np.exp(loglik - scale[batch])
@@ -626,8 +595,10 @@ def _refine(lo, hi, parts):
     return new_lo, new_hi, parent
 
 
-def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
-    """The tau grid as one (nodes, (cells, N) cell likelihoods) pair, and
+def _quadrature(tables: _CorpusTables, m: ModelSpec, mixture: bool = False):
+    """For the corpus of ``tables`` under the model ``m``, whose effect
+    prior the tables must have been built under (else ``ValueError``):
+    the tau grid as one (nodes, (cells, N) cell likelihoods) pair, and
     the theta cells' (cells, H) edges and posterior masses w_k, the largest
     1; with ``mixture`` also the (N, tau cells) float32 sum over the theta
     cells of (w_k / sum w) M_kg / m_jk, M_kg the family's masses and m_jk
@@ -635,12 +606,12 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
     moments of :func:`_cell_likelihoods` as a list of node ranges, the base
     and then one per doubling.
 
-    The base cells are tabulated once (and shared by the fits inside
-    :func:`_shared_likelihoods`); for 0, 1, 2, ... extensions the loop
-    stops at the first grid that :func:`_tail_share` passes against the
-    coarse theta cells' posterior. The grids are nested, so each pass
-    tabulates only the nodes of its new doubling, from the last node's
-    values, and adds their cells' marginals to the coarse cells' m_jk.
+    The base cells are the tables'; the loop over the grids of
+    ``metaanalysis._tau_grids``, 0, 1, 2, ... extensions, stops at the
+    first that :func:`_tail_share` passes against the coarse theta cells'
+    posterior. The grids are nested, so each pass after the first tabulates
+    only the nodes of its new doubling, from the last node's values, and
+    adds their cells' marginals to the coarse cells' m_jk.
 
     Each hyperparameter's coarse cells are geometric by ``_COARSE_RATIO``
     from ``_THETA_FLOOR`` times its prior median up to the top of its
@@ -658,9 +629,10 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
     cut or dropped has its term, masses recomputed, taken out again, so no
     (theta cells x tau cells) table is held.
     """
+    if tables.mu_prior != Normal(m.effect_prior_mean, m.effect_prior_sd):
+        raise ValueError(f"corpus tables built under effect prior {tables.mu_prior}, not the model's")
     fam = HET_FAMILIES[m.het_family]
     priors = list(m.hyperpriors.values())
-    tables = _corpus_tables(c, Normal(m.effect_prior_mean, m.effect_prior_sd))
     studies = tables.y, tables.se2, tables.offsets, tables.mu_prior
     axes = []
     for prior in priors:
@@ -685,19 +657,18 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
         masses = rows(len(lo), nodes.size - 1)
         return _marginals(fam, _centre(lo, hi), nodes, cells, masses), masses
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        cells, last, scale, moments = tables.cells(mixture)
-        nodes, masses, moments = tables.base, [rows(len(centre), len(cells))], [moments]
-        marg = _marginals(fam, centre, nodes, cells, masses[0])
-        for extensions in range(_MAX_EXTENSIONS + 1):  # each pass adds one doubling's cells
-            if extensions:
-                nodes = _tau_grid(tables.hi0, extensions)
-                ext, last, _, more = _cell_likelihoods(*studies, nodes[len(cells) + 1 :], last, scale, mixture)
+    with np.errstate(all="ignore"):
+        cells, last, scale = tables.cells, tables.last, tables.scale
+        masses, moments = [rows(len(centre), len(cells))], [tables.moments]
+        marg = _marginals(fam, centre, tables.base, cells, masses[0])
+        for nodes in _tau_grids(tables.hi0):
+            if nodes.size > len(cells) + 1:  # each pass after the first adds one doubling's cells
+                ext, last, _, more = _cell_likelihoods(*studies, nodes[len(cells) + 1 :], last, scale)
                 masses.append(rows(len(centre), len(ext)))
                 marg += _marginals(fam, centre, nodes[len(cells) :], ext, masses[-1])
                 cells = np.concatenate([cells, ext])
                 moments.append(more)
-            dead = [c.analysis_ids[j] for j in np.flatnonzero(~np.any(marg > 0.0, axis=0))]
+            dead = [tables.analysis_ids[j] for j in np.flatnonzero(~np.any(marg > 0.0, axis=0))]
             if dead:
                 raise GridError(
                     f"analyses {dead} have no likelihood where the {m.het_family} family puts "
@@ -706,11 +677,6 @@ def _quadrature(c: MetaAnalysisCollection, m: ModelSpec, mixture: bool = False):
             w = _scaled(log_w := _log_weights(priors, lo, hi, np.log(marg).sum(axis=1)))
             if _tail_share(fam, centre, nodes, cells, marg, w) < _TAIL_MASS:
                 break
-        else:
-            raise GridError(
-                f"tau posterior mass does not decay: grid extended {_MAX_EXTENSIONS} "
-                f"times without reaching tail mass < {_TAIL_MASS:g}"
-            )
         if mixture:  # the sum's terms are relative to the coarse cells' largest weight
             ref = log_w.max()
             mixed = np.concatenate([_mixed(np.exp(log_w - ref), marg, part) for part in masses], axis=1)
@@ -880,9 +846,14 @@ class PosteriorMixture(NamedTuple):
     deviance: np.ndarray
 
 
-def posterior_mixture(c: MetaAnalysisCollection, m: ModelSpec | None = None) -> PosteriorMixture:
+def posterior_mixture(
+    c: MetaAnalysisCollection, m: ModelSpec | None = None, tables: _CorpusTables | None = None
+) -> PosteriorMixture:
     """The law of the tau_j draws of ``run_hierarchical(c, m, cfg)``, for
-    any ``cfg``, over the same quadrature tables, with no draw.
+    any ``cfg``, over the same quadrature tables, with no draw. ``tables``
+    are the :class:`_CorpusTables` of ``c`` under ``m``'s effect prior,
+    built here if not given; tables of another corpus object are a
+    ``ValueError``.
 
     A draw picks theta cell k by its share w_k of the posterior mass, then
     tau cell g in proportion to M_kg Lbar_jg, M_kg the family's mass at the
@@ -891,12 +862,14 @@ def posterior_mixture(c: MetaAnalysisCollection, m: ModelSpec | None = None) -> 
     sums as it weighs the theta cells. Given tau_j, mu_j is normal, so the
     means of mu_j and D_j are sums over the cells of p_jg times m_j(tau) and
     E[D_j | tau], tabulated with the cell likelihoods, averaged over the
-    cell's ends; tau_j's takes the middle of each cell. The moments at the
-    base nodes are computed once per corpus inside
-    :func:`_shared_likelihoods`.
+    cell's ends; tau_j's takes the middle of each cell.
     """
     m = ModelSpec() if m is None else m
-    (nodes, cells), lo, hi, weight, mass, moments = _quadrature(c, m, mixture=True)
+    if tables is None:
+        tables = _CorpusTables(c, m)
+    elif tables.corpus is not c:
+        raise ValueError("corpus tables built for another corpus object")
+    (nodes, cells), lo, hi, weight, mass, moments = _quadrature(tables, m, mixture=True)
     mass *= cells.T
 
     def mean(parts):
@@ -968,8 +941,9 @@ def run_hierarchical(
     m = ModelSpec() if m is None else m
     cfg = McmcConfig() if cfg is None else cfg
     fam = HET_FAMILIES[m.het_family]
-    grid, lo, hi, weight = _quadrature(c, m)
-    y, se2, offsets = _flatten(c)
+    tables = _CorpusTables(c, m)
+    grid, lo, hi, weight = _quadrature(tables, m)
+    y, se2, offsets = tables.y, tables.se2, tables.offsets
     n, n_hyper, chains, kept = c.n_analyses, len(fam.hyper_names), cfg.chains, cfg.iterations
 
     # each chain's stream gives each draw a row of uniforms (the theta cell,

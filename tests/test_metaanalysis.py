@@ -443,6 +443,48 @@ def test_bayes_ma_far_from_zero_keeps_its_effect_window_finite(monkeypatch):
     assert 0.0 < res.tau_interval[0] < res.tau_median < res.tau_interval[1] < math.inf
 
 
+@pytest.mark.parametrize("y", [1e40, 1e17, 1e20, 0.3])
+def test_bayes_ma_warns_when_the_floats_cannot_resolve_the_effect(y):
+    """Two precise studies at 1e17, 1e20 or 1e40 under half-Cauchy(1): the
+    floats at the effect are further apart than the effect grid's step, so
+    the grid repeats points, and the result says so, naming the effect; at
+    0.3 nothing is wrong and the result has no warning."""
+    res = bayes_ma(SingleMeta(y=(y, y), sigma=(0.1, 0.2)), HalfCauchy(1.0))
+    grid = res.mu_density.grid
+    if y == 0.3:
+        assert np.all(np.diff(grid) > 0.0) and res.warnings == ()
+    else:
+        assert not np.all(np.diff(grid) > 0.0)
+        (warning,) = res.warnings
+        assert warning.startswith(f"effect grid repeats points: at effect {y:g} floats are ")
+        assert warning.endswith("so the effect summaries are rounding noise")
+
+
+def test_tau_grids_try_each_extension_count_then_fail():
+    """The one extension loop's grids: ``_tau_grid`` with 0, 1, ...,
+    ``_MAX_EXTENSIONS`` doublings, then the GridError that ``analyze`` and
+    the sampler both report."""
+    grids = metaanalysis._tau_grids(0.37)
+    for extensions in range(metaanalysis._MAX_EXTENSIONS + 1):
+        assert np.array_equal(next(grids), metaanalysis._tau_grid(0.37, extensions))
+    with pytest.raises(GridError, match="tau posterior mass does not decay: grid extended 60 times"):
+        next(grids)
+
+
+@pytest.mark.parametrize("y,sigma", [((0.1, 0.2), (0.1, 0.2)), ((0.0, 1.0), (0.1, 0.1))])
+def test_bayes_ma_stops_at_the_first_extension_that_passes(y, sigma, monkeypatch):
+    """``bayes_ma`` extends its tau grid by the fewest doublings that pass
+    the tail test: allowed one fewer, it fails saying the tau posterior mass
+    does not decay."""
+    sm, prior = SingleMeta(y=y, sigma=sigma), HalfCauchy(1.0)
+    nodes = bayes_ma(sm, prior).tau_density.grid.size
+    extensions, rest = divmod(nodes - metaanalysis._TAU_NODES, metaanalysis._TAU_NODES // 10)
+    assert rest == 0 and extensions >= 1, nodes
+    monkeypatch.setattr(metaanalysis, "_MAX_EXTENSIONS", extensions - 1)
+    with pytest.raises(GridError, match="tau posterior mass does not decay"):
+        bayes_ma(sm, prior)
+
+
 def test_reduced_mixture_moments_survive_subnormal_weights():
     # a bin of two equal conditionals with subnormal weights: sum(omega * v)
     # underflows to 0, the in-bin shares keep the variance exact

@@ -38,3 +38,14 @@ def test_intra_package_imports_are_module_level_and_acyclic():
     # raises CycleError naming the cycle if there is one
     order = list(graphlib.TopologicalSorter(graph).static_order())
     assert order.index("metaanalysis") < order.index("sampler") < order.index("summarize")
+
+
+def test_no_module_level_mutable_state():
+    """No ``global`` statement in the package: state that code changes
+    belongs to an object its callers create and pass, not to a module that
+    every caller in the process shares."""
+    found = []
+    for path in sorted(Path(hetprior.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.stem}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Global)]
+    assert found == []

@@ -8,6 +8,7 @@ from scipy import integrate, special
 
 from hetprior import metaanalysis, sampler
 from hetprior.data import MetaAnalysisCollection, StudyRecord
+from hetprior.dic import compare_models
 from hetprior.dist import HalfCauchy, HalfNormal, Normal, Uniform
 from hetprior.metaanalysis import GridError, SingleMeta, tau_marginal
 from hetprior.sampler import (
@@ -18,6 +19,7 @@ from hetprior.sampler import (
     ModelSpec,
     PosteriorSamples,
     diagnostics,
+    posterior_mixture,
     run_hierarchical,
     samples_from_csv,
     samples_to_csv,
@@ -797,7 +799,8 @@ def test_analyze_and_the_sampler_share_the_base_tau_nodes():
     sampler's base tau nodes, bit for bit."""
     y, se = (0.1, 0.5, -0.2, 0.3), (0.2, 0.25, 0.3, 0.22)
     prior = HalfCauchy(1.0)
-    base = sampler._quadrature(_collection([(y, se)]), ModelSpec())[0][0][: metaanalysis._TAU_NODES]
+    tables = sampler._CorpusTables(_collection([(y, se)]), ModelSpec())
+    base = sampler._quadrature(tables, ModelSpec())[0][0][: metaanalysis._TAU_NODES]
     assert prior.quantile(0.9999) > base[-1]
     td = tau_marginal(SingleMeta(y=y, sigma=se), prior)
     assert np.array_equal(td.grid[: base.size], base)
@@ -810,14 +813,14 @@ def test_tau_grid_stops_at_the_first_extension_that_passes(family, monkeypatch):
     quadrature fails saying the tau posterior mass does not decay."""
     m = ModelSpec(het_family=family)
     for c in (_collection(ORACLE_CORPUS), small_corpus(), _collection(_mixed_precision())):
-        nodes = sampler._quadrature(c, m)[0][0]
+        nodes = sampler._quadrature(sampler._CorpusTables(c, m), m)[0][0]
         base = metaanalysis._TAU_NODES
         extensions, rest = divmod(nodes.size - base, base // 10)
         assert rest == 0 and extensions >= 0, nodes.size
         with monkeypatch.context() as patch:
-            patch.setattr(sampler, "_MAX_EXTENSIONS", extensions - 1)
+            patch.setattr(metaanalysis, "_MAX_EXTENSIONS", extensions - 1)
             with pytest.raises(GridError, match="tau posterior mass does not decay"):
-                sampler._quadrature(c, m)
+                sampler._quadrature(sampler._CorpusTables(c, m), m)
 
 
 @pytest.mark.parametrize("hi0", [1e-3, 0.37, 1.0, 123.4])
@@ -838,19 +841,41 @@ def test_extended_cells_equal_one_shot_tabulation(mixture):
     base table followed by one tabulation of every extension node, bit for
     bit, and so do the conditional moments of a posterior mixture."""
     c = small_corpus()
-    tables = sampler._CorpusTables(c, Normal(0.0, 100.0))
+    tables = sampler._CorpusTables(c, ModelSpec())
     studies = tables.y, tables.se2, tables.offsets, tables.mu_prior
-    base_cells, last, scale, base_moments = sampler._cell_likelihoods(*studies, tables.base, moments=True)
+    base_cells, last, scale, base_moments = sampler._cell_likelihoods(*studies, tables.base)
     for family in sorted(HET_FAMILIES):
-        (nodes, cells), *rest = sampler._quadrature(c, ModelSpec(het_family=family), mixture)
+        (nodes, cells), *rest = sampler._quadrature(tables, ModelSpec(het_family=family), mixture)
         assert nodes.size > metaanalysis._TAU_NODES  # every family's grid here is extended
         ext, _, _, ext_moments = sampler._cell_likelihoods(
-            *studies, nodes[metaanalysis._TAU_NODES :], last, scale, moments=True
+            *studies, nodes[metaanalysis._TAU_NODES :], last, scale
         )
         assert np.array_equal(cells, np.concatenate([base_cells, ext]))
         if mixture:
             whole = np.concatenate([base_moments, ext_moments], axis=2)
             assert np.array_equal(np.concatenate(rest[-1], axis=2), whole)
+
+
+def test_compare_tabulates_the_shared_base_grid_once(monkeypatch):
+    """``compare`` builds one set of corpus tables and passes it to every
+    family, so four families tabulate the base grid once; tables built
+    under another effect prior, or for another corpus object, are refused."""
+    calls, cell_likelihoods = [], sampler._cell_likelihoods
+
+    def counted(y, se2, offsets, mu_prior, nodes, *rest):
+        calls.append(nodes[0] == 0.0)  # only the base grid starts at tau = 0
+        return cell_likelihoods(y, se2, offsets, mu_prior, nodes, *rest)
+
+    monkeypatch.setattr(sampler, "_cell_likelihoods", counted)
+    c = small_corpus()
+    cfg = McmcConfig(chains=2, burn_in=1, iterations=20, seed=3)
+    rows = compare_models(c, sorted(HET_FAMILIES), cfg)
+    assert [r.error for r in rows] == [None] * 4
+    assert calls.count(True) == 1 and len(calls) > 1
+    with pytest.raises(ValueError, match="effect prior"):
+        sampler._quadrature(sampler._CorpusTables(c, ModelSpec(effect_prior_sd=10.0)), ModelSpec())
+    with pytest.raises(ValueError, match="another corpus"):
+        posterior_mixture(c, ModelSpec(), sampler._CorpusTables(small_corpus(), ModelSpec()))
 
 
 def _conditional_moments(y, se2, offsets, mu_prior, nodes):
@@ -878,13 +903,13 @@ def test_moments_from_the_pooled_sums_match_a_direct_reference(corpus):
     (a precise analysis' E[D_j | tau] reaches 6.6e4, whose float step is
     1.5e-11), at the base nodes and at three doublings' extension nodes."""
     c = _collection(_sparse_shaped() if corpus == "sparse" else _mixed_precision())
-    mu_prior = Normal(0.0, 100.0)
-    tables = sampler._CorpusTables(c, mu_prior)
+    tables = sampler._CorpusTables(c, ModelSpec())
+    mu_prior = tables.mu_prior
     studies = tables.y, tables.se2, tables.offsets, mu_prior
     nodes = metaanalysis._tau_grid(tables.hi0, 3)
     base, ext = nodes[: metaanalysis._TAU_NODES], nodes[metaanalysis._TAU_NODES :]
-    _, last, scale, at_base = sampler._cell_likelihoods(*studies, base, moments=True)
-    at_ext = sampler._cell_likelihoods(*studies, ext, last, scale, moments=True)[3]
+    _, last, scale, at_base = sampler._cell_likelihoods(*studies, base)
+    at_ext = sampler._cell_likelihoods(*studies, ext, last, scale)[3]
     for at, grid in ((at_base, base), (at_ext, ext)):
         effect, dev = _conditional_moments(*studies[:3], mu_prior, grid)
         assert np.array_equal(at[0], effect)
@@ -919,7 +944,8 @@ def test_tau_pick_matches_one_level_reference(family, corpus):
     cell boundary, and then an adjacent cell."""
     c = _collection(ORACLE_CORPUS if corpus == "oracle" else _paper_shaped())
     fam = HET_FAMILIES[family]
-    grid, lo, hi, w = sampler._quadrature(c, ModelSpec(het_family=family))
+    m = ModelSpec(het_family=family)
+    grid, lo, hi, w = sampler._quadrature(sampler._CorpusTables(c, m), m)
     assert grid[0].size > metaanalysis._TAU_NODES  # the grid is extended
     rng = np.random.default_rng(8)
     cell = rng.choice(w.size, 4000, p=w / w.sum())
