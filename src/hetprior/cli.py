@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -46,13 +47,10 @@ from .sampler import (
 )
 from .summarize import (
     FIT_FAMILIES,
+    ROUTES,
     FitError,
     approximation_table,
-    fit_predictive_ml,
-    fit_predictive_moments,
     format_approximation_table,
-    mixture_match_prior,
-    point_estimate_prior,
     prior_to_dict,
 )
 from .svg import density_svg, forest_svg, histogram_svg
@@ -173,37 +171,34 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _mcmc_config(args, seed: int) -> McmcConfig:
-    return McmcConfig(
-        chains=args.chains, burn_in=args.burnin, iterations=args.iters, seed=seed
-    )
+def _mcmc_config(args, seed: int) -> tuple[McmcConfig, dict]:
+    """The draw configuration of ``fit`` or ``compare`` and the manifest
+    options it shares."""
+    cfg = McmcConfig(chains=args.chains, burn_in=args.burnin, iterations=args.iters, seed=seed)
+    options = {"chains": cfg.chains, "iterations": cfg.iterations, "burn_in": cfg.burn_in}
+    return cfg, {**options, "subset_recent": args.subset_recent}
 
 
 def _family_list(text: str, known, what: str) -> tuple[str, ...]:
-    """Comma list of distinct family tokens, each checked against ``known``."""
-    families = tuple(f.strip() for f in text.split(",") if f.strip())
-    for fam in families:
-        if fam not in known:
-            raise ValueError(f"unknown {what} {fam!r}; choose from {tuple(known)}")
-        if families.count(fam) > 1:
-            raise ValueError(f"{what} {fam!r} is listed more than once")
-    return families
+    """Comma list of distinct tokens (families or methods), each checked
+    against ``known``."""
+    tokens = tuple(t.strip() for t in text.split(",") if t.strip())
+    for token in tokens:
+        if token not in known:
+            raise ValueError(f"unknown {what} {token!r}; choose from {tuple(known)}")
+        if tokens.count(token) > 1:
+            raise ValueError(f"{what} {token!r} is listed more than once")
+    return tokens
 
 
 def _forest_csv(rows: list[dict]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label", "estimate", "lo", "hi", "weight_or_type"])
-    for r in rows:
-        writer.writerow(
-            [
-                r["label"],
-                repr(float(r["estimate"])),
-                repr(float(r["lo"])),
-                repr(float(r["hi"])),
-                r["weight_or_type"],
-            ]
-        )
+    writer.writerows(
+        [r["label"], repr(float(r["estimate"])), repr(float(r["lo"])), repr(float(r["hi"])), r["weight_or_type"]]
+        for r in rows
+    )
     return out.getvalue()
 
 
@@ -249,21 +244,14 @@ def cmd_fit(args) -> int:
     c, entry = _load_corpus(args)
     seed = _resolve_seed(args)
     m = ModelSpec(het_family=args.family)
-    cfg = _mcmc_config(args, seed)
+    cfg, options = _mcmc_config(args, seed)
     s = run_hierarchical(c, m, cfg)
     samples = samples_to_npy(s)
     doc = summary_dict(s)
     doc["columns"] = s.parameter_names()
     doc["samples_sha256"] = _sha256(samples)
     doc["seed"] = seed
-    doc["config"] = {
-        "family": args.family,
-        "chains": cfg.chains,
-        "burn_in": cfg.burn_in,
-        "iterations": cfg.iterations,
-        "thin": cfg.thin,
-        "seed": seed,
-    }
+    doc["config"] = {"family": args.family, **dataclasses.asdict(cfg)}
     files = {"summary.json": doc, "samples.npy": samples}
     if args.svg:
         files["tau_star.svg"] = histogram_svg(
@@ -271,14 +259,7 @@ def cmd_fit(args) -> int:
             x_label="predictive heterogeneity",
             title=f"predictive heterogeneity ({args.family})",
         )
-    options = {
-        "family": args.family,
-        "chains": cfg.chains,
-        "iterations": cfg.iterations,
-        "burn_in": cfg.burn_in,
-        "subset_recent": args.subset_recent,
-    }
-    _emit(args, "fit", [entry], options, seed, files, _fit_table(s, doc))
+    _emit(args, "fit", [entry], {"family": args.family, **options}, seed, files, _fit_table(s, doc))
     return 0
 
 
@@ -286,41 +267,15 @@ def cmd_compare(args) -> int:
     c, entry = _load_corpus(args)
     families = _family_list(args.families, HET_FAMILIES, "family")
     seed = _resolve_seed(args)
-    cfg = _mcmc_config(args, seed)
+    cfg, options = _mcmc_config(args, seed)
     rows = compare_models(c, families, cfg=cfg)
-    doc = {
-        "seed": seed,
-        "models": comparison_to_dict(rows),
-    }
-    options = {
-        "families": list(families),
-        "chains": cfg.chains,
-        "iterations": cfg.iterations,
-        "burn_in": cfg.burn_in,
-        "subset_recent": args.subset_recent,
-    }
+    doc = {"seed": seed, "models": comparison_to_dict(rows)}
+    options = {"families": list(families), **options}
     _emit(args, "compare", [entry], options, seed, {"dic.json": doc}, format_comparison_table(rows))
     if all(r.error is not None for r in rows):
         print("numerical failure: every family failed to fit", file=sys.stderr)
         return 3
     return 0
-
-
-def _make_prior(method: str, fit_family: str | None, s, source: str):
-    """The prior of one ``--methods`` entry, for one fit family if it is a
-    direct fit."""
-    if method == "mixture":
-        return mixture_match_prior(s, source=source)
-    if method.startswith("point:"):
-        return point_estimate_prior(s, method.split(":", 1)[1], source=source)
-    if method == "ml":
-        return fit_predictive_ml(s.predictive, fit_family, source=source)
-    if method == "moments":
-        return fit_predictive_moments(s.predictive, fit_family, source=source)
-    raise ValueError(
-        f"unknown method {method!r}; choose point:mean, point:median, point:q95, "
-        "mixture, ml or moments"
-    )
 
 
 def _read_draws(src: Path, family: str | None):
@@ -381,7 +336,7 @@ def _read_draws(src: Path, family: str | None):
 
 def cmd_approx(args) -> int:
     s, entry = _read_draws(Path(args.samples), args.family)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _family_list(args.methods, ROUTES, "method")
     if not methods:
         raise ValueError("--methods names no method")
     fit_families = _family_list(args.fit_families, FIT_FAMILIES, "fit family")
@@ -389,19 +344,17 @@ def cmd_approx(args) -> int:
         raise ValueError("--fit-families names no family")
     source = entry["path"]
 
-    specs = []
-    failures = []
-    errors = []
-    warns = []
+    specs, failures, errors, warns = [], [], [], []
     for method in methods:
+        route = ROUTES[method]
         # a direct fit is one unit per fit family, so one family's failure keeps the others
-        for fit_family in fit_families if method in ("ml", "moments") else (None,):
+        for fit_family in fit_families if route.per_family else (None,):
             where = "" if fit_family is None else f" for {fit_family}"
             failed = None
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 try:
-                    specs.append(_make_prior(method, fit_family, s, source))
+                    specs.append(route.build(s, fit_family, source))
                 except (InfeasibleError, FitError) as e:
                     failed = e
             # a RuntimeWarning of the build (the half-t df cap) is a line of the list
@@ -425,29 +378,18 @@ def cmd_approx(args) -> int:
         raise FitError("no prior could be produced: " + "; ".join(errors))
 
     rows = approximation_table(specs, s)
-    doc = {
-        "family": s.family,
-        "source": source,
-        "table": rows,
-        "failures": failures,
-        "warnings": warns,
+    head = {"family": s.family, "source": source, "failures": failures}
+    files = {
+        "summary.json": {**head, "table": rows, "warnings": warns},
+        "priors.json": {**head, "priors": [prior_to_dict(spec) for spec in specs]},
     }
-    priors_doc = {
-        "family": s.family,
-        "source": source,
-        "priors": [prior_to_dict(spec) for spec in specs],
-        "failures": failures,
-    }
-    files = {"summary.json": doc, "priors.json": priors_doc}
     if args.svg:
         draws = s.predictive.ravel()
         hi = float(np.quantile(draws, 0.995))
         xs = np.linspace(0.0, hi, 400)
         overlays = [(spec.text(), xs, spec.distribution.density(xs)) for spec in specs]
         files["approx.svg"] = histogram_svg(
-            draws[draws <= hi],
-            overlays=overlays,
-            x_label="predictive heterogeneity",
+            draws[draws <= hi], overlays=overlays, x_label="predictive heterogeneity",
             title="predictive draws and matched priors",
         )
     options = {"family": s.family, "methods": args.methods, "fit_families": list(fit_families)}
@@ -639,12 +581,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--methods",
         default="point:mean,mixture",
-        help="comma list of point:mean, point:median, point:q95, mixture, ml, moments",
+        help=f"comma list of {', '.join(ROUTES)} (default %(default)s)",
     )
+    direct = "/".join(name for name, route in ROUTES.items() if route.per_family)
     sp.add_argument(
         "--fit-families",
         default="half-t",
-        help="families for the ml/moments direct fits (comma list)",
+        help=f"comma list of {', '.join(FIT_FAMILIES)}, the families of the {direct} direct fits "
+        "(default %(default)s)",
     )
     _add_output_flags(sp, svg=True)
 

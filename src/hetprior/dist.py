@@ -644,8 +644,9 @@ def half_t_moment_fit(mean: float, sd: float) -> HalfStudentT:
     """Half-Student-t with the given mean and sd: match the cv for the
     degrees of freedom, then the mean for the scale."""
     mean = _positive("mean", mean)
-    sd = _positive("sd", sd)
-    df = solve_half_t_nu(sd / mean)
+    if not (math.isfinite(sd) and sd >= 0.0):
+        raise ValueError(f"sd must be a nonnegative finite number, got {sd!r}")
+    df = solve_half_t_nu(sd / mean)  # an sd of 0 is below the half-normal limit
     return HalfStudentT(df=df, scale=mean / _half_t_mean_unit(df))
 
 

@@ -342,7 +342,8 @@ def _tau_posterior(
         ):
             if problem is not None:
                 raise ValueError(f"effect prior {format_distribution(mu_prior)}: {what} {problem}")
-    hi0 = float(prior.quantile(0.9999))
+    with np.errstate(over="ignore"):  # an overflow is a quantile of inf, refused next
+        hi0 = float(prior.quantile(0.9999))
     if not (math.isfinite(hi0) and hi0 > 0.0):
         raise GridError(
             f"prior {prior!r} has no finite positive 0.9999 quantile; cannot build tau grid"

@@ -282,7 +282,7 @@ class ModelSpec:
         if not math.isfinite(self.effect_prior_mean):
             raise ConfigError(f"effect_prior_mean must be finite, got {self.effect_prior_mean!r}")
         for prior in self.hyperpriors.values():
-            _hyper_support(prior)
+            _coarse_axis(prior)
 
     @property
     def hyperpriors(self) -> dict[str, Distribution]:
@@ -307,10 +307,10 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("chains", "burn_in", "iterations", "thin"):
+        for name, least in (("chains", 1), ("burn_in", 1), ("iterations", 1), ("thin", 1), ("seed", 0)):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+            if not isinstance(v, (int, np.integer)) or v < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}")
         if self.chains * self.iterations < 2:
             raise ConfigError("chains x iterations give 1 draw, but the summaries need at least 2")
 
@@ -577,6 +577,27 @@ def _tail_share(fam, centre, nodes, cells, marg, w) -> float:
     return float(np.max(w @ np.where(w[:, None] > 0.0, tail / marg, 0.0)) / w.sum())
 
 
+def _coarse_axis(prior: Distribution) -> np.ndarray:
+    """A hyperparameter's coarse cell edges: geometric by ``_COARSE_RATIO``
+    from ``_THETA_FLOOR`` times its prior's median up to the top of the
+    support, or the 1 - ``_TAIL_MASS`` quantile, after a cell [0, bottom] if
+    the support starts at 0. A prior whose cells overflow is a ConfigError."""
+    lo, hi = _hyper_support(prior)
+    with np.errstate(over="ignore"):  # an overflow is an infinite quantile, refused below
+        median = float(prior.quantile(0.5))
+        hi = hi if math.isfinite(hi) else float(prior.quantile(1.0 - _TAIL_MASS))
+    bottom = lo if lo > 0.0 else median * _THETA_FLOOR
+    # a cell's centre is sqrt(lo hi), and the cell count log(hi / bottom)
+    if not (bottom > 0.0 and hi * hi < math.inf and hi / bottom < math.inf):
+        raise ConfigError(
+            f"hyperprior {prior} has no theta cells in finite floats: its median is {median:.3g}, "
+            f"its cells would run from {bottom:.3g} to its {1.0 - _TAIL_MASS:g} quantile {hi:.3g}"
+        )
+    n_cells = max(1, math.ceil(math.log(hi / bottom) / math.log(_COARSE_RATIO)))
+    edges = np.geomspace(bottom, hi, n_cells + 1)
+    return edges if lo > 0.0 else np.concatenate(([0.0], edges))
+
+
 def _refine(lo, hi, parts):
     """Cut cell i into parts[i, h] parts along each axis h (1 keeps it, 0
     drops it) of equal ratio hi/lo, or halving toward 0 in a cell that
@@ -613,11 +634,9 @@ def _quadrature(tables: _CorpusTables, m: ModelSpec, mixture: bool = False):
     only the nodes of its new doubling, from the last node's values, and
     adds their cells' marginals to the coarse cells' m_jk.
 
-    Each hyperparameter's coarse cells are geometric by ``_COARSE_RATIO``
-    from ``_THETA_FLOOR`` times its prior median up to the top of its
-    support, or the prior's 1 - ``_TAIL_MASS`` quantile, where a top cell
-    that still holds ``_TAIL_MASS`` of the posterior is a ``GridError``; a
-    support down to 0 adds a cell [0, bottom]. Refinement: each coarse cell
+    Each hyperparameter's coarse cells are those of :func:`_coarse_axis`;
+    where the axis ends at a quantile, a top cell that still holds
+    ``_TAIL_MASS`` of the posterior is a ``GridError``. Refinement: each coarse cell
     with more than ``_SETTLE`` of the mass is cut along each axis until no
     band holds more than 1 / ``_BANDS[H]`` of that marginal, then every
     cell with more than 1 / ``_THETA_CELLS`` of the mass by its share. The
@@ -634,14 +653,7 @@ def _quadrature(tables: _CorpusTables, m: ModelSpec, mixture: bool = False):
     fam = HET_FAMILIES[m.het_family]
     priors = list(m.hyperpriors.values())
     studies = tables.y, tables.se2, tables.offsets, tables.mu_prior
-    axes = []
-    for prior in priors:
-        lo, hi = _hyper_support(prior)
-        hi = hi if math.isfinite(hi) else float(prior.quantile(1.0 - _TAIL_MASS))
-        bottom = lo if lo > 0.0 else float(prior.quantile(0.5)) * _THETA_FLOOR
-        n_cells = max(1, math.ceil(math.log(hi / bottom) / math.log(_COARSE_RATIO)))
-        edges = np.geomspace(bottom, hi, n_cells + 1)
-        axes.append(edges if lo > 0.0 else np.concatenate(([0.0], edges)))
+    axes = [_coarse_axis(prior) for prior in priors]
     band = np.meshgrid(*[np.arange(e.size - 1) for e in axes], indexing="ij")
     band = np.stack([i.ravel() for i in band], axis=1)
     lo = np.stack([e[band[:, h]] for h, e in enumerate(axes)], axis=1)

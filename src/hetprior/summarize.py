@@ -27,7 +27,9 @@ fitted family does not have, as one dict per row.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sc
@@ -58,6 +60,7 @@ __all__ = [
     "PriorSpec",
     "FitError",
     "FIT_FAMILIES",
+    "ROUTES",
     "point_estimate_prior",
     "mixture_match_prior",
     "fit_predictive_ml",
@@ -131,20 +134,18 @@ def prior_to_dict(prior: PriorSpec | Distribution) -> dict:
     return out
 
 
-def _statistic(draws: np.ndarray, statistic: str) -> float:
-    if statistic not in ("mean", "median", "q95"):
-        raise ValueError(f"unknown statistic {statistic!r}; choose mean, median or q95")
-    return summarize_samples(draws)[statistic]
+#: the hyperparameter statistics a point estimate may freeze
+_STATISTICS = ("mean", "median", "q95")
 
 
 def point_estimate_prior(s: PosteriorSamples, statistic: str = "mean", source: str = "") -> PriorSpec:
     """Route 1: the conditional family frozen at a hyperparameter statistic."""
-    note = "conservative" if statistic == "q95" else None
-    hyper = [_statistic(s.hyper[name], statistic) for name in s.hyper_names]
+    if statistic not in _STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}; choose from {_STATISTICS}")
+    hyper = [summarize_samples(s.hyper[name])[statistic] for name in s.hyper_names]
     dist = HET_FAMILIES[s.family].distribution(*hyper)
-    return PriorSpec(
-        distribution=dist, method=f"point_estimate({statistic})", source=source, note=note
-    )
+    note = "conservative" if statistic == "q95" else None
+    return PriorSpec(distribution=dist, method=f"point_estimate({statistic})", source=source, note=note)
 
 
 def mixture_match_prior(s: PosteriorSamples, source: str = "") -> PriorSpec:
@@ -161,9 +162,6 @@ def mixture_match_prior(s: PosteriorSamples, source: str = "") -> PriorSpec:
 
 
 # -- direct fits ---------------------------------------------------------------
-
-#: families the direct fits (ML and moments) accept
-FIT_FAMILIES = ("half-normal", "half-t", "exp", "half-cauchy", "log-normal", "lomax")
 
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: an ML fit whose half-t df or Lomax shape exceeds this has run off to the
@@ -231,8 +229,18 @@ def _no_maximum(family: str, n: int, positive: int, limit: str) -> FitError:
     )
 
 
+def _check_span(x: np.ndarray, family: str) -> None:
+    span = math.log10(float(x.max())) - math.log10(float(x[x > 0.0].min()))
+    if span > _SPAN_DECADES:
+        raise InfeasibleError(
+            f"the positive draws span {span:.0f} orders of magnitude; a {family} fit "
+            f"takes at most {_SPAN_DECADES}"
+        )
+
+
 def _half_cauchy_ml(x: np.ndarray) -> HalfCauchy:
     """The scale solves Σ x²/(x² + s²) = n/2."""
+    _check_span(x, "half-cauchy")
     positive = np.count_nonzero(x)
     if 2 * positive <= x.size:
         raise _no_maximum("half-cauchy", x.size, positive, "the scale")
@@ -253,6 +261,7 @@ def _bounded_max(neg_profile, lo: float, hi: float) -> float:
 def _half_t_ml(x: np.ndarray) -> Distribution:
     """Profile over log df; at each df the scale solves
     Σ x²/(x² + df s²) = n/(df + 1), from the last solve's scale."""
+    _check_span(x, "half-t")
     n = x.size
     positive = np.count_nonzero(x)
     if positive * (1.0 + math.exp(-_LOG_REACH)) <= n:
@@ -283,6 +292,7 @@ def _half_t_ml(x: np.ndarray) -> Distribution:
 def _lomax_ml(x: np.ndarray) -> Distribution:
     """Profile over log scale; at each scale the shape is
     n / Σ log1p(x/scale)."""
+    _check_span(x, "lomax")
     n = x.size
     top = float(x.max())
     z = x / top
@@ -308,72 +318,15 @@ def _lomax_ml(x: np.ndarray) -> Distribution:
     return Lomax(shape, top * math.exp(log_scale))
 
 
-def _ml_fit(x: np.ndarray, family: str) -> Distribution:
-    """The maximum-likelihood member of ``family`` for the draws ``x``, or
-    the family's limit where the likelihood rises toward it."""
-    if family == "half-normal":
-        return HalfNormal(_rms(x))
-    if family == "exp":
-        return Exponential(float(np.mean(x)))
-    if family == "log-normal":
-        zeros = x.size - np.count_nonzero(x)
-        if zeros:
-            raise InfeasibleError(
-                f"{zeros} of {x.size} draws are exactly 0, where the log-normal has no density"
-            )
-        lx = np.log(x)
-        if lx.min() == lx.max():
-            raise InfeasibleError(f"no spread in log draws: every draw is {float(x[0])!r}")
-        return LogNormal(float(np.mean(lx)), float(np.std(lx)))
-    span = math.log10(float(x.max())) - math.log10(float(x[x > 0.0].min()))
-    if span > _SPAN_DECADES:
-        raise InfeasibleError(
-            f"the positive draws span {span:.0f} orders of magnitude; a {family} fit "
-            f"takes at most {_SPAN_DECADES}"
-        )
-    if family == "half-cauchy":
-        return _half_cauchy_ml(x)
-    if family == "half-t":
-        return _half_t_ml(x)
-    return _lomax_ml(x)
-
-
-def fit_predictive_ml(draws, family: str, source: str = "") -> PriorSpec:
-    """Route 3a: maximum likelihood on the predictive draws.
-
-    Each family solves its own likelihood equations. The half-normal (scale
-    √mean x²), exponential (scale mean x) and log-normal (the mean and sd of
-    log x) have closed forms. The half-Cauchy's scale is the one root of
-    Σ x²/(x² + s²) = n/2. The half-t maximizes its profile likelihood over
-    log df, its scale a Newton root at each df; the Lomax maximizes its
-    profile over log scale, its shape n / Σ log1p(x/scale) at each. A half-t
-    whose df, or a Lomax whose shape, comes out above 10^4 has run off to
-    its limit: it is returned as the half-normal or exponential ML fit with
-    a note. A likelihood with no maximum (too many zero draws, or a half-t
-    df or Lomax scale running to 0) raises :class:`FitError`.
-    """
-    x = np.asarray(draws, dtype=float).ravel()
-    if x.size < 1000:
-        raise InfeasibleError(f"need at least 1000 draws for a direct fit, got {x.size}")
-    if family not in FIT_FAMILIES:
-        raise ValueError(f"unsupported fit family {family!r}; choose from {FIT_FAMILIES}")
-    if not (x.min() >= 0.0 and math.isfinite(x.max())):
-        raise InfeasibleError("a direct fit needs finite, nonnegative draws")
-    if x.max() == 0.0:
-        raise InfeasibleError("every draw is 0: no member of a fit family has all its mass at 0")
-    dist = _ml_fit(x, family)
-    note = None
-    if family == "half-t" and isinstance(dist, HalfNormal):
-        note = f"degenerate fit: half-t df > {_ML_LIMIT:g}, half-normal limit"
-    elif family == "lomax" and isinstance(dist, Exponential):
-        note = f"degenerate fit: lomax shape > {_ML_LIMIT:g}, exponential limit"
-    return PriorSpec(
-        distribution=dist,
-        method="direct_fit_ml",
-        source=source,
-        note=note,
-        log_likelihood=float(np.sum(dist.log_density(x))),
-    )
+def _log_normal_ml(x: np.ndarray) -> LogNormal:
+    """The mean and sd of log x."""
+    zeros = x.size - np.count_nonzero(x)
+    if zeros:
+        raise InfeasibleError(f"{zeros} of {x.size} draws are exactly 0, where the log-normal has no density")
+    lx = np.log(x)
+    if lx.min() == lx.max():
+        raise InfeasibleError(f"no spread in log draws: every draw is {float(x[0])!r}")
+    return LogNormal(float(np.mean(lx)), float(np.std(lx)))
 
 
 def _lomax_from_moments(mean: float, sd: float) -> Lomax:
@@ -388,32 +341,120 @@ def _lomax_from_moments(mean: float, sd: float) -> Lomax:
     return Lomax(shape=shape, scale=mean * (shape - 1.0))
 
 
-def _moment_fit(x: np.ndarray, family: str) -> Distribution:
-    """The member of ``family`` whose mean and sd are those of ``x``."""
-    mean = float(np.mean(x))
-    sd = float(np.std(x, ddof=1))
-    if family == "half-normal":
-        return HalfNormal(mean / _ROOT_2_OVER_PI)
-    if family == "exp":
-        return Exponential(mean)
-    if family == "half-t":
-        return half_t_moment_fit(mean, sd)  # raises InfeasibleError for cv <= half-normal limit
-    if family == "lomax":
-        return _lomax_from_moments(mean, sd)
-    if family == "log-normal":
-        sigma = math.sqrt(math.log1p((sd / mean) ** 2))
-        return LogNormal(mu=math.log(mean) - sigma**2 / 2.0, sigma=sigma)
-    if family == "half-cauchy":
-        raise InfeasibleError("half-cauchy has no defined moments; a moment fit is impossible")
-    raise ValueError(f"unsupported fit family {family!r}")
+def _log_normal_from_moments(mean: float, sd: float) -> LogNormal:
+    if sd == 0.0:
+        raise InfeasibleError("the draws have sd 0, which no log-normal has")
+    sigma = math.sqrt(math.log1p((sd / mean) ** 2))
+    return LogNormal(mu=math.log(mean) - sigma**2 / 2.0, sigma=sigma)
+
+
+class _FitFamily(NamedTuple):
+    """A family of the direct fits: ``ml(x)``, its maximum-likelihood member
+    for the draws x; ``moments(mean, sd)``, its member with that mean and
+    sd, or ``None`` for a family without moments; and, for a family whose
+    ML fit may run off to a limit family, that family and the ``note`` that
+    marks such a fit, which comes back as the limit's own ML fit."""
+
+    ml: Callable[[np.ndarray], Distribution]
+    moments: Callable[[float, float], Distribution] | None
+    limit: type[Distribution] | None = None
+    note: str | None = None
+
+
+#: the families the direct fits (ML and moments) accept, keyed by token
+FIT_FAMILIES = {
+    "half-normal": _FitFamily(
+        lambda x: HalfNormal(_rms(x)), lambda mean, sd: HalfNormal(mean / _ROOT_2_OVER_PI)
+    ),
+    "half-t": _FitFamily(
+        _half_t_ml, half_t_moment_fit, HalfNormal, f"degenerate fit: half-t df > {_ML_LIMIT:g}, half-normal limit"
+    ),
+    "exp": _FitFamily(lambda x: Exponential(float(np.mean(x))), lambda mean, sd: Exponential(mean)),
+    "half-cauchy": _FitFamily(_half_cauchy_ml, None),
+    "log-normal": _FitFamily(_log_normal_ml, _log_normal_from_moments),
+    "lomax": _FitFamily(
+        _lomax_ml, _lomax_from_moments, Exponential, f"degenerate fit: lomax shape > {_ML_LIMIT:g}, exponential limit"
+    ),
+}
+
+
+def _fit_draws(draws, family: str, least: int) -> np.ndarray:
+    """The draws as a flat float array, checked for a direct fit of
+    ``family``: at least ``least``, finite, nonnegative, not all 0."""
+    x = np.asarray(draws, dtype=float).ravel()
+    if x.size < least:
+        raise InfeasibleError(f"need at least {least} draws for a direct fit, got {x.size}")
+    if family not in FIT_FAMILIES:
+        raise ValueError(f"unsupported fit family {family!r}; choose from {tuple(FIT_FAMILIES)}")
+    if not (x.min() >= 0.0 and math.isfinite(x.max())):
+        raise InfeasibleError("a direct fit needs finite, nonnegative draws")
+    if x.max() == 0.0:
+        raise InfeasibleError("every draw is 0: no member of a fit family has all its mass at 0")
+    return x
+
+
+def fit_predictive_ml(draws, family: str, source: str = "") -> PriorSpec:
+    """Route 3a: maximum likelihood on the predictive draws, by the
+    family's own likelihood equations (its ``ml`` in :data:`FIT_FAMILIES`).
+
+    The half-normal, exponential and log-normal have closed forms, the
+    half-Cauchy's scale is one root, and the half-t and Lomax maximize a
+    profile likelihood. A half-t whose df, or a Lomax whose shape, comes out
+    above 10^4 has run off to its limit: it is returned as the half-normal
+    or exponential ML fit with a note. A likelihood with no maximum (too
+    many zero draws, or a half-t df or Lomax scale running to 0) raises
+    :class:`FitError`.
+    """
+    x = _fit_draws(draws, family, 1000)
+    fit = FIT_FAMILIES[family]
+    dist = fit.ml(x)
+    return PriorSpec(
+        distribution=dist,
+        method="direct_fit_ml",
+        source=source,
+        note=fit.note if type(dist) is fit.limit else None,
+        log_likelihood=float(np.sum(dist.log_density(x))),
+    )
 
 
 def fit_predictive_moments(draws, family: str, source: str = "") -> PriorSpec:
     """Route 3b: invert the family's first two moments at the sample values."""
-    x = np.asarray(draws, dtype=float).ravel()
-    if x.size < 2:
-        raise InfeasibleError(f"need at least 2 draws, got {x.size}")
-    return PriorSpec(distribution=_moment_fit(x, family), method="direct_fit_moments", source=source)
+    x = _fit_draws(draws, family, 2)
+    moments = FIT_FAMILIES[family].moments
+    if moments is None:
+        raise InfeasibleError(f"{family} has no defined moments; a moment fit is impossible")
+    dist = moments(float(np.mean(x)), float(np.std(x, ddof=1)))
+    return PriorSpec(distribution=dist, method="direct_fit_moments", source=source)
+
+
+# -- routes --------------------------------------------------------------------
+
+
+class _Route(NamedTuple):
+    """One ``approx --methods`` entry: ``build(samples, fit_family,
+    source)`` gives its prior, once per fit family if ``per_family`` and
+    once, for ``None``, otherwise. A builder looks its route function up
+    when it runs, so a wrapper bound over that function in this module
+    (perfbench's tracer) is what runs."""
+
+    build: Callable[[PosteriorSamples, str | None, str], PriorSpec]
+    per_family: bool = False
+
+
+#: the ``approx --methods`` entries, in the order ``--help`` lists them
+ROUTES = {
+    **{
+        f"point:{statistic}": _Route(
+            lambda s, _, source, statistic=statistic: point_estimate_prior(s, statistic, source)
+        )
+        for statistic in _STATISTICS
+    },
+    "mixture": _Route(lambda s, _, source: mixture_match_prior(s, source)),
+    "ml": _Route(lambda s, family, source: fit_predictive_ml(s.predictive, family, source), per_family=True),
+    "moments": _Route(
+        lambda s, family, source: fit_predictive_moments(s.predictive, family, source), per_family=True
+    ),
+}
 
 
 # -- comparison table ----------------------------------------------------------

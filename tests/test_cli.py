@@ -887,6 +887,38 @@ def test_damaged_input_fails_loudly_and_writes_no_nan(command, column, value, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["analyze", "{single}", "--prior", "log-normal(800,1)"], 3,
+         "numerical failure: prior LogNormal(mu=800.0, sigma=1.0) has no finite positive 0.9999 quantile"),
+        (["analyze", "{single}", "--prior", "lomax(0.001,1)"], 3,
+         "numerical failure: prior Lomax(shape=0.001, scale=1.0) has no finite positive 0.9999 quantile"),
+        (["fit", "{corpus}", "--seed", "-1", "--iters", "50"], 2, "input error: seed must be an integer >= 0, got -1"),
+        (["compare", "{corpus}", "--seed", "-1", "--iters", "50"], 2,
+         "input error: seed must be an integer >= 0, got -1"),
+        (["approx", "{fit_dir}", "--methods", "point:mean,mixture,point:mean"], 2,
+         "input error: method 'point:mean' is listed more than once"),
+    ],
+    ids=["log-normal-prior", "lomax-prior", "fit-seed", "compare-seed", "duplicate-method"],
+)
+def test_input_out_of_range_fails_with_one_line_and_writes_nothing(
+    argv, code, message, corpus_csv, single_csv, fit_dir, tmp_path, capsys
+):
+    """A prior whose quantile overflows, a negative seed and a repeated
+    method: the command exits with its code, prints the one line that names
+    the cause (no numpy warning before it, no rows of failed families) and
+    writes nothing."""
+    out = tmp_path / "o"
+    paths = {"corpus": corpus_csv, "single": single_csv, "fit_dir": fit_dir}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), lines
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "compare"])
 def test_one_draw_in_all_exits_2_before_sampling(command, corpus_csv, tmp_path, capsys):
     """One chain of one kept draw is too few for the summaries: the command
@@ -1142,8 +1174,9 @@ def test_compare_unknown_family_exits_2_before_sampling(corpus_csv, tmp_path, ca
         (["compare", "{corpus}", "--families", "exp,half-normal,exp", "--seed", "1", "--chains", "1",
           "--iters", "50", "--burnin", "10"], "exp"),
         (["approx", "{fit_dir}", "--methods", "ml", "--fit-families", "half-t,half-t"], "half-t"),
+        (["approx", "{fit_dir}", "--methods", "point:mean,point:mean,mixture"], "point:mean"),
     ],
-    ids=["compare-families", "approx-fit-families"],
+    ids=["compare-families", "approx-fit-families", "approx-methods"],
 )
 def test_repeated_family_token_exits_2(argv, token, corpus_csv, fit_dir, tmp_path, capsys):
     out = tmp_path / "o"
@@ -1151,6 +1184,19 @@ def test_repeated_family_token_exits_2(argv, token, corpus_csv, fit_dir, tmp_pat
     assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
     assert f"{token!r} is listed more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_approx_help_and_readme_list_the_methods_and_fit_families_of_the_tables(capsys, monkeypatch):
+    from hetprior.summarize import FIT_FAMILIES, ROUTES
+
+    monkeypatch.setenv("COLUMNS", "1000")  # no line break inside a hyphenated name
+    with pytest.raises(SystemExit):
+        main(["approx", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    for table in (ROUTES, FIT_FAMILIES):
+        assert f"comma list of {', '.join(table)}" in help_text
+        assert ", ".join(f"`{name}`" for name in table) in readme
 
 
 @pytest.mark.parametrize(

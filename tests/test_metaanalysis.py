@@ -183,6 +183,15 @@ def test_tau_marginal_rejects_prior_without_finite_quantile():
         tau_marginal(sm, Diverging(0.2))
 
 
+@pytest.mark.parametrize("prior", [LogNormal(800.0, 1.0), Lomax(0.001, 1.0)], ids=["log-normal", "lomax"])
+def test_bayes_ma_refuses_a_prior_whose_quantile_overflows_without_a_warning(prior):
+    # under this suite's error::RuntimeWarning filter an overflow warning of
+    # the quantile would surface instead of the GridError that names the cause
+    sm = SingleMeta(y=(0.1, 0.2), sigma=(0.5, 0.5))
+    with pytest.raises(GridError, match=r"has no finite positive 0\.9999 quantile"):
+        bayes_ma(sm, prior)
+
+
 @pytest.mark.parametrize("prior", [Normal(0.0, 1.0), Uniform(-1.0, 1.0)])
 def test_tau_marginal_rejects_prior_with_mass_below_zero(prior):
     sm = SingleMeta(y=(0.1, 0.2), sigma=(0.5, 0.5))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import integrate, special
 from hetprior import metaanalysis, sampler
 from hetprior.data import MetaAnalysisCollection, StudyRecord
 from hetprior.dic import compare_models
-from hetprior.dist import HalfCauchy, HalfNormal, Normal, Uniform
+from hetprior.dist import HalfCauchy, HalfNormal, LogNormal, Normal, Uniform
 from hetprior.metaanalysis import GridError, SingleMeta, tau_marginal
 from hetprior.sampler import (
     BACKEND,
@@ -222,6 +223,32 @@ def test_mcmc_config_validation():
         McmcConfig(thin=0)
     with pytest.raises(ConfigError):
         McmcConfig(burn_in=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5, None])
+def test_mcmc_config_refuses_a_seed_that_is_not_a_nonnegative_integer_by_name(seed):
+    with pytest.raises(ConfigError, match=rf"seed must be an integer >= 0, got {seed!r}"):
+        McmcConfig(seed=seed)
+    assert McmcConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize(
+    "hyperprior, numbers",
+    [
+        (LogNormal(800.0, 1.0), "its median is inf, its cells would run from inf to its 0.999999 quantile inf"),
+        (LogNormal(-800.0, 1.0), "its median is 0, its cells would run from 0 to its 0.999999 quantile 0"),
+        (HalfCauchy(1e300), "its median is 1e+300, its cells would run from 2e+296 to its 0.999999 quantile 6.37e+305"),
+    ],
+    ids=["median-overflows", "median-underflows", "edges-overflow"],
+)
+def test_hyperprior_without_a_theta_axis_in_floats_is_refused_by_name(hyperprior, numbers):
+    """Such a hyperprior once warned of overflows and then failed with
+    "cannot convert float NaN to integer" (log-normal(800,1)) or a GridError
+    blaming the analyses (half-cauchy(1e300)); it is now refused when the
+    model is specified, before any tabulation."""
+    message = f"hyperprior {hyperprior} has no theta cells in finite floats: {numbers}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_hierarchical(small_corpus(), ModelSpec(scale_hyperprior=hyperprior), McmcConfig(iterations=10))
 
 
 def test_mcmc_config_needs_two_draws_in_all():

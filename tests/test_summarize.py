@@ -22,6 +22,7 @@ from hetprior.data import MetaAnalysisCollection, StudyRecord
 from hetprior.sampler import McmcConfig, ModelSpec, PosteriorSamples, run_hierarchical, summarize_samples
 from hetprior.summarize import (
     FIT_FAMILIES,
+    ROUTES,
     FitError,
     PriorSpec,
     approximation_table,
@@ -323,7 +324,8 @@ def test_ml_of_constant_draws():
     assert spec.note == "degenerate fit: half-t df > 10000, half-normal limit"
 
 
-@pytest.mark.parametrize(
+#: draws that no fit family supports, with the error each direct fit raises
+_OUTSIDE_SUPPORT = pytest.mark.parametrize(
     "draws, message",
     [
         (np.r_[-0.1, np.full(1999, 0.2)], "finite, nonnegative draws"),
@@ -333,10 +335,41 @@ def test_ml_of_constant_draws():
     ],
     ids=["negative", "nan", "inf", "all-zero"],
 )
+
+
+@_OUTSIDE_SUPPORT
 @pytest.mark.parametrize("family", FIT_FAMILIES)
 def test_ml_rejects_draws_outside_the_families_support(draws, message, family):
     with pytest.raises(InfeasibleError, match=message):
         fit_predictive_ml(draws, family)
+
+
+@_OUTSIDE_SUPPORT
+@pytest.mark.parametrize("family", FIT_FAMILIES)
+def test_moment_fit_rejects_draws_outside_the_families_support(draws, message, family):
+    # the moment fit once fitted exp(0.0999...) to draws holding -0.05, and
+    # met NaN, inf and all-zero draws with a plain ValueError (inf also with
+    # a RuntimeWarning, an error under this suite's filters)
+    with pytest.raises(InfeasibleError, match=message):
+        fit_predictive_moments(draws, family)
+    with pytest.raises(InfeasibleError, match="finite, nonnegative draws"):
+        fit_predictive_moments(np.r_[-0.05, np.full(9, 0.2)], family)
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [("half-t", "coefficient of variation 0 is not attainable"), ("log-normal", "sd 0, which no log-normal")],
+)
+def test_moment_fit_of_constant_draws_is_infeasible_by_name(family, message):
+    with pytest.raises(InfeasibleError, match=message):
+        fit_predictive_moments(np.full(10, 0.2), family)
+
+
+@pytest.mark.parametrize("fit, least", [(fit_predictive_ml, 1000), (fit_predictive_moments, 2)])
+def test_each_direct_fit_keeps_its_own_least_draw_count(fit, least):
+    with pytest.raises(InfeasibleError, match=f"need at least {least} draws for a direct fit, got {least - 1}"):
+        fit(np.full(least - 1, 0.2), "exp")
+    assert fit(np.r_[np.full(least - 1, 0.2), 0.3], "exp").distribution.scale > 0.2
 
 
 def _pipeline_predictive():
@@ -629,3 +662,28 @@ def test_prior_to_dict_keys_and_values():
 def test_prior_to_dict_omits_absent_optionals():
     d = prior_to_dict(PriorSpec(Exponential(0.2), "direct_fit_moments"))
     assert "note" not in d and "log_likelihood" not in d
+
+
+def test_routes_call_the_route_functions_bound_in_the_module(monkeypatch):
+    """The ``approx --methods`` table: the point keys come from the
+    statistics a point estimate accepts, the direct fits run per fit
+    family, and each builder looks its route function up when it runs, so
+    a wrapper bound over it in the module (perfbench's tracer) sees every
+    call."""
+    from hetprior import summarize
+
+    assert list(ROUTES) == ["point:mean", "point:median", "point:q95", "mixture", "ml", "moments"]
+    assert [m for m, route in ROUTES.items() if route.per_family] == ["ml", "moments"]
+    calls = []
+    for name in ("point_estimate_prior", "mixture_match_prior", "fit_predictive_ml", "fit_predictive_moments"):
+        monkeypatch.setattr(summarize, name, lambda *args, name=name: calls.append((name, *args[1:])))
+    for route in ROUTES.values():
+        route.build(FIT, "lomax" if route.per_family else None, "src")
+    assert calls == [
+        ("point_estimate_prior", "mean", "src"),
+        ("point_estimate_prior", "median", "src"),
+        ("point_estimate_prior", "q95", "src"),
+        ("mixture_match_prior", "src"),
+        ("fit_predictive_ml", "lomax", "src"),
+        ("fit_predictive_moments", "lomax", "src"),
+    ]
